@@ -25,7 +25,8 @@ from .acceptance import PatienceCounter, TemperatureSchedule, decide, temperatur
 from .errors import NumericError
 from .estimators import estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec
-from .meanfield import VariationalParams, constrain, initial_params, sample
+# sample is not called here, but perfbench/tracer.py wraps driver.sample.
+from .meanfield import VariationalParams, constrain, draw_z, initial_params, sample  # noqa: F401
 from .sequences import EPS, make_source
 
 METHODS = ("mcvi", "qmcvi", "yoasovi-naive", "yoasovi-metropolis")
@@ -70,7 +71,7 @@ class RunConfig:
         return "sobol-scrambled" if self.method == "qmcvi" else "pseudo-random"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     t: int
     elapsed_s: float
@@ -205,14 +206,12 @@ def run_problem(config: RunConfig, problem: Problem,
                     final_lambda=lam)
 
 
-def final_elbo(records) -> float:
+def final_elbo(records: list[IterationRecord]) -> float:
     """Ending ELBO: mean of the last accepted estimates, up to ten of them.
 
     Rejected iterations left lambda untouched, so only accepted records
     describe the state the run ended in.
     """
-    if hasattr(records, "records"):
-        records = records.records
     accepted = [r.elbo for r in records if r.accepted]
     if not accepted:
         raise ValueError("trace holds no accepted iterations; ending ELBO undefined")
@@ -226,4 +225,4 @@ def posterior_draw_set(lam: VariationalParams, n_draws: int, spec: GmmSpec,
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     u = np.clip(rng.random((n_draws, lam.dim)), EPS, 1.0 - EPS)
-    return [sample(lam, u[i], spec).theta for i in range(n_draws)]
+    return [constrain(z, spec)[0] for z in draw_z(lam, u)]

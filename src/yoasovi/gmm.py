@@ -5,6 +5,12 @@ Parameter layout is K mixture weights on the simplex, K mean vectors of
 length p, and K diagonal standard-deviation vectors of length p.  Priors:
 weights ~ Dirichlet(alpha), means ~ Normal(0, prior_mean_scale^2) per
 coordinate, log sds ~ Normal(0, prior_logsd_scale^2) per coordinate.
+
+Every likelihood goes through one block kernel that scores B parameter sets
+stacked on a leading axis (weights (B, K), means and sds (B, K, p)) against
+the (N, p) data in one pass, with a max-shifted numpy log-sum-exp over the
+components.  log_likelihood is its B=1 call; dic stacks its posterior draws
+once and makes a single call.
 """
 
 import csv
@@ -13,7 +19,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NumericError, ParseError
 
@@ -48,14 +53,20 @@ class GmmParams:
     sds: np.ndarray      # (K, p), strictly positive
 
     def validate(self, spec: GmmSpec) -> None:
-        if self.weights.shape != (spec.K,):
-            raise ValueError(f"weights shape {self.weights.shape}, expected ({spec.K},)")
-        if self.means.shape != (spec.K, spec.p) or self.sds.shape != (spec.K, spec.p):
-            raise ValueError("means/sds must have shape (K, p)")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12 or np.any(self.weights < 0):
-            raise ValueError("weights must be a simplex vector")
-        if np.any(self.sds <= 0):
-            raise ValueError("sds must be strictly positive")
+        _validate_block(spec, self.weights[None], self.means[None], self.sds[None])
+
+
+def _validate_block(spec: GmmSpec, weights: np.ndarray, means: np.ndarray,
+                    sds: np.ndarray) -> None:
+    """GmmParams.validate for B parameter sets stacked on a leading axis."""
+    if weights.shape[1:] != (spec.K,):
+        raise ValueError(f"weights shape {weights.shape[1:]}, expected ({spec.K},)")
+    if means.shape[1:] != (spec.K, spec.p) or sds.shape[1:] != (spec.K, spec.p):
+        raise ValueError("means/sds must have shape (K, p)")
+    if (np.abs(weights.sum(axis=1) - 1.0) > 1e-12).any() or (weights < 0).any():
+        raise ValueError("weights must be a simplex vector")
+    if (sds <= 0).any():
+        raise ValueError("sds must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -81,21 +92,49 @@ class Dataset:
         return self.values.shape[1]
 
 
-def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
-    """Mixture log likelihood of the data, via log-sum-exp over components."""
+# Parameter sets per pass of the kernel: at N=500, K=4, p=3 its (B, K, p, N)
+# temporaries stay under 1 MB however many draws a caller stacks.
+_BLOCK = 16
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis, shifted by the maximum along it.
+
+    Where that maximum is not finite the values are left unshifted, so the
+    result is the same inf or nan as scipy.special.logsumexp gives, and no
+    inf - inf is ever formed."""
+    m = a.max(axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis)
+
+
+def _log_likelihood_block(spec: GmmSpec, data: Dataset, weights: np.ndarray,
+                          means: np.ndarray, sds: np.ndarray) -> np.ndarray:
+    """Mixture log likelihood of the data under each of B stacked parameter
+    sets: weights (B, K), means and sds (B, K, p) -> (B,)."""
     if data.p != spec.p:
         raise ValueError(f"data dimension {data.p} does not match spec p={spec.p}")
-    params.validate(spec)
-    y = data.values  # (N, p)
+    _validate_block(spec, weights, means, sds)
+    # observations on the last axis, so every elementwise pass runs over N
+    y = np.ascontiguousarray(data.values.T)  # (p, N)
+    out = np.empty(weights.shape[0])
     with np.errstate(divide="ignore"):
-        log_w = np.log(params.weights)  # zero weights allowed: -inf drops out
-        # (N, K): sum over p of the componentwise normal log densities
+        log_w = np.log(weights)[..., None]  # zero weights allowed: -inf drops out
+        log_norm = np.log(2.0 * np.pi * sds**2)[..., None]
+    for lo in range(0, weights.shape[0], _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        # (b, K, N): sum over p of the componentwise normal log densities
         comp = -0.5 * np.sum(
-            np.log(2.0 * np.pi * params.sds**2)[None, :, :]
-            + ((y[:, None, :] - params.means[None, :, :]) / params.sds[None, :, :]) ** 2,
-            axis=2,
-        )
-    return float(np.sum(logsumexp(log_w[None, :] + comp, axis=1)))
+            log_norm[b] + ((y - means[b, ..., None]) / sds[b, ..., None]) ** 2, axis=2)
+        out[b] = np.sum(_logsumexp(log_w[b] + comp, axis=1), axis=1)
+    return out
+
+
+def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
+    """Mixture log likelihood of the data: the B=1 call of the block kernel."""
+    return float(_log_likelihood_block(spec, data, params.weights[None],
+                                       params.means[None], params.sds[None])[0])
 
 
 def log_prior(spec: GmmSpec, params: GmmParams) -> float:
@@ -192,13 +231,18 @@ def dic(spec: GmmSpec, data: Dataset, posterior_draws: list[GmmParams]) -> float
     point the draw-wise mean parameter (weights re-normalized)."""
     if len(posterior_draws) < 2:
         raise ValueError(f"DIC needs at least 2 posterior draws, got {len(posterior_draws)}")
-    devs = np.array([-2.0 * log_likelihood(spec, data, th) for th in posterior_draws])
-    w_bar = np.mean([th.weights for th in posterior_draws], axis=0)
-    theta_bar = GmmParams(
-        weights=w_bar / w_bar.sum(),
-        means=np.mean([th.means for th in posterior_draws], axis=0),
-        sds=np.mean([th.sds for th in posterior_draws], axis=0),
-    )
+    try:
+        weights, means, sds = (np.stack([getattr(th, f) for th in posterior_draws])
+                               for f in ("weights", "means", "sds"))
+    except ValueError:
+        # draws of differing shapes: the first misfit reports itself
+        for th in posterior_draws:
+            th.validate(spec)
+        raise
+    devs = -2.0 * _log_likelihood_block(spec, data, weights, means, sds)
+    w_bar = weights.mean(axis=0)
+    theta_bar = GmmParams(weights=w_bar / w_bar.sum(), means=means.mean(axis=0),
+                          sds=sds.mean(axis=0))
     d_bar = float(devs.mean())
     p_d = d_bar - (-2.0 * log_likelihood(spec, data, theta_bar))
     return d_bar + p_d

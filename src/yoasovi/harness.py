@@ -237,12 +237,11 @@ def format_table(rows: list[SummaryRow]) -> str:
     return "\n".join(out)
 
 
-def emit_trajectory(records, horizon_seconds: float) -> list[tuple[float, float]]:
+def emit_trajectory(records: list[IterationRecord],
+                    horizon_seconds: float) -> list[tuple[float, float]]:
     """(elapsed_s, elbo) pairs for records inside the horizon."""
     if horizon_seconds < 0:
         raise ValueError("horizon must be >= 0")
-    if hasattr(records, "records"):
-        records = records.records
     return [(r.elapsed_s, r.elbo) for r in records if r.elapsed_s <= horizon_seconds]
 
 

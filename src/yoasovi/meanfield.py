@@ -11,7 +11,7 @@ log Jacobian determinant, so the ELBO integrand is
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, softmax
+from scipy.special import ndtri
 
 from .gmm import GmmParams, GmmSpec
 
@@ -65,7 +65,9 @@ def constrain(z: np.ndarray, spec: GmmSpec) -> tuple[GmmParams, float]:
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite unconstrained vector")
     logits, means, log_sds = _split(z, spec)
-    weights = softmax(np.append(logits, 0.0))
+    a = np.append(logits, 0.0)
+    e = np.exp(a - a.max())  # max-shifted softmax
+    weights = e / e.sum()
     ldj = float(np.sum(np.log(weights)) + np.sum(log_sds))
     return GmmParams(weights=weights, means=means.copy(), sds=np.exp(log_sds)), ldj
 
@@ -86,12 +88,19 @@ def sample(lam: VariationalParams, u: np.ndarray, spec: GmmSpec | None = None) -
     u = np.asarray(u, dtype=float)
     if u.shape != (lam.dim,):
         raise ValueError(f"expected a point of dimension {lam.dim}, got {u.shape}")
-    with np.errstate(over="ignore"):
-        z = lam.m + np.exp(lam.log_s) * ndtri(u)
+    z = draw_z(lam, u)
     if spec is None:
         return ParamDraw(z=z, theta=z, log_det_jacobian=0.0)
     theta, ldj = constrain(z, spec)
     return ParamDraw(z=z, theta=theta, log_det_jacobian=ldj)
+
+
+def draw_z(lam: VariationalParams, u: np.ndarray) -> np.ndarray:
+    """The reparameterisation z = m + exp(log_s) * ndtri(u), row by row for
+    points u of shape (..., dim).  An overflow gives inf without a warning;
+    estimate and constrain reject non-finite draws."""
+    with np.errstate(over="ignore"):
+        return lam.m + np.exp(lam.log_s) * ndtri(u)
 
 
 def log_q(lam: VariationalParams, z: np.ndarray) -> float:

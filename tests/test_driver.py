@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from yoasovi.driver import (Problem, RunConfig, build_gmm_problem, final_elbo,
 from yoasovi.driver import IterationRecord
 from yoasovi.errors import NumericError
 from yoasovi.harness import make_preset
-from yoasovi.meanfield import VariationalParams
+from yoasovi.meanfield import VariationalParams, sample
+from yoasovi.sequences import EPS
 
 
 class FakeClock:
@@ -285,6 +287,20 @@ def test_posterior_draw_set_produces_valid_parameters():
         posterior_draw_set(lam, 0, spec, rng=np.random.default_rng(0))
 
 
+def test_posterior_draw_set_matches_per_draw_sampling():
+    spec, data = small_gmm()
+    rng = np.random.default_rng(21)
+    lam = VariationalParams(m=rng.normal(0.0, 3.0, spec.n_unconstrained),
+                            log_s=rng.normal(-1.0, 0.5, spec.n_unconstrained))
+    draws = posterior_draw_set(lam, 200, spec, rng=np.random.default_rng(5))
+    u = np.clip(np.random.default_rng(5).random((200, lam.dim)), EPS, 1.0 - EPS)
+    assert len(draws) == len(u)
+    for th, u_i in zip(draws, u):
+        one = sample(lam, u_i, spec).theta
+        for field in ("weights", "means", "sds"):
+            np.testing.assert_array_equal(getattr(th, field), getattr(one, field))
+
+
 def test_gmm_run_reports_dic():
     spec, data = small_gmm()
     cfg = RunConfig(method="qmcvi", samples=5, learning_rate=5e-7, max_iters=20,
@@ -292,3 +308,53 @@ def test_gmm_run_reports_dic():
     trace = run(cfg, data)
     assert trace.summary.dic is not None
     assert math.isfinite(trace.summary.dic)
+
+
+# ---------------------------------------------------------------------------
+# behaviour parity of the optimisation and DIC paths
+
+# (method, seed): iterations, density_evals, sha256 of the accepted column as
+# a 0/1 string (first 16 hex digits), ending ELBO, DIC.  Recorded with the
+# scipy logsumexp and softmax and the per-draw DIC loop, at criterion 08's
+# settings on sim-p2k2; any change in the draws or the acceptance decisions
+# shows up here.
+PARITY = {
+    ("mcvi", 0): (500, 50000, "4ec297ba99da804f", -2259.108130824348, 4957.785139907875),
+    ("mcvi", 1): (500, 50000, "4ec297ba99da804f", -2270.8513565522003, 5086.834864956264),
+    ("mcvi", 2): (500, 50000, "4ec297ba99da804f", -2077.841053743162, 4591.626513443975),
+    ("qmcvi", 0): (500, 5000, "4ec297ba99da804f", -2246.468994590543, 4959.275103628443),
+    ("qmcvi", 1): (500, 5000, "4ec297ba99da804f", -2295.402541916669, 5092.125875254413),
+    ("qmcvi", 2): (500, 5000, "4ec297ba99da804f", -2068.518517442118, 4597.568054760776),
+    ("yoasovi-naive", 0): (310, 310, "8041821810e3386b", -2026.6121074045745, 5552.802094007006),
+    ("yoasovi-naive", 1): (445, 445, "0dce1479f5043877", -1997.523379895838, 5902.189423870536),
+    ("yoasovi-naive", 2): (446, 446, "acbb60aae8448cd3", -1881.8036959868048, 5097.933279720471),
+    ("yoasovi-metropolis", 0): (477, 477, "68dd5b53e1deea40", -2178.280614308754, 5702.772114189867),
+    ("yoasovi-metropolis", 1): (433, 433, "cc8b873a3d05ffd0", -2011.7049833867554, 5960.380778973676),
+    ("yoasovi-metropolis", 2): (500, 500, "aa627d04990e6d53", -1912.1866418700483, 5287.122121757283),
+}
+
+
+_SINGLE_DRAW = dict(patience=100, schedule=TemperatureSchedule("linear", 0.1))
+PARITY_SETTINGS = {"mcvi": dict(samples=100), "qmcvi": dict(samples=10),
+                   "yoasovi-naive": _SINGLE_DRAW, "yoasovi-metropolis": _SINGLE_DRAW}
+
+
+@pytest.fixture(scope="module")
+def sim_p2k2():
+    return make_preset("sim-p2k2", N=500)
+
+
+@pytest.mark.parametrize("method,seed", sorted(PARITY))
+def test_runs_reproduce_pinned_behaviour(sim_p2k2, method, seed):
+    spec, data = sim_p2k2
+    cfg = RunConfig(method=method, learning_rate=5e-7, max_iters=500, model=spec,
+                    kmeans_style_init=True, seed=seed, **PARITY_SETTINGS[method])
+    trace = run(cfg, data)
+    s = trace.summary
+    iterations, evals, flags_sha, elbo, dic = PARITY[method, seed]
+    flags = "".join("1" if r.accepted else "0" for r in trace.records)
+    assert (s.iterations, s.density_evals) == (iterations, evals)
+    assert hashlib.sha256(flags.encode()).hexdigest()[:16] == flags_sha
+    assert s.density_evals == cfg.samples * s.iterations
+    assert s.final_elbo == pytest.approx(elbo, rel=1e-9, abs=0)
+    assert s.dic == pytest.approx(dic, rel=1e-9, abs=0)

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from yoasovi.errors import NumericError, ParseError
-from yoasovi.gmm import (Dataset, GmmParams, GmmSpec, dic, load_csv,
-                         log_joint, log_likelihood, log_prior, simulate)
+from yoasovi.gmm import (_BLOCK, Dataset, GmmParams, GmmSpec, _log_likelihood_block,
+                         _logsumexp, dic, load_csv, log_joint, log_likelihood,
+                         log_prior, simulate)
 
 
 def random_instance(rng, K=None, p=None, N=None):
@@ -25,9 +28,9 @@ def random_instance(rng, K=None, p=None, N=None):
     return spec, data, params
 
 
-def oracle_log_joint(spec, data, params):
+def oracle_log_likelihood(spec, data, params):
     """Brute force through scipy.stats, no shared code with the module:
-    plain per-point mixture sums and textbook prior densities."""
+    plain per-point mixture sums."""
     total = 0.0
     for y in data.values:
         dens = 0.0
@@ -37,6 +40,12 @@ def oracle_log_joint(spec, data, params):
                 comp *= stats.norm.pdf(y[j], params.means[k, j], params.sds[k, j])
             dens += params.weights[k] * comp
         total += math.log(dens)
+    return total
+
+
+def oracle_log_joint(spec, data, params):
+    """oracle_log_likelihood plus textbook prior densities."""
+    total = oracle_log_likelihood(spec, data, params)
     total += stats.dirichlet.logpdf(params.weights,
                                     np.full(spec.K, spec.prior_dirichlet_alpha))
     total += stats.norm.logpdf(params.means, 0.0, spec.prior_mean_scale).sum()
@@ -91,11 +100,72 @@ def test_zero_weight_component_drops_out():
 
 
 def test_log_joint_raises_on_non_finite():
+    # an all -inf row in the log-sum-exp must not form inf - inf on the way
     spec = GmmSpec(K=1, p=1)
     params = GmmParams(weights=np.array([1.0]), means=np.array([[np.inf]]),
                        sds=np.array([[1.0]]))
-    with pytest.raises(NumericError):
-        log_joint(spec, Dataset(np.array([[0.0]])), params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            log_joint(spec, Dataset(np.array([[0.0]])), params)
+
+
+def test_logsumexp_non_finite_rows_match_scipy():
+    inf, nan = math.inf, math.nan
+    a = np.array([[-inf, -inf, -inf],
+                  [inf, 0.0, -inf],
+                  [inf, inf, 1.0],
+                  [nan, 0.0, 1.0],
+                  [-inf, 2.0, -inf],
+                  [700.0, 710.0, -1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(a, axis=1)
+    want = logsumexp(a, axis=1)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    np.testing.assert_allclose(got[ok], want[ok], rtol=1e-15)
+
+
+def random_draws(rng, spec, B):
+    """B parameter sets for spec, with component 0 of every third set at
+    weight zero."""
+    weights = rng.dirichlet(np.ones(spec.K), size=B)
+    weights[::3, 0] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    means = rng.uniform(-3.0, 3.0, (B, spec.K, spec.p))
+    sds = rng.uniform(0.3, 2.0, (B, spec.K, spec.p))
+    return [GmmParams(weights=w, means=m, sds=s) for w, m, s in zip(weights, means, sds)]
+
+
+def test_block_kernel_matches_brute_force_per_row():
+    # B = 37 is not a multiple of the block size, so the last pass is short
+    assert 37 % _BLOCK != 0
+    rng = np.random.default_rng(2718)
+    spec, data, _ = random_instance(rng, K=3, p=2, N=7)
+    draws = random_draws(rng, spec, 37)
+    got = _log_likelihood_block(spec, data, *(np.stack([getattr(th, f) for th in draws])
+                                              for f in ("weights", "means", "sds")))
+    want = [oracle_log_likelihood(spec, data, th) for th in draws]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert [log_likelihood(spec, data, th) for th in draws] == list(got)
+
+
+def test_block_kernel_keeps_the_validation_messages():
+    spec = GmmSpec(K=2, p=1)
+    data = Dataset(np.array([[0.0]]))
+    good = dict(weights=np.full((3, 2), 0.5), means=np.zeros((3, 2, 1)),
+                sds=np.ones((3, 2, 1)))
+    for field, value, message in [
+        ("weights", np.ones((3, 3)) / 3, r"weights shape \(3,\), expected \(2,\)"),
+        ("means", np.zeros((3, 2, 2)), "means/sds must have shape"),
+        ("weights", np.array([[0.5, 0.5], [0.7, 0.7], [0.5, 0.5]]), "simplex"),
+        ("sds", np.array([[[1.0], [1.0]], [[1.0], [0.0]], [[1.0], [1.0]]]), "strictly positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            _log_likelihood_block(spec, data, **{**good, field: value})
+    with pytest.raises(ValueError, match="data dimension"):
+        _log_likelihood_block(spec, Dataset(np.zeros((1, 2))), **good)
 
 
 def test_n_unconstrained_count():
@@ -249,6 +319,29 @@ def test_dic_degenerate_posterior_has_no_parameter_penalty():
     draw = GmmParams(weights=np.array([1.0]), means=np.array([[1.0]]), sds=np.array([[1.0]]))
     expected = -2.0 * log_likelihood(spec, data, draw)
     assert dic(spec, data, [draw, draw, draw]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_dic_matches_brute_force():
+    rng = np.random.default_rng(1618)
+    spec, data, _ = random_instance(rng, K=3, p=2, N=6)
+    draws = random_draws(rng, spec, 37)
+    devs = [-2.0 * oracle_log_likelihood(spec, data, th) for th in draws]
+    w_bar = np.mean([th.weights for th in draws], axis=0)
+    theta_bar = GmmParams(weights=w_bar / w_bar.sum(),
+                          means=np.mean([th.means for th in draws], axis=0),
+                          sds=np.mean([th.sds for th in draws], axis=0))
+    d_bar = float(np.mean(devs))
+    want = 2.0 * d_bar + 2.0 * oracle_log_likelihood(spec, data, theta_bar)
+    assert dic(spec, data, draws) == pytest.approx(want, rel=1e-12)
+
+
+def test_dic_rejects_draws_of_differing_shapes():
+    spec = GmmSpec(K=2, p=1)
+    good = GmmParams(weights=np.array([0.5, 0.5]), means=np.zeros((2, 1)),
+                     sds=np.ones((2, 1)))
+    bad = GmmParams(weights=np.ones(3) / 3, means=np.zeros((3, 1)), sds=np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"weights shape \(3,\), expected \(2,\)"):
+        dic(spec, Dataset(np.array([[0.0]])), [good, bad])
 
 
 def test_log_prior_dirichlet_normalizer_present():
