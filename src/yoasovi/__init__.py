@@ -2,8 +2,8 @@
 strategies: plain Monte Carlo, scrambled low-discrepancy sequences, and
 single-draw acceptance sampling with tempering and early stopping."""
 
-from .acceptance import (AcceptanceRule, PatienceCounter, TemperatureSchedule,
-                         accept_probability, decide, temperature, tick)
+from .acceptance import (PatienceCounter, TemperatureSchedule, accept_probability,
+                         decide, temperature, tick)
 from .driver import (METHODS, Problem, RunConfig, RunTrace, build_gmm_problem,
                      final_elbo, posterior_draw_set, run, run_problem)
 from .errors import (DegenerateReferenceError, NumericError, ParseError,
@@ -13,7 +13,7 @@ from .gmm import Dataset, GmmParams, GmmSpec, dic, load_csv, log_joint, simulate
 from .harness import ExperimentMatrix, SummaryRow, make_preset, run_matrix
 from .meanfield import (ParamDraw, VariationalParams, constrain, initial_params,
                         log_q, sample, score, unconstrain)
-from .sequences import gaussian_transform, inverse_normal_cdf, make_source
+from .sequences import make_source
 from .validation import ConjugateOracle, closed_form_elbo, finite_diff
 
 __version__ = "0.1.0"

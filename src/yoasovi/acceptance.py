@@ -39,16 +39,6 @@ class TemperatureSchedule:
 
 
 @dataclass(frozen=True)
-class AcceptanceRule:
-    kind: str = "naive"
-    schedule: TemperatureSchedule = TemperatureSchedule()
-
-    def __post_init__(self):
-        if self.kind not in RULE_KINDS:
-            raise ValueError(f"unknown acceptance rule {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class PatienceCounter:
     """nu counts consecutive rejections; patience is the stall threshold."""
 
@@ -73,15 +63,15 @@ def temperature(schedule: TemperatureSchedule, t: int) -> float:
     return schedule.k * t
 
 
-def accept_probability(rule, M: float, L_new: float, L_prev: float) -> float:
-    """Probability of accepting L_new given reference L_prev.
+def accept_probability(kind: str, M: float, L_new: float, L_prev: float) -> float:
+    """Probability of accepting L_new given reference L_prev under the rule
+    named kind (one of RULE_KINDS).
 
-    rule may be an AcceptanceRule or a bare kind string.  L_prev must be
-    finite and nonzero, or -inf (the fresh-start sentinel, which accepts
-    anything).  A reference of exactly zero leaves the relative gain
-    undefined and is reported as such rather than silently patched.
+    L_prev must be finite and nonzero, or -inf (the fresh-start sentinel,
+    which accepts anything).  A reference of exactly zero leaves the
+    relative gain undefined and is reported as such rather than silently
+    patched.
     """
-    kind = getattr(rule, "kind", rule)
     if kind not in RULE_KINDS:
         raise ValueError(f"unknown acceptance rule {kind!r}")
     if not (M >= 0 and math.isfinite(M)):
@@ -103,11 +93,11 @@ def accept_probability(rule, M: float, L_new: float, L_prev: float) -> float:
     return min(1.0, math.exp(g))
 
 
-def decide(rule, M: float, L_new: float, L_prev: float, u: float) -> bool:
+def decide(kind: str, M: float, L_new: float, L_prev: float, u: float) -> bool:
     """Accept iff the uniform draw u falls at or below the probability."""
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u}")
-    return u <= accept_probability(rule, M, L_new, L_prev)
+    return u <= accept_probability(kind, M, L_new, L_prev)
 
 
 def tick(counter: PatienceCounter, accepted: bool) -> tuple[PatienceCounter, bool]:

@@ -31,8 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--max-iters", type=int, dest="max_iters")
     runp.add_argument("--lr", type=float, help="learning rate")
     runp.add_argument("--seed", type=int, help="base seed; replicate r adds r")
-    runp.add_argument("--data", help="CSV file of observations")
-    runp.add_argument("--preset", help="simulated dataset name")
+    data = runp.add_mutually_exclusive_group()
+    data.add_argument("--data", help="CSV file of observations")
+    data.add_argument("--preset", help="simulated dataset name")
     runp.add_argument("--replicates", type=int)
     runp.add_argument("--jobs", type=int)
     runp.add_argument("--out", help="output directory")

@@ -27,7 +27,7 @@ from .estimators import estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec
 # sample is not called here, but perfbench/tracer.py wraps driver.sample.
 from .meanfield import VariationalParams, constrain, draw_z, initial_params, sample  # noqa: F401
-from .sequences import EPS, make_source
+from .sequences import clamp, make_source
 
 METHODS = ("mcvi", "qmcvi", "yoasovi-naive", "yoasovi-metropolis")
 
@@ -97,10 +97,6 @@ class RunTrace:
     summary: RunSummary
     config: RunConfig
     final_lambda: VariationalParams | None = None
-
-    @property
-    def error(self) -> str | None:
-        return self.summary.error
 
 
 @dataclass(frozen=True)
@@ -224,5 +220,5 @@ def posterior_draw_set(lam: VariationalParams, n_draws: int, spec: GmmSpec,
     """Fresh constrained draws from q(.|lam), for posterior summaries."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    u = np.clip(rng.random((n_draws, lam.dim)), EPS, 1.0 - EPS)
+    u = clamp(rng.random((n_draws, lam.dim)))
     return [constrain(z, spec)[0] for z in draw_z(lam, u)]

@@ -20,7 +20,6 @@ class GradientSample:
 
     grad: np.ndarray
     elbo: float
-    draws_used: int
 
 
 def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
@@ -46,7 +45,7 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
             raise NumericError(f"non-finite integrand ({w}) at draw {s + 1} of {S}, z={z}")
         grad += score(lam, z) * w
         elbo += w
-    return GradientSample(grad=grad / S, elbo=elbo / S, draws_used=S)
+    return GradientSample(grad=grad / S, elbo=elbo / S)
 
 
 def update_step(lam: VariationalParams, grad: np.ndarray, rho: float) -> VariationalParams:

@@ -16,7 +16,7 @@ once and makes a single call.
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,6 @@ def _validate_block(spec: GmmSpec, weights: np.ndarray, means: np.ndarray,
 class Dataset:
     values: np.ndarray
     name: str = "data"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -169,7 +168,7 @@ def simulate(spec: GmmSpec, true_params: GmmParams, N: int, seed: int) -> Datase
     rng = np.random.default_rng(seed)
     comps = rng.choice(spec.K, size=N, p=true_params.weights)
     values = true_params.means[comps] + rng.standard_normal((N, spec.p)) * true_params.sds[comps]
-    return Dataset(values, name=f"sim-K{spec.K}-p{spec.p}-N{N}", meta={"seed": seed})
+    return Dataset(values, name=f"sim-K{spec.K}-p{spec.p}-N{N}")
 
 
 def load_csv(path, label_column: str | None = None) -> Dataset:

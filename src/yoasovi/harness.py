@@ -100,9 +100,8 @@ def _trace_path(out_dir: Path, dataset: str, label: str, r: int) -> Path:
     return out_dir / "traces" / f"{dataset}__{label}__r{r}.csv"
 
 
-def _run_one(args):
-    config, data, path = args
-    trace = run(config, data)
+def _run_one(config: RunConfig, data: Dataset, path: Path, clock=None) -> RunSummary:
+    trace = run(config, data, clock=clock)
     write_trace(trace, path)
     return trace.summary
 
@@ -129,15 +128,9 @@ def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
 
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_run_one, work))
-    elif clock is not None:
-        summaries = []
-        for config, data, path in work:
-            trace = run(config, data, clock=clock)
-            write_trace(trace, path)
-            summaries.append(trace.summary)
+            summaries = list(pool.map(_run_one, *zip(*work)))
     else:
-        summaries = [_run_one(item) for item in work]
+        summaries = [_run_one(*item, clock=clock) for item in work]
 
     rows = []
     i = 0
@@ -266,15 +259,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def build_spec(model: dict, K: int | None = None, p: int | None = None) -> GmmSpec:
-    model = dict(model or {})
-    if K is not None:
-        model["K"] = K
-    if p is not None:
-        model["p"] = p
-    return GmmSpec(**model)
-
-
 def build_run_config(run_section: dict, model: GmmSpec | None = None) -> RunConfig:
     """RunConfig from the nested run section; 'temper' maps to the schedule."""
     sec = dict(run_section or {})
@@ -302,7 +286,7 @@ def resolve_data(data_section: dict, model: dict | None) -> tuple[str, GmmSpec, 
         return name, spec, data
     if "csv" in sec:
         data = load_csv(sec["csv"], label_column=sec.get("label_column"))
-        spec = build_spec(model, p=data.p)
+        spec = GmmSpec(**{**model, "p": data.p})
         return data.name, spec, data
     raise ValueError("data section needs either a preset name or a csv path")
 

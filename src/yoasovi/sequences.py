@@ -1,5 +1,4 @@
-"""Uniform point streams (pseudo-random, scrambled Sobol, Halton) and the
-transform from unit-hypercube points to Gaussian draws.
+"""Uniform point streams: pseudo-random and scrambled Sobol.
 
 All sources emit points strictly inside the open hypercube: outputs are
 clamped to [EPS, 1 - EPS] before anyone applies the inverse normal CDF, so
@@ -10,7 +9,6 @@ import warnings
 
 import numpy as np
 from scipy import stats
-from scipy.special import ndtri
 
 from .errors import UnsupportedDimensionError
 
@@ -22,37 +20,28 @@ EPS = 2.0 ** -43
 SOBOL_MAX_DIMENSION = 21201
 
 
-def inverse_normal_cdf(u: float) -> float:
-    """Standard normal quantile of u, for u strictly inside (0, 1)."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"inverse normal CDF needs 0 < u < 1, got {u}")
-    return float(ndtri(u))
-
-
-def _clamp(pts: np.ndarray) -> np.ndarray:
+def clamp(pts: np.ndarray) -> np.ndarray:
+    """Points clipped into the open hypercube [EPS, 1 - EPS]^d."""
     return np.clip(pts, EPS, 1.0 - EPS)
 
 
 class SequenceSource:
-    """Common behaviour for the three point streams.
+    """Common behaviour for the point streams.
 
     Subclasses fill in _raw(n) returning an (n, dimension) array; this class
     handles clamping and the emitted-point counter.  A source is single-owner
     mutable state: share datasets between runs, never sources.
     """
 
-    kind: str
-
-    def __init__(self, dimension: int, seed: int):
+    def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = int(dimension)
-        self.seed = int(seed)
         self.counter = 0
 
     def next_point(self) -> np.ndarray:
         """The next point of the stream, in the open hypercube (0,1)^d."""
-        pt = _clamp(self._raw(1)[0])
+        pt = clamp(self._raw(1)[0])
         self.counter += 1
         return pt
 
@@ -61,10 +50,8 @@ class SequenceSource:
 
 
 class PseudoRandomSource(SequenceSource):
-    kind = "pseudo-random"
-
     def __init__(self, dimension: int, seed: int):
-        super().__init__(dimension, seed)
+        super().__init__(dimension)
         self._rng = np.random.default_rng(seed)
 
     def _raw(self, n):
@@ -74,20 +61,17 @@ class PseudoRandomSource(SequenceSource):
 class SobolSource(SequenceSource):
     """Scrambled Sobol stream (Owen-style linear matrix scrambling, keyed by
     seed).  The index-0 point of the unscrambled sequence is the origin, which
-    sits on the closed boundary, so the stream starts at index 1; the first
-    unscrambled point in dimension one is therefore 0.5.
+    sits on the closed boundary, so the stream starts at index 1.
     """
 
-    kind = "sobol-scrambled"
-
-    def __init__(self, dimension: int, seed: int, scramble: bool = True):
+    def __init__(self, dimension: int, seed: int):
         if dimension > SOBOL_MAX_DIMENSION:
             raise UnsupportedDimensionError(
                 f"Sobol direction numbers available up to dimension "
                 f"{SOBOL_MAX_DIMENSION}, got {dimension}"
             )
-        super().__init__(dimension, seed)
-        self._engine = stats.qmc.Sobol(d=dimension, scramble=scramble, seed=seed)
+        super().__init__(dimension)
+        self._engine = stats.qmc.Sobol(d=dimension, scramble=True, seed=seed)
         self._engine.fast_forward(1)
 
     def _raw(self, n):
@@ -98,25 +82,9 @@ class SobolSource(SequenceSource):
             return self._engine.random(n)
 
 
-class HaltonSource(SequenceSource):
-    """Plain Halton stream (radical inverse in successive prime bases),
-    skipping the index-0 origin point like the Sobol stream."""
-
-    kind = "halton"
-
-    def __init__(self, dimension: int, seed: int, scramble: bool = False):
-        super().__init__(dimension, seed)
-        self._engine = stats.qmc.Halton(d=dimension, scramble=scramble, seed=seed)
-        self._engine.fast_forward(1)
-
-    def _raw(self, n):
-        return self._engine.random(n)
-
-
 _SOURCE_KINDS = {
     "pseudo-random": PseudoRandomSource,
     "sobol-scrambled": SobolSource,
-    "halton": HaltonSource,
 }
 
 
@@ -126,26 +94,3 @@ def make_source(kind: str, dimension: int, seed: int) -> SequenceSource:
     except KeyError:
         raise ValueError(f"unknown sequence kind {kind!r}") from None
     return cls(dimension, seed)
-
-
-def gaussian_transform(u: np.ndarray, mean: np.ndarray, cov_factor: np.ndarray) -> np.ndarray:
-    """Map a hypercube point to a Gaussian draw: z = ndtri(u) @ R + mean.
-
-    R must be upper triangular with positive diagonal; the output then has
-    covariance R^T R.  With R = I this reduces to componentwise
-    inverse_normal_cdf plus a shift.
-    """
-    u = np.asarray(u, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    cov_factor = np.asarray(cov_factor, dtype=float)
-    d = u.shape[-1]
-    if mean.shape != (d,) or cov_factor.shape != (d, d):
-        raise ValueError(
-            f"shape mismatch: u has dimension {d}, mean {mean.shape}, "
-            f"factor {cov_factor.shape}"
-        )
-    if np.any(np.tril(cov_factor, -1) != 0.0):
-        raise ValueError("cov_factor must be upper triangular")
-    if np.any(np.diag(cov_factor) <= 0.0):
-        raise ValueError("cov_factor needs a positive diagonal")
-    return ndtri(_clamp(u)) @ cov_factor + mean

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yoasovi.acceptance import (AcceptanceRule, PatienceCounter,
-                                TemperatureSchedule, accept_probability,
-                                decide, temperature, tick)
+from yoasovi.acceptance import (PatienceCounter, TemperatureSchedule,
+                                accept_probability, decide, temperature, tick)
 from yoasovi.errors import DegenerateReferenceError
 
 
@@ -80,10 +79,11 @@ def test_probabilities_live_in_unit_interval():
             assert 0.0 <= p <= 1.0
 
 
-def test_rule_object_and_kind_string_agree():
-    rule = AcceptanceRule(kind="metropolis")
-    assert accept_probability(rule, 1.5, -2500.0, -1500.0) == \
-        accept_probability("metropolis", 1.5, -2500.0, -1500.0)
+def test_unknown_rule_kind_rejected():
+    with pytest.raises(ValueError, match="greedy"):
+        accept_probability("greedy", 1.0, -5.0, -4.0)
+    with pytest.raises(ValueError, match="greedy"):
+        decide("greedy", 1.0, -5.0, -4.0, u=0.5)
 
 
 def test_zero_reference_is_degenerate():
@@ -212,6 +212,3 @@ def test_counter_validation_and_defaults():
         PatienceCounter(nu=-1, patience=5)
     with pytest.raises(ValueError):
         PatienceCounter(nu=0, patience=0)
-    assert AcceptanceRule().kind == "naive"
-    with pytest.raises(ValueError):
-        AcceptanceRule(kind="greedy")

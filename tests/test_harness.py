@@ -162,12 +162,12 @@ def test_parallel_jobs_agree_with_serial(tmp_path):
         run_matrix(matrix, tmp_path / "x", jobs=2, clock=FakeClock())
 
 
-def test_format_table_mentions_every_cell():
+def test_format_table_mentions_every_cell(tmp_path):
     spec, data = make_preset("sim-p2k2", N=60)
     matrix = ExperimentMatrix(datasets=(("sim-p2k2", spec, data),),
                               methods=(("yoasovi-naive", quick_template()),),
                               replicates=1, base_seed=0)
-    rows = run_matrix(matrix, "/tmp/fmt_probe", clock=FakeClock())
+    rows = run_matrix(matrix, tmp_path, clock=FakeClock())
     table = format_table(rows)
     assert "sim-p2k2" in table and "yoasovi-naive" in table
 
@@ -394,3 +394,10 @@ def test_cli_flag_overrides_reach_the_run(tmp_path):
 def test_parser_rejects_unknown_method():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--config", "x.yaml", "--method", "vb"])
+
+
+def test_parser_rejects_data_with_preset():
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "--config", "x.yaml", "--data", "pts.csv",
+                                   "--preset", "sim-p3k4"])
+    assert exc.value.code == 2

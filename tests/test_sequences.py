@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yoasovi.errors import UnsupportedDimensionError
-from yoasovi.sequences import (EPS, gaussian_transform, inverse_normal_cdf,
-                               make_source)
+from yoasovi.meanfield import VariationalParams, draw_z
+from yoasovi.sequences import EPS, clamp, make_source
 
-ALL_KINDS = ["pseudo-random", "sobol-scrambled", "halton"]
+ALL_KINDS = ["pseudo-random", "sobol-scrambled"]
 
 
 # Independent route to the inverse normal CDF: bisect the erf-based CDF.
@@ -27,27 +27,30 @@ def _bisect_ndtri(u, lo=-40.0, hi=40.0):
     return 0.5 * (lo + hi)
 
 
-def test_inverse_normal_cdf_reference_value():
-    assert inverse_normal_cdf(0.975) == pytest.approx(1.959964, abs=5e-7)
+def _standard_draw(u):
+    """draw_z at m=0, log_s=0: the standard normal quantile of u."""
+    lam = VariationalParams(m=np.zeros(1), log_s=np.zeros(1))
+    return float(draw_z(lam, np.array([u]))[0])
 
 
-def test_inverse_normal_cdf_matches_bisection_oracle():
+def test_draw_z_matches_bisection_oracle():
+    assert _standard_draw(0.975) == pytest.approx(1.959964, abs=5e-7)
     for u in [0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999]:
-        assert inverse_normal_cdf(u) == pytest.approx(_bisect_ndtri(u), abs=1e-9)
+        assert _standard_draw(u) == pytest.approx(_bisect_ndtri(u), abs=1e-9)
     # the bisection oracle itself loses accuracy in the far tails
     for u in [1e-10, 1.0 - 1e-10]:
-        assert inverse_normal_cdf(u) == pytest.approx(_bisect_ndtri(u), abs=1e-6)
+        assert _standard_draw(u) == pytest.approx(_bisect_ndtri(u), abs=1e-6)
 
 
-def test_inverse_normal_cdf_symmetry():
-    for u in [0.01, 0.2, 0.4]:
-        assert inverse_normal_cdf(u) == pytest.approx(-inverse_normal_cdf(1.0 - u), abs=1e-12)
-
-
-@pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1, 2.0])
-def test_inverse_normal_cdf_rejects_boundary(u):
-    with pytest.raises(ValueError):
-        inverse_normal_cdf(u)
+def test_clamp_keeps_boundary_draws_finite():
+    u = clamp(np.array([-0.1, 0.0, 1.0, 1.1, 2.0]))
+    np.testing.assert_array_equal(u, [EPS, EPS, 1.0 - EPS, 1.0 - EPS, 1.0 - EPS])
+    lam = VariationalParams(m=np.zeros(5), log_s=np.zeros(5))
+    z = draw_z(lam, u)
+    assert np.all(np.isfinite(z))
+    # about 7.3 standard deviations out, the same distance on either side
+    assert -7.5 < z[0] < -7.0
+    assert z[2] == pytest.approx(-z[0], rel=1e-9)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -74,23 +77,6 @@ def test_counter_tracks_points_served():
     for i in range(7):
         src.next_point()
     assert src.counter == 7
-
-
-def test_halton_matches_radical_inverse_oracle():
-    """Unscrambled Halton in bases 2 and 3, starting from index 1."""
-    def radical_inverse(i, base):
-        f, out = 1.0, 0.0
-        while i > 0:
-            f /= base
-            out += f * (i % base)
-            i //= base
-        return out
-
-    src = make_source("halton", 2, seed=0)
-    for i in range(1, 50):
-        got = src.next_point()
-        assert got[0] == pytest.approx(radical_inverse(i, 2), abs=1e-12)
-        assert got[1] == pytest.approx(radical_inverse(i, 3), abs=1e-12)
 
 
 def test_sobol_dimension_cap():
@@ -123,26 +109,3 @@ def test_low_discrepancy_cuts_product_integrand_variance():
     assert np.mean(pseudo_means) == pytest.approx(0.0625, abs=0.003)
     assert np.var(sobol_means) < np.var(pseudo_means)
 
-
-def test_gaussian_transform_recovers_mean_and_covariance():
-    mean = np.array([1.0, -2.0])
-    factor = np.array([[1.0, 0.5], [0.0, 0.8]])
-    src = make_source("sobol-scrambled", 2, seed=7)
-    zs = np.array([gaussian_transform(src.next_point(), mean, factor) for _ in range(100_000)])
-    emp_cov = np.cov(zs.T, bias=True)
-    assert np.linalg.norm(emp_cov - factor.T @ factor) < 0.05
-    assert np.abs(zs.mean(axis=0) - mean).max() < 0.02
-
-
-def test_gaussian_transform_single_point_arithmetic():
-    # u = 0.5 maps to the origin of the standard normal, so z is the mean
-    out = gaussian_transform(np.array([0.5, 0.5]), np.array([3.0, -1.0]), np.eye(2))
-    np.testing.assert_allclose(out, [3.0, -1.0], atol=1e-12)
-
-
-def test_gaussian_transform_rejects_bad_factor():
-    u, mean = np.array([0.3, 0.6]), np.zeros(2)
-    with pytest.raises(ValueError):
-        gaussian_transform(u, mean, np.array([[1.0, 0.0], [0.5, 1.0]]))  # lower triangle
-    with pytest.raises(ValueError):
-        gaussian_transform(u, mean, np.array([[1.0, 0.5], [0.0, -0.2]]))  # bad diagonal
