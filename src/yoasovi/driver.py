@@ -188,9 +188,9 @@ def run_problem(config: RunConfig, problem: Problem,
 
     dic_value = None
     if problem.spec is not None and error is None and records:
-        draws = posterior_draw_set(lam, DIC_DRAWS, problem.spec,
-                                   rng=np.random.default_rng(dic_ss))
         try:
+            draws = posterior_draw_set(lam, DIC_DRAWS, problem.spec,
+                                       rng=np.random.default_rng(dic_ss))
             dic_value = gmm.dic(problem.spec, problem.data, draws)
         except NumericError:
             dic_value = None
@@ -221,4 +221,5 @@ def posterior_draw_set(lam: VariationalParams, n_draws: int, spec: GmmSpec,
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     u = clamp(rng.random((n_draws, lam.dim)))
-    return [constrain(z, spec)[0] for z in draw_z(lam, u)]
+    params, _ = constrain(draw_z(lam, u), spec)
+    return list(map(GmmParams, params.weights, params.means, params.sds))

@@ -6,11 +6,10 @@ length p, and K diagonal standard-deviation vectors of length p.  Priors:
 weights ~ Dirichlet(alpha), means ~ Normal(0, prior_mean_scale^2) per
 coordinate, log sds ~ Normal(0, prior_logsd_scale^2) per coordinate.
 
-Every likelihood goes through one block kernel that scores B parameter sets
-stacked on a leading axis (weights (B, K), means and sds (B, K, p)) against
-the (N, p) data in one pass, with a max-shifted numpy log-sum-exp over the
-components.  log_likelihood is its B=1 call; dic stacks its posterior draws
-once and makes a single call.
+GmmParams fields may carry leading axes, one parameter set per index.
+log_likelihood scores every set against the (N, p) data with a max-shifted
+numpy log-sum-exp over the components; dic stacks its posterior draws once
+and makes a single call.
 """
 
 import csv
@@ -46,27 +45,23 @@ class GmmSpec:
 
 @dataclass(frozen=True)
 class GmmParams:
-    """Model parameters in constrained coordinates."""
+    """Model parameters in constrained coordinates, optionally stacked:
+    leading axes, the same on every field, index parameter sets."""
 
-    weights: np.ndarray  # (K,), simplex
-    means: np.ndarray    # (K, p)
-    sds: np.ndarray      # (K, p), strictly positive
+    weights: np.ndarray  # (..., K), simplex
+    means: np.ndarray    # (..., K, p)
+    sds: np.ndarray      # (..., K, p), strictly positive
 
     def validate(self, spec: GmmSpec) -> None:
-        _validate_block(spec, self.weights[None], self.means[None], self.sds[None])
-
-
-def _validate_block(spec: GmmSpec, weights: np.ndarray, means: np.ndarray,
-                    sds: np.ndarray) -> None:
-    """GmmParams.validate for B parameter sets stacked on a leading axis."""
-    if weights.shape[1:] != (spec.K,):
-        raise ValueError(f"weights shape {weights.shape[1:]}, expected ({spec.K},)")
-    if means.shape[1:] != (spec.K, spec.p) or sds.shape[1:] != (spec.K, spec.p):
-        raise ValueError("means/sds must have shape (K, p)")
-    if (np.abs(weights.sum(axis=1) - 1.0) > 1e-12).any() or (weights < 0).any():
-        raise ValueError("weights must be a simplex vector")
-    if (sds <= 0).any():
-        raise ValueError("sds must be strictly positive")
+        w, sds = self.weights, self.sds
+        if w.shape[-1:] != (spec.K,):
+            raise ValueError(f"weights shape {w.shape[-1:]}, expected ({spec.K},)")
+        if not self.means.shape == sds.shape == w.shape[:-1] + (spec.K, spec.p):
+            raise ValueError("means/sds must have shape (K, p)")
+        if (np.abs(w.sum(axis=-1) - 1.0) > 1e-12).any() or (w < 0).any():
+            raise ValueError("weights must be a simplex vector")
+        if (sds <= 0).any():
+            raise ValueError("sds must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ class Dataset:
         return self.values.shape[1]
 
 
-# Parameter sets per pass of the kernel: at N=500, K=4, p=3 its (B, K, p, N)
+# Parameter sets per pass of log_likelihood: at N=500, K=4, p=3 its (B, K, p, N)
 # temporaries stay under 1 MB however many draws a caller stacks.
 _BLOCK = 16
 
@@ -108,52 +103,53 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis)
 
 
-def _log_likelihood_block(spec: GmmSpec, data: Dataset, weights: np.ndarray,
-                          means: np.ndarray, sds: np.ndarray) -> np.ndarray:
-    """Mixture log likelihood of the data under each of B stacked parameter
-    sets: weights (B, K), means and sds (B, K, p) -> (B,)."""
+def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarray:
+    """Mixture log likelihood of the data under each parameter set in params:
+    an array of the leading shape of its fields (a scalar for one set)."""
     if data.p != spec.p:
         raise ValueError(f"data dimension {data.p} does not match spec p={spec.p}")
-    _validate_block(spec, weights, means, sds)
+    params.validate(spec)
+    lead = params.weights.shape[:-1]
+    weights = params.weights.reshape(-1, spec.K)
+    means = params.means.reshape(-1, spec.K, spec.p)
+    sds = params.sds.reshape(-1, spec.K, spec.p)
     # observations on the last axis, so every elementwise pass runs over N
     y = np.ascontiguousarray(data.values.T)  # (p, N)
     out = np.empty(weights.shape[0])
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)[..., None]  # zero weights allowed: -inf drops out
+    # zero weights drop out (log 0 = -inf); an sd whose square under- or
+    # overflows gives a -inf or nan density, which log_joint rejects
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_w = np.log(weights)[..., None]
         log_norm = np.log(2.0 * np.pi * sds**2)[..., None]
-    for lo in range(0, weights.shape[0], _BLOCK):
-        b = slice(lo, lo + _BLOCK)
-        # (b, K, N): sum over p of the componentwise normal log densities
-        comp = -0.5 * np.sum(
-            log_norm[b] + ((y - means[b, ..., None]) / sds[b, ..., None]) ** 2, axis=2)
-        out[b] = np.sum(_logsumexp(log_w[b] + comp, axis=1), axis=1)
-    return out
-
-
-def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
-    """Mixture log likelihood of the data: the B=1 call of the block kernel."""
-    return float(_log_likelihood_block(spec, data, params.weights[None],
-                                       params.means[None], params.sds[None])[0])
+        for lo in range(0, weights.shape[0], _BLOCK):
+            b = slice(lo, lo + _BLOCK)
+            # (b, K, N): sum over p of the componentwise normal log densities
+            comp = -0.5 * np.sum(
+                log_norm[b] + ((y - means[b, ..., None]) / sds[b, ..., None]) ** 2, axis=2)
+            out[b] = np.sum(_logsumexp(log_w[b] + comp, axis=1), axis=1)
+    return out.reshape(lead)[()]
 
 
 def log_prior(spec: GmmSpec, params: GmmParams) -> float:
     a = spec.prior_dirichlet_alpha
-    with np.errstate(divide="ignore"):
+    # a zero weight or an overflowing square gives a non-finite prior, which
+    # log_joint rejects
+    with np.errstate(divide="ignore", over="ignore"):
         lp = (a - 1.0) * float(np.sum(np.log(params.weights)))
-    lp += math.lgamma(spec.K * a) - spec.K * math.lgamma(a)
-    s = spec.prior_mean_scale
-    lp += float(-0.5 * np.sum((params.means / s) ** 2)) \
-        - spec.K * spec.p * 0.5 * math.log(2.0 * math.pi * s**2)
-    ls = np.log(params.sds)
-    t = spec.prior_logsd_scale
-    # lognormal over sds: Gaussian on log sd plus the 1/sd change of variables
-    lp += float(-0.5 * np.sum((ls / t) ** 2) - np.sum(ls)) \
-        - spec.K * spec.p * 0.5 * math.log(2.0 * math.pi * t**2)
+        lp += math.lgamma(spec.K * a) - spec.K * math.lgamma(a)
+        s = spec.prior_mean_scale
+        lp += float(-0.5 * np.sum((params.means / s) ** 2)) \
+            - spec.K * spec.p * 0.5 * math.log(2.0 * math.pi * s**2)
+        ls = np.log(params.sds)
+        t = spec.prior_logsd_scale
+        # lognormal over sds: Gaussian on log sd plus the 1/sd change of variables
+        lp += float(-0.5 * np.sum((ls / t) ** 2) - np.sum(ls)) \
+            - spec.K * spec.p * 0.5 * math.log(2.0 * math.pi * t**2)
     return lp
 
 
 def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
-    out = log_likelihood(spec, data, params) + log_prior(spec, params)
+    out = float(log_likelihood(spec, data, params)) + log_prior(spec, params)
     if not math.isfinite(out):
         raise NumericError(f"log joint is non-finite ({out}) for {params}")
     return out
@@ -231,17 +227,17 @@ def dic(spec: GmmSpec, data: Dataset, posterior_draws: list[GmmParams]) -> float
     if len(posterior_draws) < 2:
         raise ValueError(f"DIC needs at least 2 posterior draws, got {len(posterior_draws)}")
     try:
-        weights, means, sds = (np.stack([getattr(th, f) for th in posterior_draws])
-                               for f in ("weights", "means", "sds"))
+        draws = GmmParams(*(np.stack([getattr(th, f) for th in posterior_draws])
+                            for f in ("weights", "means", "sds")))
     except ValueError:
         # draws of differing shapes: the first misfit reports itself
         for th in posterior_draws:
             th.validate(spec)
         raise
-    devs = -2.0 * _log_likelihood_block(spec, data, weights, means, sds)
-    w_bar = weights.mean(axis=0)
-    theta_bar = GmmParams(weights=w_bar / w_bar.sum(), means=means.mean(axis=0),
-                          sds=sds.mean(axis=0))
+    devs = -2.0 * log_likelihood(spec, data, draws)
+    w_bar = draws.weights.mean(axis=0)
+    theta_bar = GmmParams(weights=w_bar / w_bar.sum(), means=draws.means.mean(axis=0),
+                          sds=draws.sds.mean(axis=0))
     d_bar = float(devs.mean())
-    p_d = d_bar - (-2.0 * log_likelihood(spec, data, theta_bar))
+    p_d = d_bar - (-2.0 * float(log_likelihood(spec, data, theta_bar)))
     return d_bar + p_d

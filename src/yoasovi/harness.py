@@ -58,7 +58,6 @@ def make_preset(name: str, N: int = 500, seed: int | None = None,
                    prior_dirichlet_alpha=prior_dirichlet_alpha,
                    prior_logsd_scale=prior_logsd_scale)
     true = GmmParams(weights=weights, means=means, sds=sds)
-    true.validate(spec)
     data = simulate(spec, true, N=N, seed=geo["seed"] if seed is None else seed)
     return spec, replace(data, name=name)
 

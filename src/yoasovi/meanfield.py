@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import NumericError
 from .gmm import GmmParams, GmmSpec
 
 
@@ -39,60 +40,56 @@ class VariationalParams:
 @dataclass(frozen=True)
 class ParamDraw:
     z: np.ndarray
-    theta: object
-    log_det_jacobian: float
 
 
-def _split(z: np.ndarray, spec: GmmSpec):
-    K, p = spec.K, spec.p
-    logits = z[: K - 1]
-    means = z[K - 1 : K - 1 + K * p].reshape(K, p)
-    log_sds = z[K - 1 + K * p :].reshape(K, p)
-    return logits, means, log_sds
-
-
-def constrain(z: np.ndarray, spec: GmmSpec) -> tuple[GmmParams, float]:
-    """Unconstrained vector to GmmParams plus the log |Jacobian| of the map.
+def constrain(z: np.ndarray, spec: GmmSpec) -> tuple[GmmParams, np.ndarray]:
+    """Unconstrained vectors to GmmParams plus the log |Jacobian| of the map,
+    row by row: z of shape (..., n_unconstrained) gives params with the same
+    leading axes and an ldj of the leading shape.
 
     Weights come from a softmax over the K-1 free logits with the last
     category pinned at logit 0; sds from exp.  The weight-block Jacobian
     determinant is the product of all K weights, the sd block contributes
-    each log sd.
+    each log sd.  A non-finite z or an sd that underflows to 0 raises
+    NumericError.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape != (spec.n_unconstrained,):
+    if z.shape[-1:] != (spec.n_unconstrained,):
         raise ValueError(f"expected z of length {spec.n_unconstrained}, got {z.shape}")
     if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite unconstrained vector")
-    logits, means, log_sds = _split(z, spec)
-    a = np.append(logits, 0.0)
-    e = np.exp(a - a.max())  # max-shifted softmax
-    weights = e / e.sum()
-    ldj = float(np.sum(np.log(weights)) + np.sum(log_sds))
-    return GmmParams(weights=weights, means=means.copy(), sds=np.exp(log_sds)), ldj
+        raise NumericError("non-finite unconstrained vector")
+    K, p = spec.K, spec.p
+    lead = z.shape[:-1]
+    a = np.concatenate([z[..., : K - 1], np.zeros(lead + (1,))], axis=-1)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))  # max-shifted softmax
+    weights = e / e.sum(axis=-1, keepdims=True)
+    log_sds = z[..., K - 1 + K * p :]
+    # a weight that underflows to 0 gives ldj = -inf, an sd that overflows
+    # gives inf; the log joint rejects both as non-finite
+    with np.errstate(divide="ignore", over="ignore"):
+        ldj = np.sum(np.log(weights), axis=-1) + np.sum(log_sds, axis=-1)
+        sds = np.exp(log_sds).reshape(lead + (K, p))
+    if (sds == 0.0).any():
+        raise NumericError("an sd underflowed to 0")
+    means = z[..., K - 1 : K - 1 + K * p].reshape(lead + (K, p)).copy()
+    return GmmParams(weights=weights, means=means, sds=sds), ldj
 
 
 def unconstrain(params: GmmParams, spec: GmmSpec) -> np.ndarray:
+    """The inverse of constrain, row by row over the params' leading axes."""
     params.validate(spec)
-    logits = np.log(params.weights[:-1]) - np.log(params.weights[-1])
-    return np.concatenate([logits, params.means.ravel(), np.log(params.sds).ravel()])
+    w, flat = params.weights, params.weights.shape[:-1] + (-1,)
+    logits = np.log(w[..., :-1]) - np.log(w[..., -1:])
+    return np.concatenate([logits, params.means.reshape(flat),
+                           np.log(params.sds).reshape(flat)], axis=-1)
 
 
-def sample(lam: VariationalParams, u: np.ndarray, spec: GmmSpec | None = None) -> ParamDraw:
-    """One draw from q: z = m + exp(log_s) * ndtri(u).
-
-    With a GmmSpec the draw carries the constrained parameters and Jacobian
-    term; without one the transform is the identity (theta is z itself and
-    the Jacobian term vanishes), which is what conjugate test models use.
-    """
+def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
+    """One draw from q: z = m + exp(log_s) * ndtri(u)."""
     u = np.asarray(u, dtype=float)
     if u.shape != (lam.dim,):
         raise ValueError(f"expected a point of dimension {lam.dim}, got {u.shape}")
-    z = draw_z(lam, u)
-    if spec is None:
-        return ParamDraw(z=z, theta=z, log_det_jacobian=0.0)
-    theta, ldj = constrain(z, spec)
-    return ParamDraw(z=z, theta=theta, log_det_jacobian=ldj)
+    return ParamDraw(z=draw_z(lam, u))
 
 
 def draw_z(lam: VariationalParams, u: np.ndarray) -> np.ndarray:

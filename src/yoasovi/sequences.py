@@ -5,8 +5,6 @@ clamped to [EPS, 1 - EPS] before anyone applies the inverse normal CDF, so
 downstream transforms never see 0 or 1 and never produce infinities.
 """
 
-import warnings
-
 import numpy as np
 from scipy import stats
 
@@ -75,11 +73,7 @@ class SobolSource(SequenceSource):
         self._engine.fast_forward(1)
 
     def _raw(self, n):
-        with warnings.catch_warnings():
-            # scipy warns when n is not a power of two; balance properties do
-            # not matter for a consumed-one-at-a-time stream.
-            warnings.simplefilter("ignore", UserWarning)
-            return self._engine.random(n)
+        return self._engine.random(n)
 
 
 _SOURCE_KINDS = {

@@ -11,7 +11,7 @@ from yoasovi.driver import (Problem, RunConfig, build_gmm_problem, final_elbo,
 from yoasovi.driver import IterationRecord
 from yoasovi.errors import NumericError
 from yoasovi.harness import make_preset
-from yoasovi.meanfield import VariationalParams, sample
+from yoasovi.meanfield import VariationalParams, constrain, sample
 from yoasovi.sequences import EPS
 
 
@@ -296,9 +296,22 @@ def test_posterior_draw_set_matches_per_draw_sampling():
     u = np.clip(np.random.default_rng(5).random((200, lam.dim)), EPS, 1.0 - EPS)
     assert len(draws) == len(u)
     for th, u_i in zip(draws, u):
-        one = sample(lam, u_i, spec).theta
+        one, _ = constrain(sample(lam, u_i).z, spec)
         for field in ("weights", "means", "sds"):
             np.testing.assert_array_equal(getattr(th, field), getattr(one, field))
+
+
+@pytest.mark.parametrize("method,samples,seed", [
+    ("yoasovi-naive", 1, 0), ("yoasovi-naive", 1, 2), ("yoasovi-naive", 1, 5),
+    ("mcvi", 10, 2), ("mcvi", 10, 3)])
+def test_degenerate_draw_ends_the_run_with_an_error(method, samples, seed):
+    # at this rate one step drives a log sd or a mean far out, so a later
+    # draw's sd underflows to 0 or its density is non-finite
+    spec, data = small_gmm()
+    trace = run(RunConfig(method=method, samples=samples, learning_rate=0.1, max_iters=50,
+                          seed=seed, model=spec), data)
+    assert trace.summary.error is not None
+    assert trace.summary.dic is None
 
 
 def test_gmm_run_reports_dic():

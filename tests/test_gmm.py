@@ -7,9 +7,8 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from yoasovi.errors import NumericError, ParseError
-from yoasovi.gmm import (_BLOCK, Dataset, GmmParams, GmmSpec, _log_likelihood_block,
-                         _logsumexp, dic, load_csv, log_joint, log_likelihood,
-                         log_prior, simulate)
+from yoasovi.gmm import (_BLOCK, Dataset, GmmParams, GmmSpec, _logsumexp, dic, load_csv,
+                         log_joint, log_likelihood, log_prior, simulate)
 
 
 def random_instance(rng, K=None, p=None, N=None):
@@ -127,6 +126,11 @@ def test_logsumexp_non_finite_rows_match_scipy():
     np.testing.assert_allclose(got[ok], want[ok], rtol=1e-15)
 
 
+def stack(draws):
+    return GmmParams(*(np.stack([getattr(th, f) for th in draws])
+                       for f in ("weights", "means", "sds")))
+
+
 def random_draws(rng, spec, B):
     """B parameter sets for spec, with component 0 of every third set at
     weight zero."""
@@ -144,11 +148,24 @@ def test_block_kernel_matches_brute_force_per_row():
     rng = np.random.default_rng(2718)
     spec, data, _ = random_instance(rng, K=3, p=2, N=7)
     draws = random_draws(rng, spec, 37)
-    got = _log_likelihood_block(spec, data, *(np.stack([getattr(th, f) for th in draws])
-                                              for f in ("weights", "means", "sds")))
+    got = log_likelihood(spec, data, stack(draws))
+    assert got.shape == (37,)
     want = [oracle_log_likelihood(spec, data, th) for th in draws]
     np.testing.assert_allclose(got, want, rtol=1e-12)
     assert [log_likelihood(spec, data, th) for th in draws] == list(got)
+
+
+def test_log_likelihood_over_two_leading_axes_matches_each_set():
+    rng = np.random.default_rng(577)
+    spec, data, _ = random_instance(rng, K=3, p=2, N=9)
+    draws = random_draws(rng, spec, 2 * 19)
+    flat = stack(draws)
+    grid = GmmParams(*(getattr(flat, f).reshape((2, 19) + getattr(flat, f).shape[1:])
+                       for f in ("weights", "means", "sds")))
+    got = log_likelihood(spec, data, grid)
+    assert got.shape == (2, 19)
+    want = np.array([log_likelihood(spec, data, th) for th in draws]).reshape(2, 19)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_block_kernel_keeps_the_validation_messages():
@@ -161,11 +178,12 @@ def test_block_kernel_keeps_the_validation_messages():
         ("means", np.zeros((3, 2, 2)), "means/sds must have shape"),
         ("weights", np.array([[0.5, 0.5], [0.7, 0.7], [0.5, 0.5]]), "simplex"),
         ("sds", np.array([[[1.0], [1.0]], [[1.0], [0.0]], [[1.0], [1.0]]]), "strictly positive"),
+        ("sds", np.ones((2, 2, 1)), "means/sds must have shape"),
     ]:
         with pytest.raises(ValueError, match=message):
-            _log_likelihood_block(spec, data, **{**good, field: value})
+            log_likelihood(spec, data, GmmParams(**{**good, field: value}))
     with pytest.raises(ValueError, match="data dimension"):
-        _log_likelihood_block(spec, Dataset(np.zeros((1, 2))), **good)
+        log_likelihood(spec, Dataset(np.zeros((1, 2))), GmmParams(**good))
 
 
 def test_n_unconstrained_count():

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,19 @@ def test_aborted_runs_show_up_in_the_errors_column(tmp_path):
     assert any_cell_failed(rows)
     # partial traces still on disk
     assert len(list((tmp_path / "traces").glob("*.csv"))) == 3
+
+
+def test_degenerate_cell_still_gets_a_summary_row(tmp_path):
+    spec, data = make_preset("sim-p2k2", N=80)
+    degenerate = RunConfig(method="yoasovi-naive", learning_rate=0.1, max_iters=50)
+    matrix = ExperimentMatrix(datasets=(("sim-p2k2", spec, data),),
+                              methods=(("fine", quick_template()), ("degenerate", degenerate)),
+                              replicates=1, base_seed=0)
+    rows = run_matrix(matrix, tmp_path)
+    assert [(r.method, r.errors) for r in rows] == [("fine", 0), ("degenerate", 1)]
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert [(r["method"], r["errors"]) for r in written] == [("fine", "0"), ("degenerate", "1")]
 
 
 def test_single_replicate_sd_is_zero(tmp_path):

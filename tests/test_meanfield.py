@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from yoasovi.errors import NumericError
 from yoasovi.gmm import Dataset, GmmSpec
 from yoasovi.meanfield import (ParamDraw, VariationalParams, constrain,
                                initial_params, log_q, sample, score,
@@ -76,8 +79,38 @@ def test_jacobian_term_matches_numerical_determinant():
 def test_constrain_rejects_wrong_length_and_non_finite():
     with pytest.raises(ValueError):
         constrain(np.zeros(5), SPEC22)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         constrain(np.full(9, np.nan), SPEC22)
+
+
+def test_constrain_rejects_an_sd_that_underflows():
+    z = np.zeros((3, 9))
+    z[1, 6] = -800.0  # exp(-800) is 0 in double precision
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="underflowed"):
+            constrain(z, SPEC22)
+        constrain(z[0], SPEC22)
+
+
+def test_constrain_rows_match_per_row_calls():
+    rng = np.random.default_rng(17)
+    for spec in (SPEC22, GmmSpec(K=4, p=3), GmmSpec(K=9, p=2)):
+        z = rng.normal(0, 2, (23, spec.n_unconstrained))
+        params, ldj = constrain(z, spec)
+        assert params.weights.shape == (23, spec.K)
+        assert params.means.shape == params.sds.shape == (23, spec.K, spec.p)
+        assert ldj.shape == (23,)
+        for i, z_i in enumerate(z):
+            one, ldj_i = constrain(z_i, spec)
+            for field in ("weights", "means", "sds"):
+                np.testing.assert_array_equal(getattr(params, field)[i], getattr(one, field))
+            assert ldj[i] == ldj_i
+        np.testing.assert_allclose(unconstrain(params, spec), z, atol=1e-12, rtol=0)
+        # two leading axes: the same rows, reshaped
+        params2, ldj2 = constrain(z[:22].reshape(2, 11, -1), spec)
+        np.testing.assert_array_equal(params2.sds.reshape(22, spec.K, spec.p), params.sds[:22])
+        np.testing.assert_array_equal(ldj2.ravel(), ldj[:22])
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +119,10 @@ def test_constrain_rejects_wrong_length_and_non_finite():
 def test_sample_is_location_scale_transform():
     lam = lam_fixture(9)
     u = np.full(9, 0.731)
-    draw = sample(lam, u, SPEC22)
+    draw = sample(lam, u)
     expected_z = lam.m + np.exp(lam.log_s) * stats.norm.ppf(0.731)
     np.testing.assert_allclose(draw.z, expected_z, atol=1e-12)
     assert isinstance(draw, ParamDraw)
-    # constrained view is consistent with its own Jacobian term
-    params, ldj = constrain(draw.z, SPEC22)
-    assert draw.log_det_jacobian == ldj
-    np.testing.assert_allclose(draw.theta.weights, params.weights)
-
-
-def test_sample_without_spec_is_identity():
-    lam = lam_fixture(3)
-    draw = sample(lam, np.array([0.2, 0.5, 0.9]))
-    np.testing.assert_array_equal(draw.theta, draw.z)
-    assert draw.log_det_jacobian == 0.0
 
 
 def test_sample_marginals_pass_ks():

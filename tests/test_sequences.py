@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ def test_counter_tracks_points_served():
     for i in range(7):
         src.next_point()
     assert src.counter == 7
+
+
+def test_sobol_draws_any_count_without_warnings():
+    # scipy warns about a non-power-of-two count only at stream index 0, and
+    # the stream starts at index 1
+    src = make_source("sobol-scrambled", 3, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 1, 3, 10, 100, 7):
+            assert src._raw(n).shape == (n, 3)
+        src.next_point()
 
 
 def test_sobol_dimension_cap():
