@@ -2,8 +2,7 @@
 strategies: plain Monte Carlo, scrambled low-discrepancy sequences, and
 single-draw acceptance sampling with tempering and early stopping."""
 
-from .acceptance import (PatienceCounter, TemperatureSchedule, accept_probability,
-                         decide, temperature, tick)
+from .acceptance import TemperatureSchedule, accept_probability, decide, temperature
 from .driver import (METHODS, Problem, RunConfig, RunTrace, build_gmm_problem,
                      final_elbo, posterior_draw_set, run, run_problem)
 from .errors import (DegenerateReferenceError, NumericError, ParseError,

@@ -1,5 +1,4 @@
-"""Single-draw acceptance rules, temperature schedules, and the patience
-counter that decides when an optimisation has stalled.
+"""Single-draw acceptance rules and temperature schedules.
 
 The acceptance probability compares a freshly estimated ELBO against the
 last accepted one.  With the relative gain
@@ -36,20 +35,6 @@ class TemperatureSchedule:
             object.__setattr__(self, "k", 1.5 if self.kind == "constant" else 1.0)
         if not (self.k > 0 and math.isfinite(self.k)):
             raise ValueError("schedule coefficient k must be positive and finite")
-
-
-@dataclass(frozen=True)
-class PatienceCounter:
-    """nu counts consecutive rejections; patience is the stall threshold."""
-
-    nu: int = 0
-    patience: int = 10
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.nu < 0:
-            raise ValueError("nu must be >= 0")
 
 
 def temperature(schedule: TemperatureSchedule, t: int) -> float:
@@ -98,14 +83,3 @@ def decide(kind: str, M: float, L_new: float, L_prev: float, u: float) -> bool:
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u}")
     return u <= accept_probability(kind, M, L_new, L_prev)
-
-
-def tick(counter: PatienceCounter, accepted: bool) -> tuple[PatienceCounter, bool]:
-    """Advance the counter by one decision; second element is the stop flag.
-
-    An acceptance resets nu to zero.  A rejection increments it, and the
-    run stops once nu reaches patience.
-    """
-    nu = 0 if accepted else counter.nu + 1
-    new = PatienceCounter(nu=nu, patience=counter.patience)
-    return new, nu >= counter.patience

@@ -4,8 +4,9 @@ together, with per-iteration tracing.
 A run is a sequence of iterations t = 1..max_iters.  The plain and
 quasi-Monte Carlo methods apply every gradient; the acceptance-sampling
 methods estimate from a single draw, compare the ELBO estimate against the
-last accepted one, and only move on acceptance.  Rejections count toward a
-patience budget; exhausting it ends the run with converged=True.
+last accepted one, and only move on acceptance.  nu counts consecutive
+rejections; once it reaches patience the run ends with converged=True.
+The Monte Carlo methods always accept, so they run to max_iters.
 
 All randomness flows from one seed through named SeedSequence children
 (init, draws, decisions, dic), so a (config, data, seed) triple fixes the
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import gmm
-from .acceptance import PatienceCounter, TemperatureSchedule, decide, temperature, tick
+from .acceptance import TemperatureSchedule, decide, temperature
 from .errors import NumericError
 from .estimators import estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec
@@ -95,7 +96,6 @@ class RunSummary:
 class RunTrace:
     records: tuple[IterationRecord, ...]
     summary: RunSummary
-    config: RunConfig
     final_lambda: VariationalParams | None = None
 
 
@@ -150,8 +150,7 @@ def run_problem(config: RunConfig, problem: Problem,
         evals += 1
         return problem.target(z)
 
-    is_acceptance = config.method.startswith("yoasovi")
-    counter = PatienceCounter(nu=0, patience=config.patience)
+    nu = 0
     L_prev = -math.inf
     records: list[IterationRecord] = []
     converged = False
@@ -161,23 +160,19 @@ def run_problem(config: RunConfig, problem: Problem,
     for t in range(1, config.max_iters + 1):
         try:
             est = estimate(lam, counted, src, config.samples)
-            if is_acceptance:
-                M = temperature(config.schedule, t)
-                accepted = decide(config.rule_kind, M, est.elbo, L_prev,
-                                  u=float(dec_rng.random()))
-                if accepted:
-                    lam = update_step(lam, est.grad, config.learning_rate)
-                    L_prev = est.elbo
-                counter, stop = tick(counter, accepted)
-            else:
-                M, accepted, stop = None, True, False
+            M = temperature(config.schedule, t) if config.rule_kind else None
+            accepted = M is None or decide(config.rule_kind, M, est.elbo, L_prev,
+                                           u=float(dec_rng.random()))
+            if accepted:
                 lam = update_step(lam, est.grad, config.learning_rate)
+                L_prev = est.elbo
         except NumericError as exc:
             error = f"aborted at iteration {t}: {exc}"
             break
         records.append(IterationRecord(t=t, elapsed_s=clock() - t0,
                                        elbo=est.elbo, accepted=accepted, M=M))
-        if stop:
+        nu = 0 if accepted else nu + 1
+        if nu >= config.patience:
             converged = True
             break
     wall = clock() - t0
@@ -198,8 +193,7 @@ def run_problem(config: RunConfig, problem: Problem,
     summary = RunSummary(iterations=len(records), wall_seconds=wall,
                          final_elbo=fe, dic=dic_value, converged=converged,
                          density_evals=evals, error=error)
-    return RunTrace(records=tuple(records), summary=summary, config=config,
-                    final_lambda=lam)
+    return RunTrace(records=tuple(records), summary=summary, final_lambda=lam)
 
 
 def final_elbo(records: list[IterationRecord]) -> float:

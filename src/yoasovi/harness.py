@@ -9,7 +9,7 @@ reproduces the file byte for byte.
 import concurrent.futures
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +20,6 @@ from .driver import IterationRecord, RunConfig, RunSummary, RunTrace, run
 from .gmm import Dataset, GmmParams, GmmSpec, load_csv, simulate
 
 TRACE_FIELDS = ["iter", "elapsed_s", "elbo", "accepted", "M"]
-SUMMARY_FIELDS = [
-    "dataset", "method", "runs", "errors",
-    "iterations_mean", "iterations_sd", "seconds_mean", "seconds_sd",
-    "elbo_mean", "elbo_sd", "dic_mean", "dic_sd", "converged_frac",
-]
 
 # Cluster geometry for the simulated benchmarks.  Component means sit at
 # hypercube corners distance 4 apart with unit sds, so the clusters overlap
@@ -66,7 +61,8 @@ def make_preset(name: str, N: int = 500, seed: int | None = None,
 class ExperimentMatrix:
     """datasets are (name, spec, data) triples; methods are (label, template)
     pairs whose model and seed fields get filled per run.  Replicate r of
-    any cell runs under seed base_seed + r."""
+    any cell runs under seed base_seed + r.  A (dataset, label) pair names
+    a cell's trace files, so each may appear only once."""
 
     datasets: tuple
     methods: tuple
@@ -76,6 +72,13 @@ class ExperimentMatrix:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        cells = set()
+        for ds_name, _, _ in self.datasets:
+            for label, _ in self.methods:
+                if (ds_name, label) in cells:
+                    raise ValueError(f"method label {label!r} appears twice for dataset "
+                                     f"{ds_name!r}; the two cells would share trace files")
+                cells.add((ds_name, label))
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,9 @@ class SummaryRow:
     dic_mean: float | None
     dic_sd: float | None
     converged_frac: float
+
+
+SUMMARY_FIELDS = [f.name for f in fields(SummaryRow)]
 
 
 def _trace_path(out_dir: Path, dataset: str, label: str, r: int) -> Path:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yoasovi.acceptance import (PatienceCounter, TemperatureSchedule,
-                                accept_probability, decide, temperature, tick)
+from yoasovi.acceptance import TemperatureSchedule, accept_probability, decide, temperature
 from yoasovi.errors import DegenerateReferenceError
 
 
@@ -157,7 +156,7 @@ def test_growing_schedules_are_monotone(t1, t2):
 
 
 # ---------------------------------------------------------------------------
-# decisions and patience
+# decisions
 
 def test_decide_boundary_is_inclusive():
     # p = 0.5 exactly when 1 + g = 0.5
@@ -167,48 +166,3 @@ def test_decide_boundary_is_inclusive():
     assert decide(*args, u=0.5000001) is False
     with pytest.raises(ValueError):
         decide(*args, u=1.5)
-
-
-def test_patience_counter_replay():
-    """Decisions R R A R R R with patience 3: nu walks 1,2,0,1,2,3 and the
-    stop flag fires only on the last tick."""
-    c = PatienceCounter(nu=0, patience=3)
-    expected = [(False, 1, False), (False, 2, False), (True, 0, False),
-                (False, 1, False), (False, 2, False), (False, 3, True)]
-    for accepted, nu_after, should_stop in expected:
-        c, stop = tick(c, accepted)
-        assert c.nu == nu_after
-        assert stop is should_stop
-    assert c.patience == 3
-
-
-def test_acceptance_resets_the_count():
-    c = PatienceCounter(nu=9, patience=10)
-    c, stop = tick(c, True)
-    assert c.nu == 0 and not stop
-
-
-@given(st.lists(st.booleans(), min_size=1, max_size=60),
-       st.integers(min_value=1, max_value=8))
-@settings(max_examples=200, deadline=None)
-def test_nu_equals_trailing_rejection_run(decisions, patience):
-    c = PatienceCounter(nu=0, patience=patience)
-    stops = []
-    for d in decisions:
-        c, stop = tick(c, d)
-        stops.append(stop)
-    run = 0
-    for d in reversed(decisions):
-        if d:
-            break
-        run += 1
-    assert c.nu == run
-    assert stops[-1] == (run >= patience)
-
-
-def test_counter_validation_and_defaults():
-    assert PatienceCounter().patience == 10
-    with pytest.raises(ValueError):
-        PatienceCounter(nu=-1, patience=5)
-    with pytest.raises(ValueError):
-        PatienceCounter(nu=0, patience=0)

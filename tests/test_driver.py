@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.driver import (Problem, RunConfig, build_gmm_problem, final_elbo,
@@ -36,6 +38,24 @@ def collapsing_problem():
     def target(z):
         state["calls"] += 1
         return -100.0 * (2.0 ** state["calls"])
+
+    return Problem(dim=1, target=target, init=flat_init(1))
+
+
+def scripted_problem(script):
+    """1-D target that lands 1000 above the last accepted level where the
+    script says accept and 1000 below it where it says reject.  Against
+    log_q's O(1) share of the estimate and a temperature of 1e6, every
+    decision is then certain."""
+    state = {"level": -1e5, "calls": 0}
+
+    def target(z):
+        accept = script[state["calls"]]
+        state["calls"] += 1
+        value = state["level"] + (1000.0 if accept else -1000.0)
+        if accept:
+            state["level"] = value
+        return value
 
     return Problem(dim=1, target=target, init=flat_init(1))
 
@@ -79,9 +99,10 @@ def test_run_requires_model():
 # plain Monte Carlo methods
 
 def test_mcvi_runs_to_the_iteration_cap():
+    # plain Monte Carlo never rejects, so even patience 1 cannot end a run early
     spec, data = small_gmm()
     cfg = RunConfig(method="mcvi", samples=5, learning_rate=5e-7, max_iters=40,
-                    seed=0, model=spec)
+                    patience=1, seed=0, model=spec)
     trace = run(cfg, data, clock=FakeClock())
     assert len(trace.records) == 40
     assert all(r.accepted for r in trace.records)
@@ -122,6 +143,23 @@ def test_certain_rejection_exhausts_patience():
     assert trace.summary.converged is True
     assert trace.summary.iterations == 8
     assert trace.summary.dic is None  # not a mixture problem
+
+
+@given(st.lists(st.booleans(), max_size=59), st.integers(min_value=1, max_value=8))
+@settings(max_examples=200, deadline=None)
+def test_run_stops_after_patience_consecutive_rejections(rest, patience):
+    """The fresh start accepts anything, so scripts open with an accept.
+    The run ends with converged=True at the end of the first window of
+    `patience` scripted rejections, and runs to max_iters without one."""
+    script = [True] + rest
+    cfg = RunConfig(method="yoasovi-naive", learning_rate=1e-12, max_iters=len(script),
+                    patience=patience, schedule=TemperatureSchedule("constant", 1e6), seed=0)
+    trace = run_problem(cfg, scripted_problem(script), clock=FakeClock())
+    stop = next((t for t in range(patience, len(script) + 1)
+                 if not any(script[t - patience:t])), None)
+    assert [r.accepted for r in trace.records] == script[:stop]
+    assert trace.summary.converged is (stop is not None)
+    assert trace.summary.iterations == (stop or len(script))
 
 
 def test_rejection_leaves_lambda_untouched():

@@ -90,6 +90,19 @@ def test_matrix_writes_one_trace_per_run_and_a_summary(tmp_path):
     assert all(r.runs == 3 and r.errors == 0 for r in rows)
 
 
+def test_duplicate_method_labels_are_rejected():
+    """Two entries of one method would write their traces to the same
+    files, and the second run would overwrite the first."""
+    cfg = {"run": {"method": "mcvi", "learning_rate": 5e-7},
+           "data": {"preset": "sim-p2k2", "n": 60},
+           "experiment": {"methods": [{"samples": 100}, {"samples": 10}]}}
+    with pytest.raises(ValueError, match="'mcvi'"):
+        build_matrix(cfg)
+    spec, data = make_preset("sim-p2k2", N=60)
+    ExperimentMatrix(datasets=(("a", spec, data), ("b", spec, data)),
+                     methods=(("mcvi", quick_template(method="mcvi")),), replicates=1)
+
+
 def test_replicate_seeds_offset_from_base(tmp_path):
     spec, data = make_preset("sim-p2k2", N=60)
     matrix = ExperimentMatrix(datasets=(("sim-p2k2", spec, data),),
