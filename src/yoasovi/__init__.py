@@ -11,7 +11,7 @@ from .estimators import GradientSample, estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec, dic, load_csv, log_joint, simulate
 from .harness import ExperimentMatrix, SummaryRow, make_preset, run_matrix
 from .meanfield import (ParamDraw, VariationalParams, constrain, initial_params,
-                        log_q, sample, score, unconstrain)
+                        log_q, sample, score)
 from .sequences import make_source
 from .validation import ConjugateOracle, closed_form_elbo, finite_diff
 

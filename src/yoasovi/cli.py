@@ -4,8 +4,8 @@ yoasovi run --config experiments.yaml [flag overrides...]
 yoasovi trajectory --trace out/traces/run.csv --horizon 5 --out traj.csv
 
 Every field in the config file has a matching flag; flags win.  The run
-command prints the summary table and exits nonzero only when every
-replicate of some dataset x method cell failed.
+command prints the summary table and exits 1 when every replicate of
+some dataset x method cell failed, and 2 on a config it cannot load.
 """
 
 import argparse
@@ -91,8 +91,12 @@ def apply_overrides(cfg: dict, args) -> dict:
 
 
 def cmd_run(args) -> int:
-    cfg = apply_overrides(load_config(args.config), args)
-    matrix, options = build_matrix(cfg)
+    try:
+        cfg = apply_overrides(load_config(args.config), args)
+        matrix, options = build_matrix(cfg)
+    except (ValueError, OSError) as exc:
+        print(f"yoasovi run: error: {exc}", file=sys.stderr)
+        return 2
     rows = run_matrix(matrix, out_dir=options["out"], jobs=options["jobs"])
     print(format_table(rows))
     print(f"\nwrote {options['out']}/summary.csv and "

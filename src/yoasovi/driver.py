@@ -26,8 +26,7 @@ from .acceptance import TemperatureSchedule, decide, temperature
 from .errors import NumericError
 from .estimators import estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec
-# sample is not called here, but perfbench/tracer.py wraps driver.sample.
-from .meanfield import VariationalParams, constrain, draw_z, initial_params, sample  # noqa: F401
+from .meanfield import VariationalParams, constrain, initial_params, sample
 from .sequences import clamp, make_source
 
 METHODS = ("mcvi", "qmcvi", "yoasovi-naive", "yoasovi-metropolis")
@@ -215,5 +214,5 @@ def posterior_draw_set(lam: VariationalParams, n_draws: int, spec: GmmSpec,
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     u = clamp(rng.random((n_draws, lam.dim)))
-    params, _ = constrain(draw_z(lam, u), spec)
+    params, _ = constrain(sample(lam, u).z, spec)
     return list(map(GmmParams, params.weights, params.means, params.sds))

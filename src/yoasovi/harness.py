@@ -187,14 +187,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_trace(trace: RunTrace, path) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
+    """header and one line per row of values, each value through _fmt."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(TRACE_FIELDS)]
-    for r in trace.records:
-        lines.append(",".join(
-            [str(r.t), _fmt(r.elapsed_s), _fmt(r.elbo), _fmt(r.accepted), _fmt(r.M)]))
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_trace(trace: RunTrace, path) -> None:
+    _write_csv(path, TRACE_FIELDS,
+               ((r.t, r.elapsed_s, r.elbo, r.accepted, r.M) for r in trace.records))
 
 
 def read_trace(path) -> list[IterationRecord]:
@@ -209,12 +212,8 @@ def read_trace(path) -> list[IterationRecord]:
 
 
 def write_summary(rows: list[SummaryRow], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(SUMMARY_FIELDS)]
-    for r in rows:
-        lines.append(",".join(_fmt(getattr(r, f)) for f in SUMMARY_FIELDS))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, SUMMARY_FIELDS,
+               ([getattr(r, f) for f in SUMMARY_FIELDS] for r in rows))
 
 
 def format_table(rows: list[SummaryRow]) -> str:
@@ -244,13 +243,8 @@ def emit_trajectory(records: list[IterationRecord],
 
 
 def write_trajectory(series: list[tuple[str, list[tuple[float, float]]]], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["series,elapsed_s,elbo"]
-    for label, rows in series:
-        for elapsed, elbo in rows:
-            lines.append(f"{label},{_fmt(elapsed)},{_fmt(elbo)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, ["series", "elapsed_s", "elbo"],
+               ((label, elapsed, elbo) for label, rows in series for elapsed, elbo in rows))
 
 
 # ---------------------------------------------------------------------------

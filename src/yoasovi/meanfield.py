@@ -75,29 +75,15 @@ def constrain(z: np.ndarray, spec: GmmSpec) -> tuple[GmmParams, np.ndarray]:
     return GmmParams(weights=weights, means=means, sds=sds), ldj
 
 
-def unconstrain(params: GmmParams, spec: GmmSpec) -> np.ndarray:
-    """The inverse of constrain, row by row over the params' leading axes."""
-    params.validate(spec)
-    w, flat = params.weights, params.weights.shape[:-1] + (-1,)
-    logits = np.log(w[..., :-1]) - np.log(w[..., -1:])
-    return np.concatenate([logits, params.means.reshape(flat),
-                           np.log(params.sds).reshape(flat)], axis=-1)
-
-
 def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
-    """One draw from q: z = m + exp(log_s) * ndtri(u)."""
+    """Draws from q, row by row: points u of shape (..., dim) give z of the
+    same shape, z = m + exp(log_s) * ndtri(u).  An overflow gives inf without
+    a warning; estimate and constrain reject non-finite draws."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (lam.dim,):
-        raise ValueError(f"expected a point of dimension {lam.dim}, got {u.shape}")
-    return ParamDraw(z=draw_z(lam, u))
-
-
-def draw_z(lam: VariationalParams, u: np.ndarray) -> np.ndarray:
-    """The reparameterisation z = m + exp(log_s) * ndtri(u), row by row for
-    points u of shape (..., dim).  An overflow gives inf without a warning;
-    estimate and constrain reject non-finite draws."""
+    if u.shape[-1:] != (lam.dim,):
+        raise ValueError(f"expected points of dimension {lam.dim}, got {u.shape}")
     with np.errstate(over="ignore"):
-        return lam.m + np.exp(lam.log_s) * ndtri(u)
+        return ParamDraw(z=lam.m + np.exp(lam.log_s) * ndtri(u))
 
 
 def log_q(lam: VariationalParams, z: np.ndarray) -> float:

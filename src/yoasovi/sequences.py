@@ -5,6 +5,8 @@ clamped to [EPS, 1 - EPS] before anyone applies the inverse normal CDF, so
 downstream transforms never see 0 or 1 and never produce infinities.
 """
 
+from typing import Callable
+
 import numpy as np
 from scipy import stats
 
@@ -24,67 +26,38 @@ def clamp(pts: np.ndarray) -> np.ndarray:
 
 
 class SequenceSource:
-    """Common behaviour for the point streams.
-
-    Subclasses fill in _raw(n) returning an (n, dimension) array; this class
-    handles clamping and the emitted-point counter.  A source is single-owner
-    mutable state: share datasets between runs, never sources.
+    """A stream of points in the open hypercube: each next_point clamps one
+    point from the draw function make_source chose.  A source is
+    single-owner mutable state: share datasets between runs, never sources.
     """
 
-    def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dimension = int(dimension)
-        self.counter = 0
+    def __init__(self, draw: Callable[[], np.ndarray]):
+        self._draw = draw
 
     def next_point(self) -> np.ndarray:
         """The next point of the stream, in the open hypercube (0,1)^d."""
-        pt = clamp(self._raw(1)[0])
-        self.counter += 1
-        return pt
-
-    def _raw(self, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class PseudoRandomSource(SequenceSource):
-    def __init__(self, dimension: int, seed: int):
-        super().__init__(dimension)
-        self._rng = np.random.default_rng(seed)
-
-    def _raw(self, n):
-        return self._rng.random((n, self.dimension))
-
-
-class SobolSource(SequenceSource):
-    """Scrambled Sobol stream (Owen-style linear matrix scrambling, keyed by
-    seed).  The index-0 point of the unscrambled sequence is the origin, which
-    sits on the closed boundary, so the stream starts at index 1.
-    """
-
-    def __init__(self, dimension: int, seed: int):
-        if dimension > SOBOL_MAX_DIMENSION:
-            raise UnsupportedDimensionError(
-                f"Sobol direction numbers available up to dimension "
-                f"{SOBOL_MAX_DIMENSION}, got {dimension}"
-            )
-        super().__init__(dimension)
-        self._engine = stats.qmc.Sobol(d=dimension, scramble=True, seed=seed)
-        self._engine.fast_forward(1)
-
-    def _raw(self, n):
-        return self._engine.random(n)
-
-
-_SOURCE_KINDS = {
-    "pseudo-random": PseudoRandomSource,
-    "sobol-scrambled": SobolSource,
-}
+        return clamp(self._draw())
 
 
 def make_source(kind: str, dimension: int, seed: int) -> SequenceSource:
-    try:
-        cls = _SOURCE_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown sequence kind {kind!r}") from None
-    return cls(dimension, seed)
+    """A pseudo-random or scrambled Sobol stream of dimension-d points.
+
+    The Sobol stream uses Owen-style linear matrix scrambling keyed by seed.
+    The index-0 point of the unscrambled sequence is the origin, which sits
+    on the closed boundary, so the stream starts at index 1.
+    """
+    if kind not in ("pseudo-random", "sobol-scrambled"):
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
+    if kind == "pseudo-random":
+        rng = np.random.default_rng(seed)
+        return SequenceSource(lambda: rng.random(dimension))
+    if dimension > SOBOL_MAX_DIMENSION:
+        raise UnsupportedDimensionError(
+            f"Sobol direction numbers available up to dimension "
+            f"{SOBOL_MAX_DIMENSION}, got {dimension}"
+        )
+    engine = stats.qmc.Sobol(d=dimension, scramble=True, seed=seed)
+    engine.fast_forward(1)
+    return SequenceSource(lambda: engine.random(1)[0])

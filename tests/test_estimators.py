@@ -62,7 +62,7 @@ def test_one_density_evaluation_per_draw():
         calls += 1
         return oracle.log_joint(z)
 
-    src = make_source("pseudo-random", 1, seed=3)
+    src = FrozenSource(np.random.default_rng(3).random((17, 1)))
     estimate(lam, counted, src, S=17)
     assert calls == 17
     assert src.counter == 17

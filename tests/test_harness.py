@@ -408,6 +408,31 @@ def test_cli_exit_code_when_every_replicate_fails(tmp_path):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("case", ["repeated-method", "missing-config", "unknown-preset"])
+def test_cli_config_error_is_one_line_and_exit_2(tmp_path, case):
+    """A config that cannot become a matrix is a usage error (exit 2, one
+    line on stderr), not exit 1, which means every replicate of a cell
+    failed."""
+    cfg = write_quick_config(tmp_path)
+    argv = ["run", "--config", str(cfg)]
+    if case == "repeated-method":
+        cfg.write_text(yaml.safe_dump({
+            "run": {"method": "mcvi", "learning_rate": 5e-7},
+            "data": {"preset": "sim-p2k2", "n": 60},
+            "experiment": {"methods": [{"samples": 100}, {"samples": 10}],
+                           "out": str(tmp_path / "res")}}))
+    elif case == "missing-config":
+        argv[2] = str(tmp_path / "absent.yaml")
+    else:
+        argv += ["--preset", "sim-p9k9"]
+    res = cli(*argv)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("yoasovi run: error: "), res.stderr
+    assert not (tmp_path / "res").exists()
+
+
 def test_cli_flag_overrides_reach_the_run(tmp_path):
     cfg = write_quick_config(tmp_path)
     out = tmp_path / "alt"

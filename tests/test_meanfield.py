@@ -10,8 +10,7 @@ from scipy import stats
 from yoasovi.errors import NumericError
 from yoasovi.gmm import Dataset, GmmSpec
 from yoasovi.meanfield import (ParamDraw, VariationalParams, constrain,
-                               initial_params, log_q, sample, score,
-                               unconstrain)
+                               initial_params, log_q, sample, score)
 from yoasovi.sequences import make_source
 from yoasovi.validation import finite_diff
 
@@ -24,13 +23,16 @@ def lam_fixture(dim, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# constrain / unconstrain
+# constrain
 
 @given(arrays(np.float64, 9, elements=st.floats(-20, 20)))
 @settings(max_examples=200, deadline=None)
 def test_round_trip_through_constrained_space(z):
     params, _ = constrain(z, SPEC22)
-    back = unconstrain(params, SPEC22)
+    # the inverse map: logits against the pinned last weight, means, log sds
+    w = params.weights
+    back = np.concatenate([np.log(w[:-1]) - np.log(w[-1]), params.means.ravel(),
+                           np.log(params.sds).ravel()])
     np.testing.assert_allclose(back, z, atol=1e-12, rtol=0)
 
 
@@ -106,7 +108,6 @@ def test_constrain_rows_match_per_row_calls():
             for field in ("weights", "means", "sds"):
                 np.testing.assert_array_equal(getattr(params, field)[i], getattr(one, field))
             assert ldj[i] == ldj_i
-        np.testing.assert_allclose(unconstrain(params, spec), z, atol=1e-12, rtol=0)
         # two leading axes: the same rows, reshaped
         params2, ldj2 = constrain(z[:22].reshape(2, 11, -1), spec)
         np.testing.assert_array_equal(params2.sds.reshape(22, spec.K, spec.p), params.sds[:22])
@@ -123,6 +124,23 @@ def test_sample_is_location_scale_transform():
     expected_z = lam.m + np.exp(lam.log_s) * stats.norm.ppf(0.731)
     np.testing.assert_allclose(draw.z, expected_z, atol=1e-12)
     assert isinstance(draw, ParamDraw)
+
+
+def test_sample_rows_match_per_row_calls():
+    lam = lam_fixture(9, seed=2)
+    rng = np.random.default_rng(13)
+    for shape in ((23, 9), (2, 11, 9)):
+        u = rng.random(shape)
+        z = sample(lam, u).z
+        assert z.shape == shape
+        for idx in np.ndindex(shape[:-1]):
+            np.testing.assert_array_equal(z[idx], sample(lam, u[idx]).z)
+
+
+@pytest.mark.parametrize("shape", [(8,), (10,), (23, 8), (9, 1), ()])
+def test_sample_rejects_a_wrong_trailing_axis(shape):
+    with pytest.raises(ValueError, match="dimension 9"):
+        sample(lam_fixture(9), np.full(shape, 0.5))
 
 
 def test_sample_marginals_pass_ks():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yoasovi.errors import UnsupportedDimensionError
-from yoasovi.meanfield import VariationalParams, draw_z
+from yoasovi.meanfield import VariationalParams, sample
 from yoasovi.sequences import EPS, clamp, make_source
 
 ALL_KINDS = ["pseudo-random", "sobol-scrambled"]
@@ -29,9 +29,9 @@ def _bisect_ndtri(u, lo=-40.0, hi=40.0):
 
 
 def _standard_draw(u):
-    """draw_z at m=0, log_s=0: the standard normal quantile of u."""
+    """sample at m=0, log_s=0: the standard normal quantile of u."""
     lam = VariationalParams(m=np.zeros(1), log_s=np.zeros(1))
-    return float(draw_z(lam, np.array([u]))[0])
+    return float(sample(lam, np.array([u])).z[0])
 
 
 def test_inverse_normal_cdf_reference_value():
@@ -50,7 +50,7 @@ def test_clamp_keeps_boundary_draws_finite():
     u = clamp(np.array([-0.1, 0.0, 1.0, 1.1, 2.0]))
     np.testing.assert_array_equal(u, [EPS, EPS, 1.0 - EPS, 1.0 - EPS, 1.0 - EPS])
     lam = VariationalParams(m=np.zeros(5), log_s=np.zeros(5))
-    z = draw_z(lam, u)
+    z = sample(lam, u).z
     assert np.all(np.isfinite(z))
     # about 7.3 standard deviations out, the same distance on either side
     assert -7.5 < z[0] < -7.0
@@ -75,14 +75,6 @@ def test_same_seed_reproduces_ten_thousand_points(kind):
     np.testing.assert_array_equal(pa, pb)
 
 
-def test_counter_tracks_points_served():
-    src = make_source("sobol-scrambled", 2, seed=0)
-    assert src.counter == 0
-    for i in range(7):
-        src.next_point()
-    assert src.counter == 7
-
-
 def test_sobol_draws_any_count_without_warnings():
     # scipy warns about a non-power-of-two count only at stream index 0, and
     # the stream starts at index 1
@@ -90,8 +82,8 @@ def test_sobol_draws_any_count_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (1, 1, 3, 10, 100, 7):
-            assert src._raw(n).shape == (n, 3)
-        src.next_point()
+            pts = np.array([src.next_point() for _ in range(n)])
+            assert pts.shape == (n, 3)
 
 
 def test_sobol_dimension_cap():
@@ -103,6 +95,12 @@ def test_sobol_dimension_cap():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         make_source("latin-hypercube", 2, seed=0)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_zero_dimension_rejected(kind):
+    with pytest.raises(ValueError, match="dimension"):
+        make_source(kind, 0, seed=0)
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
