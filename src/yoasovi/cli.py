@@ -3,9 +3,12 @@
 yoasovi run --config experiments.yaml [flag overrides...]
 yoasovi trajectory --trace out/traces/run.csv --horizon 5 --out traj.csv
 
-Every field in the config file has a matching flag; flags win.  The run
-command prints the summary table and exits 1 when every replicate of
-some dataset x method cell failed, and 2 on a config it cannot load.
+Flags override the run settings, the data source and the experiment's
+seed, replicates, jobs and out; flags win.  The model section,
+kmeans_style_init, the other data keys and experiment.methods have no
+flag.  The run command prints the summary table and exits 1 when every
+replicate of some dataset x method cell failed; either command exits 2
+with one stderr line on input it cannot use.
 """
 
 import argparse
@@ -94,7 +97,7 @@ def cmd_run(args) -> int:
     try:
         cfg = apply_overrides(load_config(args.config), args)
         matrix, options = build_matrix(cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"yoasovi run: error: {exc}", file=sys.stderr)
         return 2
     rows = run_matrix(matrix, out_dir=options["out"], jobs=options["jobs"])
@@ -105,11 +108,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    series = []
-    for path in args.trace:
-        records = read_trace(path)
-        label = path.rsplit("/", 1)[-1].removesuffix(".csv")
-        series.append((label, emit_trajectory(records, args.horizon)))
+    try:
+        series = [(path.rsplit("/", 1)[-1].removesuffix(".csv"),
+                   emit_trajectory(read_trace(path), args.horizon)) for path in args.trace]
+    except (ValueError, OSError) as exc:
+        print(f"yoasovi trajectory: error: {exc}", file=sys.stderr)
+        return 2
     write_trajectory(series, args.out)
     total = sum(len(rows) for _, rows in series)
     print(f"wrote {total} rows to {args.out}")

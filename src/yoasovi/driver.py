@@ -181,7 +181,7 @@ def run_problem(config: RunConfig, problem: Problem,
         fe = final_elbo(records)
 
     dic_value = None
-    if problem.spec is not None and error is None and records:
+    if problem.spec is not None and error is None:
         try:
             draws = posterior_draw_set(lam, DIC_DRAWS, problem.spec,
                                        rng=np.random.default_rng(dic_ss))
@@ -209,10 +209,9 @@ def final_elbo(records: list[IterationRecord]) -> float:
 
 
 def posterior_draw_set(lam: VariationalParams, n_draws: int, spec: GmmSpec,
-                       rng: np.random.Generator) -> list[GmmParams]:
-    """Fresh constrained draws from q(.|lam), for posterior summaries."""
+                       rng: np.random.Generator) -> GmmParams:
+    """Fresh constrained draws from q(.|lam), stacked on one leading axis."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     u = clamp(rng.random((n_draws, lam.dim)))
-    params, _ = constrain(sample(lam, u).z, spec)
-    return list(map(GmmParams, params.weights, params.means, params.sds))
+    return constrain(sample(lam, u).z, spec)[0]

@@ -8,8 +8,8 @@ coordinate, log sds ~ Normal(0, prior_logsd_scale^2) per coordinate.
 
 GmmParams fields may carry leading axes, one parameter set per index.
 log_likelihood scores every set against the (N, p) data with a max-shifted
-numpy log-sum-exp over the components; dic stacks its posterior draws once
-and makes a single call.
+numpy log-sum-exp over the components; dic takes its posterior draws
+stacked on one leading axis and scores them in a single call.
 """
 
 import csv
@@ -220,20 +220,14 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     return Dataset(np.asarray(values), name=os.path.splitext(os.path.basename(path))[0])
 
 
-def dic(spec: GmmSpec, data: Dataset, posterior_draws: list[GmmParams]) -> float:
-    """Deviance information criterion: mean deviance plus effective parameter
-    count, with D(theta) = -2 * log likelihood (no prior) and the plug-in
-    point the draw-wise mean parameter (weights re-normalized)."""
-    if len(posterior_draws) < 2:
-        raise ValueError(f"DIC needs at least 2 posterior draws, got {len(posterior_draws)}")
-    try:
-        draws = GmmParams(*(np.stack([getattr(th, f) for th in posterior_draws])
-                            for f in ("weights", "means", "sds")))
-    except ValueError:
-        # draws of differing shapes: the first misfit reports itself
-        for th in posterior_draws:
-            th.validate(spec)
-        raise
+def dic(spec: GmmSpec, data: Dataset, draws: GmmParams) -> float:
+    """Deviance information criterion of posterior draws stacked on one
+    leading axis: mean deviance plus effective parameter count, with
+    D(theta) = -2 * log likelihood (no prior) and the plug-in point the
+    draw-wise mean parameter (weights re-normalized)."""
+    if draws.weights.ndim != 2 or len(draws.weights) < 2:
+        raise ValueError("DIC needs at least 2 posterior draws stacked on one leading "
+                         f"axis, got weights of shape {draws.weights.shape}")
     devs = -2.0 * log_likelihood(spec, data, draws)
     w_bar = draws.weights.mean(axis=0)
     theta_bar = GmmParams(weights=w_bar / w_bar.sum(), means=draws.means.mean(axis=0),

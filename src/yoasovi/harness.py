@@ -17,6 +17,7 @@ import yaml
 
 from .acceptance import TemperatureSchedule
 from .driver import IterationRecord, RunConfig, RunSummary, RunTrace, run
+from .errors import ParseError
 from .gmm import Dataset, GmmParams, GmmSpec, load_csv, simulate
 
 TRACE_FIELDS = ["iter", "elapsed_s", "elbo", "accepted", "M"]
@@ -101,10 +102,6 @@ class SummaryRow:
 SUMMARY_FIELDS = [f.name for f in fields(SummaryRow)]
 
 
-def _trace_path(out_dir: Path, dataset: str, label: str, r: int) -> Path:
-    return out_dir / "traces" / f"{dataset}__{label}__r{r}.csv"
-
-
 def _run_one(config: RunConfig, data: Dataset, path: Path, clock=None) -> RunSummary:
     trace = run(config, data, clock=clock)
     write_trace(trace, path)
@@ -124,12 +121,13 @@ def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
     out_dir = Path(out_dir)
     (out_dir / "traces").mkdir(parents=True, exist_ok=True)
 
-    work = []
-    for ds_name, spec, data in matrix.datasets:
-        for label, template in matrix.methods:
-            for r in range(matrix.replicates):
-                config = replace(template, model=spec, seed=matrix.base_seed + r)
-                work.append((config, data, _trace_path(out_dir, ds_name, label, r)))
+    cells = [(ds_name, spec, data, label, template)
+             for ds_name, spec, data in matrix.datasets
+             for label, template in matrix.methods]
+    work = [(replace(template, model=spec, seed=matrix.base_seed + r), data,
+             out_dir / "traces" / f"{ds_name}__{label}__r{r}.csv")
+            for ds_name, spec, data, label, template in cells
+            for r in range(matrix.replicates)]
 
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -137,13 +135,9 @@ def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
     else:
         summaries = [_run_one(*item, clock=clock) for item in work]
 
-    rows = []
-    i = 0
-    for ds_name, spec, data in matrix.datasets:
-        for label, template in matrix.methods:
-            cell = summaries[i : i + matrix.replicates]
-            i += matrix.replicates
-            rows.append(_summarise_cell(ds_name, label, cell))
+    n = matrix.replicates
+    rows = [_summarise_cell(ds_name, label, summaries[i * n:(i + 1) * n])
+            for i, (ds_name, _, _, label, _) in enumerate(cells)]
     write_summary(rows, out_dir / "summary.csv")
     return rows
 
@@ -252,7 +246,12 @@ def write_trajectory(series: list[tuple[str, list[tuple[float, float]]]], path) 
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            raise ParseError(f"{path}, line {mark.line + 1}: {exc.problem}" if mark
+                             else f"{path}: {' '.join(str(exc).split())}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a mapping")
     return cfg

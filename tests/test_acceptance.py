@@ -275,6 +275,7 @@ def test_criterion_10_dic_hand_computation():
 
     d_bar = 0.5 * (-2 * loglik(0.0, 1.0) - 2 * loglik(1.0, 2.0))
     hand = 2 * d_bar - (-2 * loglik(0.5, 1.5))
-    got = dic(spec, data, [d1, d2])
+    got = dic(spec, data, GmmParams(*(np.stack([getattr(d1, f), getattr(d2, f)])
+                                      for f in ("weights", "means", "sds"))))
     report(10, "two-draw DIC matches the hand computation to 1e-8",
            abs(got - hand) <= 1e-8, f"got={got:.10f} hand={hand:.10f}")

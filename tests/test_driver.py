@@ -12,6 +12,7 @@ from yoasovi.driver import (Problem, RunConfig, build_gmm_problem, final_elbo,
                             posterior_draw_set, run, run_problem)
 from yoasovi.driver import IterationRecord
 from yoasovi.errors import NumericError
+from yoasovi.gmm import GmmParams
 from yoasovi.harness import make_preset
 from yoasovi.meanfield import VariationalParams, constrain, sample
 from yoasovi.sequences import EPS
@@ -316,11 +317,11 @@ def test_posterior_draw_set_produces_valid_parameters():
     lam = VariationalParams(m=np.zeros(spec.n_unconstrained),
                             log_s=np.full(spec.n_unconstrained, -1.0))
     draws = posterior_draw_set(lam, 50, spec, rng=np.random.default_rng(0))
-    assert len(draws) == 50
-    for th in draws[:5]:
-        th.validate(spec)
+    assert draws.weights.shape == (50, spec.K)
+    for i in range(5):
+        GmmParams(draws.weights[i], draws.means[i], draws.sds[i]).validate(spec)
     again = posterior_draw_set(lam, 50, spec, rng=np.random.default_rng(0))
-    np.testing.assert_array_equal(draws[0].means, again[0].means)
+    np.testing.assert_array_equal(draws.means[0], again.means[0])
     with pytest.raises(ValueError):
         posterior_draw_set(lam, 0, spec, rng=np.random.default_rng(0))
 
@@ -332,11 +333,11 @@ def test_posterior_draw_set_matches_per_draw_sampling():
                             log_s=rng.normal(-1.0, 0.5, spec.n_unconstrained))
     draws = posterior_draw_set(lam, 200, spec, rng=np.random.default_rng(5))
     u = np.clip(np.random.default_rng(5).random((200, lam.dim)), EPS, 1.0 - EPS)
-    assert len(draws) == len(u)
-    for th, u_i in zip(draws, u):
+    assert len(draws.weights) == len(u)
+    for i, u_i in enumerate(u):
         one, _ = constrain(sample(lam, u_i).z, spec)
         for field in ("weights", "means", "sds"):
-            np.testing.assert_array_equal(getattr(th, field), getattr(one, field))
+            np.testing.assert_array_equal(getattr(draws, field)[i], getattr(one, field))
 
 
 @pytest.mark.parametrize("method,samples,seed", [

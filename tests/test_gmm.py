@@ -310,8 +310,11 @@ def test_dic_needs_two_draws():
     spec = GmmSpec(K=1, p=1)
     draw = GmmParams(weights=np.array([1.0]), means=np.array([[0.0]]),
                      sds=np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        dic(spec, Dataset(np.array([[0.0]])), [draw])
+    grid = GmmParams(weights=np.ones((2, 19, 1)), means=np.zeros((2, 19, 1, 1)),
+                     sds=np.ones((2, 19, 1, 1)))
+    for draws in (draw, stack([draw]), grid):
+        with pytest.raises(ValueError, match="DIC needs at least 2 posterior draws"):
+            dic(spec, Dataset(np.array([[0.0]])), draws)
 
 
 def test_dic_two_draw_hand_computation():
@@ -327,7 +330,7 @@ def test_dic_two_draw_hand_computation():
 
     d_bar = 0.5 * (-2.0 * loglik(0.0, 1.0) + -2.0 * loglik(1.0, 2.0))
     d_at_mean = -2.0 * loglik(0.5, 1.5)
-    assert dic(spec, data, [d1, d2]) == pytest.approx(2.0 * d_bar - d_at_mean, abs=1e-8)
+    assert dic(spec, data, stack([d1, d2])) == pytest.approx(2.0 * d_bar - d_at_mean, abs=1e-8)
 
 
 def test_dic_degenerate_posterior_has_no_parameter_penalty():
@@ -336,7 +339,7 @@ def test_dic_degenerate_posterior_has_no_parameter_penalty():
     data = Dataset(np.array([[1.0], [2.0], [0.0]]))
     draw = GmmParams(weights=np.array([1.0]), means=np.array([[1.0]]), sds=np.array([[1.0]]))
     expected = -2.0 * log_likelihood(spec, data, draw)
-    assert dic(spec, data, [draw, draw, draw]) == pytest.approx(expected, abs=1e-12)
+    assert dic(spec, data, stack([draw, draw, draw])) == pytest.approx(expected, abs=1e-12)
 
 
 def test_dic_matches_brute_force():
@@ -350,16 +353,15 @@ def test_dic_matches_brute_force():
                           sds=np.mean([th.sds for th in draws], axis=0))
     d_bar = float(np.mean(devs))
     want = 2.0 * d_bar + 2.0 * oracle_log_likelihood(spec, data, theta_bar)
-    assert dic(spec, data, draws) == pytest.approx(want, rel=1e-12)
+    assert dic(spec, data, stack(draws)) == pytest.approx(want, rel=1e-12)
 
 
 def test_dic_rejects_draws_of_differing_shapes():
+    # draws of K=3 against a K=2 spec: log_likelihood's validation reports it
     spec = GmmSpec(K=2, p=1)
-    good = GmmParams(weights=np.array([0.5, 0.5]), means=np.zeros((2, 1)),
-                     sds=np.ones((2, 1)))
     bad = GmmParams(weights=np.ones(3) / 3, means=np.zeros((3, 1)), sds=np.ones((3, 1)))
     with pytest.raises(ValueError, match=r"weights shape \(3,\), expected \(2,\)"):
-        dic(spec, Dataset(np.array([[0.0]])), [good, bad])
+        dic(spec, Dataset(np.array([[0.0]])), stack([bad, bad]))
 
 
 def test_log_prior_dirichlet_normalizer_present():

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import yaml
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.cli import apply_overrides, build_parser
 from yoasovi.driver import IterationRecord, RunConfig, run
+from yoasovi.errors import ParseError
 from yoasovi.harness import (ExperimentMatrix, any_cell_failed, build_matrix,
                              emit_trajectory, format_table, load_config,
                              make_preset, read_trace, run_matrix, write_trace,
@@ -403,24 +405,40 @@ def test_cli_run_and_trajectory_round_trip(tmp_path):
 
 
 def test_cli_exit_code_when_every_replicate_fails(tmp_path):
-    cfg = write_quick_config(tmp_path, lr="1.0e6")
+    cfg = write_quick_config(tmp_path, lr="1.0e+6")
     res = cli("run", "--config", str(cfg))
     assert res.returncode == 1
+    assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("case", ["repeated-method", "missing-config", "unknown-preset"])
+_BAD_CONFIGS = {
+    "repeated-method": {"run": {"method": "mcvi", "learning_rate": 5e-7},
+                        "experiment": {"methods": [{"samples": 100}, {"samples": 10}]}},
+    "unknown-run-key": {"run": {"method": "mcvi", "foo": 1}},
+    "unknown-temper-key": {"run": {"method": "yoasovi-naive",
+                                   "temper": {"kind": "linear", "bogus": 1}}},
+    "unknown-model-key": {"model": {"K": 2, "p": 2, "bogus": 1},
+                          "run": {"method": "mcvi"}},
+}
+
+
+@pytest.mark.parametrize("case", [*_BAD_CONFIGS, "malformed-yaml", "control-character",
+                                  "missing-config", "unknown-preset"])
 def test_cli_config_error_is_one_line_and_exit_2(tmp_path, case):
     """A config that cannot become a matrix is a usage error (exit 2, one
     line on stderr), not exit 1, which means every replicate of a cell
     failed."""
     cfg = write_quick_config(tmp_path)
     argv = ["run", "--config", str(cfg)]
-    if case == "repeated-method":
+    if case in _BAD_CONFIGS:
         cfg.write_text(yaml.safe_dump({
-            "run": {"method": "mcvi", "learning_rate": 5e-7},
-            "data": {"preset": "sim-p2k2", "n": 60},
-            "experiment": {"methods": [{"samples": 100}, {"samples": 10}],
+            **_BAD_CONFIGS[case], "data": {"preset": "sim-p2k2", "n": 60},
+            "experiment": {**_BAD_CONFIGS[case].get("experiment", {}),
                            "out": str(tmp_path / "res")}}))
+    elif case == "malformed-yaml":
+        cfg.write_text("run: {method: mcvi\ndata: {preset: sim-p2k2}\n")
+    elif case == "control-character":
+        cfg.write_text('run: {method: mcvi}\ndata: {preset: "sim\x01p2k2"}\n')
     elif case == "missing-config":
         argv[2] = str(tmp_path / "absent.yaml")
     else:
@@ -431,6 +449,33 @@ def test_cli_config_error_is_one_line_and_exit_2(tmp_path, case):
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("yoasovi run: error: "), res.stderr
     assert not (tmp_path / "res").exists()
+
+
+def test_malformed_yaml_names_the_file_and_line(tmp_path):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("model: {K: 2, p: 2}\nrun: {method: mcvi\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(cfg))}, line 3: "):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("case", ["missing-trace", "foreign-header", "negative-horizon"])
+def test_cli_trajectory_input_error_is_one_line_and_exit_2(tmp_path, case):
+    trace = tmp_path / "run.csv"
+    trace.write_text("iter,elapsed_s,elbo,accepted,M\n1,0.5,-10.0,1,\n")
+    horizon = "1.0"
+    if case == "missing-trace":
+        trace = tmp_path / "absent.csv"
+    elif case == "foreign-header":
+        trace.write_text("t,seconds,value\n1,0.5,-10.0\n")
+    else:
+        horizon = "-1"
+    out = tmp_path / "traj.csv"
+    res = cli("trajectory", "--trace", str(trace), "--horizon", horizon, "--out", str(out))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("yoasovi trajectory: error: "), res.stderr
+    assert not out.exists()
 
 
 def test_cli_flag_overrides_reach_the_run(tmp_path):
