@@ -14,7 +14,7 @@ where metropolis is strictly more forgiving.
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateReferenceError
+from .errors import DegenerateReferenceError, require_number
 
 RULE_KINDS = ("naive", "metropolis")
 SCHEDULE_KINDS = ("constant", "log", "linear")
@@ -33,6 +33,7 @@ class TemperatureSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.k is None:
             object.__setattr__(self, "k", 1.5 if self.kind == "constant" else 1.0)
+        require_number("k", self.k)
         if not (self.k > 0 and math.isfinite(self.k)):
             raise ValueError("schedule coefficient k must be positive and finite")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gmm
 from .acceptance import TemperatureSchedule, decide, temperature
-from .errors import NumericError
+from .errors import DegenerateReferenceError, NumericError, require_number
 from .estimators import estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec
 from .meanfield import VariationalParams, constrain, initial_params, sample
@@ -50,6 +50,9 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        for name in ("samples", "max_iters", "patience", "seed"):
+            require_number(name, getattr(self, name), integral=True)
+        require_number("learning_rate", self.learning_rate)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.method.startswith("yoasovi") and self.samples != 1:
@@ -165,7 +168,7 @@ def run_problem(config: RunConfig, problem: Problem,
             if accepted:
                 lam = update_step(lam, est.grad, config.learning_rate)
                 L_prev = est.elbo
-        except NumericError as exc:
+        except (NumericError, DegenerateReferenceError) as exc:
             error = f"aborted at iteration {t}: {exc}"
             break
         records.append(IterationRecord(t=t, elapsed_s=clock() - t0,

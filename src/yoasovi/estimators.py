@@ -1,6 +1,7 @@
 """Score-function gradient and ELBO estimates, computed jointly from the
 same draws, plus the constant-rate parameter update."""
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,22 +29,31 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
 
     log_joint_z must return log p(y, constrain(z)) plus the transform's log
     Jacobian term, so that w = log_joint_z(z) - log_q(z) is the ELBO
-    integrand on the unconstrained space.  Each draw costs exactly one
-    log_joint_z evaluation; S=1 is the single-draw acceptance-sampling path.
+    integrand on the unconstrained space.  The S points, draws, log_q and
+    scores come from one row-wise pass; each draw then costs exactly one
+    log_joint_z evaluation, made in draw order.  S=1 is the single-draw
+    acceptance-sampling path.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
+    z = sample(lam, src.next_point(S)).z
+    # log_q and score take the draws before the first non-finite one.  They
+    # run ahead of the target calls, so they stay quiet on draws a raising
+    # target call would never have reached; a non-finite log_q or score
+    # still ends the estimate or the update with a NumericError.
+    n_ok = S if np.isfinite(z).all() else int(np.isfinite(z).all(axis=-1).argmin())
+    with np.errstate(all="ignore"):
+        lq = log_q(lam, z[:n_ok])
+        sc = score(lam, z[:n_ok])
     grad = np.zeros(2 * lam.dim)
     elbo = 0.0
     for s in range(S):
-        u = src.next_point()
-        z = sample(lam, u).z
-        if not np.all(np.isfinite(z)):
+        if s == n_ok:
             raise NumericError(f"draw {s + 1} of {S} overflowed the sampling transform")
-        w = float(log_joint_z(z)) - log_q(lam, z)
-        if not np.isfinite(w):
-            raise NumericError(f"non-finite integrand ({w}) at draw {s + 1} of {S}, z={z}")
-        grad += score(lam, z) * w
+        w = float(log_joint_z(z[s])) - float(lq[s])
+        if not math.isfinite(w):
+            raise NumericError(f"non-finite integrand ({w}) at draw {s + 1} of {S}, z={z[s]}")
+        grad += sc[s] * w
         elbo += w
     return GradientSample(grad=grad / S, elbo=elbo / S)
 
@@ -58,6 +68,6 @@ def update_step(lam: VariationalParams, grad: np.ndarray, rho: float) -> Variati
     with np.errstate(over="ignore"):
         m = lam.m + rho * grad[: lam.dim]
         log_s = lam.log_s + rho * grad[lam.dim :]
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(log_s))):
+    if not (np.isfinite(m).all() and np.isfinite(log_s).all()):
         raise NumericError("parameter update produced non-finite values")
     return VariationalParams(m=m, log_s=log_s)

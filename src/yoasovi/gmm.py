@@ -15,11 +15,11 @@ stacked on one leading axis and scores them in a single call.
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParseError
+from .errors import NumericError, ParseError, require_number
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,12 @@ class GmmSpec:
     prior_logsd_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("K", "p"):
+            require_number(name, getattr(self, name), integral=True)
         if self.K < 1 or self.p < 1:
             raise ValueError("K and p must be >= 1")
         for name in ("prior_mean_scale", "prior_dirichlet_alpha", "prior_logsd_scale"):
+            require_number(name, getattr(self, name))
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -66,16 +69,21 @@ class GmmParams:
 
 @dataclass(frozen=True)
 class Dataset:
+    """N observations of dimension p.  values_t is the contiguous (p, N)
+    transpose log_likelihood works on, stored once per dataset."""
+
     values: np.ndarray
     name: str = "data"
+    values_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("values must be an N x p matrix with N >= 1")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("dataset contains non-finite entries")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values_t", np.ascontiguousarray(v.T))
 
     @property
     def N(self) -> int:
@@ -98,9 +106,13 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     result is the same inf or nan as scipy.special.logsumexp gives, and no
     inf - inf is ever formed."""
     m = a.max(axis=axis, keepdims=True)
-    m[~np.isfinite(m)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis)
+    finite = np.isfinite(m)
+    if finite.all():
+        # the maximum adds exp(0) = 1 to every sum, so log never sees 0
+        return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
+    m[~finite] = 0.0
+    with np.errstate(divide="ignore"):  # an all -inf slice sums to 0
+        return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
 def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarray:
@@ -114,7 +126,7 @@ def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarra
     means = params.means.reshape(-1, spec.K, spec.p)
     sds = params.sds.reshape(-1, spec.K, spec.p)
     # observations on the last axis, so every elementwise pass runs over N
-    y = np.ascontiguousarray(data.values.T)  # (p, N)
+    y = data.values_t  # (p, N)
     out = np.empty(weights.shape[0])
     # zero weights drop out (log 0 = -inf); an sd whose square under- or
     # overflows gives a -inf or nan density, which log_joint rejects
@@ -124,9 +136,9 @@ def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarra
         for lo in range(0, weights.shape[0], _BLOCK):
             b = slice(lo, lo + _BLOCK)
             # (b, K, N): sum over p of the componentwise normal log densities
-            comp = -0.5 * np.sum(
-                log_norm[b] + ((y - means[b, ..., None]) / sds[b, ..., None]) ** 2, axis=2)
-            out[b] = np.sum(_logsumexp(log_w[b] + comp, axis=1), axis=1)
+            comp = -0.5 * (
+                log_norm[b] + ((y - means[b, ..., None]) / sds[b, ..., None]) ** 2).sum(axis=2)
+            out[b] = _logsumexp(log_w[b] + comp, axis=1).sum(axis=1)
     return out.reshape(lead)[()]
 
 
@@ -135,15 +147,15 @@ def log_prior(spec: GmmSpec, params: GmmParams) -> float:
     # a zero weight or an overflowing square gives a non-finite prior, which
     # log_joint rejects
     with np.errstate(divide="ignore", over="ignore"):
-        lp = (a - 1.0) * float(np.sum(np.log(params.weights)))
+        lp = (a - 1.0) * float(np.log(params.weights).sum())
         lp += math.lgamma(spec.K * a) - spec.K * math.lgamma(a)
         s = spec.prior_mean_scale
-        lp += float(-0.5 * np.sum((params.means / s) ** 2)) \
+        lp += float(-0.5 * ((params.means / s) ** 2).sum()) \
             - spec.K * spec.p * 0.5 * math.log(2.0 * math.pi * s**2)
         ls = np.log(params.sds)
         t = spec.prior_logsd_scale
         # lognormal over sds: Gaussian on log sd plus the 1/sd change of variables
-        lp += float(-0.5 * np.sum((ls / t) ** 2) - np.sum(ls)) \
+        lp += float(-0.5 * ((ls / t) ** 2).sum() - ls.sum()) \
             - spec.K * spec.p * 0.5 * math.log(2.0 * math.pi * t**2)
     return lp
 

@@ -27,7 +27,7 @@ class VariationalParams:
         log_s = np.asarray(self.log_s, dtype=float)
         if m.shape != log_s.shape or m.ndim != 1:
             raise ValueError("m and log_s must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(log_s))):
+        if not (np.isfinite(m).all() and np.isfinite(log_s).all()):
             raise ValueError("variational parameters must be finite")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "log_s", log_s)
@@ -56,7 +56,7 @@ def constrain(z: np.ndarray, spec: GmmSpec) -> tuple[GmmParams, np.ndarray]:
     z = np.asarray(z, dtype=float)
     if z.shape[-1:] != (spec.n_unconstrained,):
         raise ValueError(f"expected z of length {spec.n_unconstrained}, got {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NumericError("non-finite unconstrained vector")
     K, p = spec.K, spec.p
     lead = z.shape[:-1]
@@ -67,7 +67,7 @@ def constrain(z: np.ndarray, spec: GmmSpec) -> tuple[GmmParams, np.ndarray]:
     # a weight that underflows to 0 gives ldj = -inf, an sd that overflows
     # gives inf; the log joint rejects both as non-finite
     with np.errstate(divide="ignore", over="ignore"):
-        ldj = np.sum(np.log(weights), axis=-1) + np.sum(log_sds, axis=-1)
+        ldj = np.log(weights).sum(axis=-1) + log_sds.sum(axis=-1)
         sds = np.exp(log_sds).reshape(lead + (K, p))
     if (sds == 0.0).any():
         raise NumericError("an sd underflowed to 0")
@@ -86,24 +86,21 @@ def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
         return ParamDraw(z=lam.m + np.exp(lam.log_s) * ndtri(u))
 
 
-def log_q(lam: VariationalParams, z: np.ndarray) -> float:
+def log_q(lam: VariationalParams, z: np.ndarray):
+    """log q(z | lam), row by row: z of shape (..., dim) gives an array of
+    the leading shape, and a float for one draw."""
     z = np.asarray(z, dtype=float)
-    return float(
-        np.sum(
-            -0.5 * np.log(2.0 * np.pi)
-            - lam.log_s
-            - (z - lam.m) ** 2 / (2.0 * np.exp(2.0 * lam.log_s))
-        )
-    )
+    out = (-0.5 * np.log(2.0 * np.pi) - lam.log_s
+           - (z - lam.m) ** 2 / (2.0 * np.exp(2.0 * lam.log_s))).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def score(lam: VariationalParams, z: np.ndarray) -> np.ndarray:
-    """Gradient of log_q with respect to (m, log_s), concatenated: length 2D."""
-    z = np.asarray(z, dtype=float)
+    """Gradient of log_q with respect to (m, log_s), concatenated, row by
+    row: z of shape (..., dim) gives shape (..., 2 * dim)."""
+    d = np.asarray(z, dtype=float) - lam.m
     inv_var = np.exp(-2.0 * lam.log_s)
-    d_m = (z - lam.m) * inv_var
-    d_log_s = (z - lam.m) ** 2 * inv_var - 1.0
-    return np.concatenate([d_m, d_log_s])
+    return np.concatenate([d * inv_var, d ** 2 * inv_var - 1.0], axis=-1)
 
 
 def initial_params(spec: GmmSpec, data, rng: np.random.Generator,

@@ -22,21 +22,23 @@ SOBOL_MAX_DIMENSION = 21201
 
 def clamp(pts: np.ndarray) -> np.ndarray:
     """Points clipped into the open hypercube [EPS, 1 - EPS]^d."""
-    return np.clip(pts, EPS, 1.0 - EPS)
+    return np.minimum(np.maximum(pts, EPS), 1.0 - EPS)
 
 
 class SequenceSource:
-    """A stream of points in the open hypercube: each next_point clamps one
-    point from the draw function make_source chose.  A source is
+    """A stream of points in the open hypercube: each next_point clamps the
+    next n points from the draw function make_source chose.  One call for n
+    points gives the same stream as n calls for one.  A source is
     single-owner mutable state: share datasets between runs, never sources.
     """
 
-    def __init__(self, draw: Callable[[], np.ndarray]):
+    def __init__(self, draw: Callable[[int], np.ndarray]):
         self._draw = draw
 
-    def next_point(self) -> np.ndarray:
-        """The next point of the stream, in the open hypercube (0,1)^d."""
-        return clamp(self._draw())
+    def next_point(self, n: int) -> np.ndarray:
+        """The next n points of the stream, as an (n, d) array in the open
+        hypercube (0,1)^d."""
+        return clamp(self._draw(n))
 
 
 def make_source(kind: str, dimension: int, seed: int) -> SequenceSource:
@@ -52,7 +54,7 @@ def make_source(kind: str, dimension: int, seed: int) -> SequenceSource:
         raise ValueError("dimension must be >= 1")
     if kind == "pseudo-random":
         rng = np.random.default_rng(seed)
-        return SequenceSource(lambda: rng.random(dimension))
+        return SequenceSource(lambda n: rng.random((n, dimension)))
     if dimension > SOBOL_MAX_DIMENSION:
         raise UnsupportedDimensionError(
             f"Sobol direction numbers available up to dimension "
@@ -60,4 +62,4 @@ def make_source(kind: str, dimension: int, seed: int) -> SequenceSource:
         )
     engine = stats.qmc.Sobol(d=dimension, scramble=True, seed=seed)
     engine.fast_forward(1)
-    return SequenceSource(lambda: engine.random(1)[0])
+    return SequenceSource(engine.random)

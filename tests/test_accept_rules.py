@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,12 @@ def test_schedule_rejects_bad_inputs():
         TemperatureSchedule("geometric", 1.0)
     with pytest.raises(ValueError):
         TemperatureSchedule("log", -1.0)
+
+
+@pytest.mark.parametrize("k", ["1e-1", "0.1", [1.0], False])
+def test_schedule_rejects_a_non_numeric_coefficient_by_name(k):
+    with pytest.raises(TypeError, match=rf"^k must be a number, got {re.escape(repr(k))}$"):
+        TemperatureSchedule("linear", k)
 
 
 def test_log_schedule_drives_acceptance_to_zero():

@@ -95,7 +95,7 @@ def test_criterion_04_score_identity_and_gradient_check():
     lam = VariationalParams(m=np.array([0.4, -1.2, 0.0]),
                             log_s=np.array([-0.5, 0.2, -1.0]))
     src = make_source("pseudo-random", 3, seed=404)
-    scores = np.array([score(lam, sample(lam, src.next_point()).z)
+    scores = np.array([score(lam, sample(lam, src.next_point(1)[0]).z)
                        for _ in range(100_000)])
     se = scores.std(axis=0) / math.sqrt(scores.shape[0])
     identity_ok = bool(np.all(np.abs(scores.mean(axis=0)) < 3.0 * se))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from yoasovi.driver import IterationRecord
 from yoasovi.errors import NumericError
 from yoasovi.gmm import GmmParams
 from yoasovi.harness import make_preset
-from yoasovi.meanfield import VariationalParams, constrain, sample
+from yoasovi.meanfield import VariationalParams, constrain, log_q, sample
 from yoasovi.sequences import EPS
 
 
@@ -88,6 +89,15 @@ def test_config_bounds():
         RunConfig(method="mcvi", max_iters=0)
     with pytest.raises(ValueError):
         RunConfig(method="mcvi", patience=0)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("learning_rate", "1.0e6"), ("learning_rate", None), ("samples", "10"),
+    ("samples", 10.0), ("max_iters", True), ("patience", "10"), ("seed", 1.5)])
+def test_config_rejects_a_non_numeric_field_by_name(name, value):
+    # YAML 1.1 reads `learning_rate: 1.0e6` as the string '1.0e6'
+    with pytest.raises(TypeError, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
+        RunConfig(method="mcvi", **{name: value})
 
 
 def test_run_requires_model():
@@ -219,6 +229,21 @@ def test_numeric_failure_yields_partial_trace():
     assert trace.summary.converged is False
     # ending ELBO still defined from what was recorded
     assert math.isfinite(trace.summary.final_elbo)
+
+
+def test_degenerate_reference_ends_the_run_with_an_error():
+    # the target equals log_q at the fixed lambda, so w == 0.0 on every
+    # draw: the first estimate is accepted with a zero gradient, and the
+    # second is compared against a reference ELBO of exactly zero
+    lam = VariationalParams(m=np.array([0.3, -0.2]), log_s=np.array([-1.0, 0.5]))
+    prob = Problem(dim=2, target=lambda z: log_q(lam, z), init=lambda rng: lam)
+    cfg = RunConfig(method="yoasovi-naive", learning_rate=1e-3, max_iters=10, seed=4)
+    trace = run_problem(cfg, prob, clock=FakeClock())
+    assert [(r.elbo, r.accepted) for r in trace.records] == [(0.0, True)]
+    assert "iteration 2" in trace.summary.error
+    assert "reference ELBO is exactly zero" in trace.summary.error
+    assert trace.summary.density_evals == 2
+    assert trace.summary.converged is False
 
 
 def test_non_finite_target_value_aborts_cleanly():

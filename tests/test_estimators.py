@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from yoasovi.driver import build_gmm_problem
 from yoasovi.errors import NumericError
 from yoasovi.estimators import GradientSample, estimate, update_step
-from yoasovi.meanfield import VariationalParams, log_q, score
-from yoasovi.sequences import make_source
+from yoasovi.harness import make_preset
+from yoasovi.meanfield import VariationalParams, log_q, sample, score
+from yoasovi.sequences import EPS, make_source
 from yoasovi.validation import ConjugateOracle, closed_form_elbo
 
 
@@ -16,9 +18,9 @@ class FrozenSource:
         self.points = [np.asarray(p, dtype=float) for p in points]
         self.counter = 0
 
-    def next_point(self):
-        p = self.points[self.counter]
-        self.counter += 1
+    def next_point(self, n):
+        p = np.stack(self.points[self.counter:self.counter + n])
+        self.counter += n
         return p
 
 
@@ -94,6 +96,53 @@ def test_estimate_tracks_closed_form_elbo_and_gradient():
     # d/dlog_s = s * d/ds
     target_grad = np.array([exact_grad[0], s * exact_grad[1]])
     assert np.all(np.abs(est.grad - target_grad) < 3 * se_grad)
+
+
+def per_draw_estimate(lam, log_joint_z, src, S):
+    """The per-draw loop: one point, sample, log_q and score per draw, and
+    grad and elbo accumulated in draw order."""
+    grad = np.zeros(2 * lam.dim)
+    elbo = 0.0
+    for _ in range(S):
+        z = sample(lam, src.next_point(1)[0]).z
+        w = float(log_joint_z(z)) - log_q(lam, z)
+        grad += score(lam, z) * w
+        elbo += w
+    return grad / S, elbo / S
+
+
+@pytest.mark.parametrize("kind", ["pseudo-random", "sobol-scrambled"])
+@pytest.mark.parametrize("S", [1, 10, 100])
+def test_estimate_is_bit_identical_to_the_per_draw_loop(kind, S):
+    spec, data = make_preset("sim-p3k4", N=60)
+    prob = build_gmm_problem(spec, data, kmeans_style_init=True)
+    init = prob.init(np.random.default_rng(3))
+    spread = VariationalParams(m=init.m, log_s=np.linspace(-3.0, 0.5, prob.dim))
+    for lam in (init, spread):
+        for seed in (0, 1):
+            got = estimate(lam, prob.target, make_source(kind, prob.dim, seed), S)
+            grad, elbo = per_draw_estimate(lam, prob.target, make_source(kind, prob.dim, seed), S)
+            assert got.elbo == elbo
+            assert np.array_equal(got.grad, grad)
+
+
+@pytest.mark.parametrize("k,S", [(1, 1), (1, 5), (3, 5), (5, 5)])
+def test_overflowing_draw_raises_after_the_draws_before_it(k, S):
+    # exp(709) * ndtri(0.5) is exactly 0, so those draws sit at m; the draw
+    # at 1 - EPS is 7.3 sds out and overflows to inf
+    lam = VariationalParams(m=np.array([0.2, -0.1]), log_s=np.full(2, 709.0))
+    calls = 0
+
+    def counted(z):
+        nonlocal calls
+        calls += 1
+        return -1.0
+
+    points = [[0.5, 0.5]] * S
+    points[k - 1] = [0.5, 1.0 - EPS]
+    with pytest.raises(NumericError, match=rf"^draw {k} of {S} overflowed"):
+        estimate(lam, counted, FrozenSource(points), S)
+    assert calls == k - 1
 
 
 def test_estimate_rejects_bad_sample_count():

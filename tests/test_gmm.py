@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -190,6 +191,15 @@ def test_n_unconstrained_count():
     assert GmmSpec(K=2, p=2).n_unconstrained == 9
     assert GmmSpec(K=3, p=2).n_unconstrained == 14
     assert GmmSpec(K=1, p=1).n_unconstrained == 2
+
+
+@pytest.mark.parametrize("name,value", [("K", "2"), ("p", 2.0),
+                                        ("prior_mean_scale", "1e1"), ("prior_logsd_scale", None)])
+def test_spec_rejects_a_non_numeric_field_by_name(name, value):
+    # the model section comes from YAML 1.1, which reads 1e1 as a string
+    fields = {"K": 2, "p": 2, name: value}
+    with pytest.raises(TypeError, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
+        GmmSpec(**fields)
 
 
 def test_spec_and_params_validation():

@@ -451,6 +451,20 @@ def test_cli_config_error_is_one_line_and_exit_2(tmp_path, case):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("lr,k,field", [("1.0e6", "0.1", "learning_rate"),
+                                         ("5.0e-7", "1e-1", "k")])
+def test_cli_yaml_float_read_as_a_string_is_one_line_and_exit_2(tmp_path, lr, k, field):
+    # YAML 1.1 needs a dot and a signed exponent: 1.0e6 and 1e-1 load as strings
+    cfg = write_quick_config(tmp_path, lr=lr)
+    cfg.write_text(cfg.read_text().replace("k: 0.1", f"k: {k}"))
+    res = cli("run", "--config", str(cfg))
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert lines == [f"yoasovi run: error: {field} must be a number, got "
+                     f"'{lr if field == 'learning_rate' else k}'"], res.stderr
+    assert not (tmp_path / "res").exists()
+
+
 def test_malformed_yaml_names_the_file_and_line(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("model: {K: 2, p: 2}\nrun: {method: mcvi\n")

@@ -148,7 +148,7 @@ def test_sample_marginals_pass_ks():
     Gaussian at alpha = 0.001."""
     lam = VariationalParams(m=np.array([1.0, -2.0]), log_s=np.array([0.0, 0.7]))
     src = make_source("pseudo-random", 2, seed=51)
-    zs = np.array([sample(lam, src.next_point()).z for _ in range(10_000)])
+    zs = np.array([sample(lam, src.next_point(1)[0]).z for _ in range(10_000)])
     for i in range(2):
         res = stats.kstest(zs[:, i], "norm",
                            args=(lam.m[i], np.exp(lam.log_s[i])))
@@ -181,11 +181,26 @@ def test_score_matches_finite_difference_of_log_q():
     np.testing.assert_allclose(got, num, rtol=1e-5, atol=1e-7)
 
 
+def test_log_q_and_score_rows_match_per_row_calls():
+    lam = lam_fixture(9, seed=3)
+    rng = np.random.default_rng(19)
+    for shape in ((1, 9), (23, 9), (2, 11, 9)):
+        z = rng.normal(0, 2, shape)
+        lq, sc = log_q(lam, z), score(lam, z)
+        assert lq.shape == shape[:-1]
+        assert sc.shape == shape[:-1] + (18,)
+        for idx in np.ndindex(shape[:-1]):
+            one = log_q(lam, z[idx])
+            assert isinstance(one, float)
+            assert lq[idx] == one
+            np.testing.assert_array_equal(sc[idx], score(lam, z[idx]))
+
+
 def test_score_mean_vanishes_under_q():
     # E_q[score] = 0; 1e5 draws, each coordinate within 3 standard errors
     lam = VariationalParams(m=np.array([0.5, -1.0]), log_s=np.array([-0.2, 0.4]))
     src = make_source("pseudo-random", 2, seed=21)
-    scores = np.array([score(lam, sample(lam, src.next_point()).z)
+    scores = np.array([score(lam, sample(lam, src.next_point(1)[0]).z)
                        for _ in range(100_000)])
     se = scores.std(axis=0) / np.sqrt(scores.shape[0])
     assert np.all(np.abs(scores.mean(axis=0)) < 3.0 * se)

@@ -60,7 +60,7 @@ def test_clamp_keeps_boundary_draws_finite():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_points_stay_inside_open_hypercube(kind):
     src = make_source(kind, 5, seed=11)
-    pts = np.array([src.next_point() for _ in range(4096)])
+    pts = np.array([src.next_point(1)[0] for _ in range(4096)])
     assert pts.shape == (4096, 5)
     assert np.all(pts >= EPS)
     assert np.all(pts <= 1.0 - EPS)
@@ -70,8 +70,8 @@ def test_points_stay_inside_open_hypercube(kind):
 def test_same_seed_reproduces_ten_thousand_points(kind):
     a = make_source(kind, 3, seed=42)
     b = make_source(kind, 3, seed=42)
-    pa = np.array([a.next_point() for _ in range(10_000)])
-    pb = np.array([b.next_point() for _ in range(10_000)])
+    pa = np.array([a.next_point(1)[0] for _ in range(10_000)])
+    pb = np.array([b.next_point(1)[0] for _ in range(10_000)])
     np.testing.assert_array_equal(pa, pb)
 
 
@@ -82,8 +82,23 @@ def test_sobol_draws_any_count_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (1, 1, 3, 10, 100, 7):
-            pts = np.array([src.next_point() for _ in range(n)])
+            pts = src.next_point(n)
             assert pts.shape == (n, 3)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_next_point_block_is_the_stream_of_single_points(kind):
+    """Blocks of n points, one after another, continue the same stream that
+    single points give, bit for bit and without warnings."""
+    blocks = make_source(kind, 4, seed=8)
+    singles = make_source(kind, 4, seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 3, 7, 10, 100):
+            block = blocks.next_point(n)
+            assert block.shape == (n, 4)
+            np.testing.assert_array_equal(
+                block, np.stack([singles.next_point(1)[0] for _ in range(n)]))
 
 
 def test_sobol_dimension_cap():
@@ -108,13 +123,13 @@ def test_zero_dimension_rejected(kind):
 def test_point_dimension_matches_request(dim, seed):
     for kind in ALL_KINDS:
         src = make_source(kind, dim, seed=seed)
-        assert src.next_point().shape == (dim,)
+        assert src.next_point(1).shape == (1, dim)
 
 
 def test_low_discrepancy_cuts_product_integrand_variance():
     """Means of f(u) = prod(u) over 64 points, 200 replications each way."""
     def mean_f(src):
-        return float(np.mean([np.prod(src.next_point()) for _ in range(64)]))
+        return float(np.mean([np.prod(src.next_point(1)[0]) for _ in range(64)]))
 
     sobol_means = [mean_f(make_source("sobol-scrambled", 4, 1000 + i)) for i in range(200)]
     pseudo_means = [mean_f(make_source("pseudo-random", 4, 2000 + i)) for i in range(200)]
