@@ -3,10 +3,14 @@
 yoasovi run --config experiments.yaml [flag overrides...]
 yoasovi trajectory --trace out/traces/run.csv --horizon 5 --out traj.csv
 
-Flags override the run settings, the data source and the experiment's
-seed, replicates, jobs and out; flags win.  The model section,
-kmeans_style_init, the other data keys and experiment.methods have no
-flag.  The run command prints the summary table and exits 1 when every
+Flags set the run settings, the data source and the experiment's seed,
+replicates, jobs and out.  A run setting comes from its flag, else the
+kept experiment.methods entry, else the run section, else the RunConfig
+default; temper merges one level deep.  --method keeps only that method's
+entries (and implies --samples 1 for yoasovi); without it, a --samples
+other than 1 fails on any yoasovi entry.  The model section,
+kmeans_style_init, the other data keys and the entries have no flag.
+The run command prints the summary table and exits 1 when every
 replicate of some dataset x method cell failed; either command exits 2
 with one stderr line on input it cannot use.
 """
@@ -50,46 +54,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flag (argparse dest) -> (section, key).  A "run" or "temper" (the run
+# section's temper mapping) flag also drops its key from every kept entry.
+FLAG_KEYS = {"samples": ("run", "samples"), "patience": ("run", "patience"),
+             "max_iters": ("run", "max_iters"), "lr": ("run", "learning_rate"),
+             "temper": ("temper", "kind"), "k": ("temper", "k"),
+             "seed": ("experiment", "base_seed"), "replicates": ("experiment", "replicates"),
+             "jobs": ("experiment", "jobs"), "out": ("experiment", "out")}
+
+
 def apply_overrides(cfg: dict, args) -> dict:
     cfg = copy.deepcopy(cfg)
     run_sec = cfg.setdefault("run", {})
     exp = cfg.setdefault("experiment", {})
-
+    flags = {dest: getattr(args, dest) for dest in FLAG_KEYS}
     if args.method:
         run_sec["method"] = args.method
-        methods = exp.get("methods")
-        if methods:
-            kept = [m for m in methods if m.get("method") == args.method]
-            if kept:
-                exp["methods"] = kept
-            else:
-                exp.pop("methods")
+        exp["methods"] = [m for m in exp.get("methods") or []
+                          if m.get("method") == args.method]
         if args.method.startswith("yoasovi") and args.samples is None:
-            run_sec["samples"] = 1
-    if args.samples is not None:
-        run_sec["samples"] = args.samples
-    if args.temper:
-        run_sec.setdefault("temper", {})["kind"] = args.temper
-    if args.k is not None:
-        run_sec.setdefault("temper", {})["k"] = args.k
-    if args.patience is not None:
-        run_sec["patience"] = args.patience
-    if args.max_iters is not None:
-        run_sec["max_iters"] = args.max_iters
-    if args.lr is not None:
-        run_sec["learning_rate"] = args.lr
-    if args.seed is not None:
-        exp["base_seed"] = args.seed
-    if args.data:
-        cfg["data"] = {"csv": args.data}
-    if args.preset:
-        cfg["data"] = {"preset": args.preset}
-    if args.replicates is not None:
-        exp["replicates"] = args.replicates
-    if args.jobs is not None:
-        exp["jobs"] = args.jobs
-    if args.out:
-        exp["out"] = args.out
+            flags["samples"] = 1
+    if args.data or args.preset:
+        cfg["data"] = {"csv": args.data} if args.data else {"preset": args.preset}
+    for dest, (section, key) in FLAG_KEYS.items():
+        if flags[dest] is None:
+            continue
+        if section == "experiment":
+            exp[key] = flags[dest]
+            continue
+        for entry in exp.get("methods") or []:
+            ((entry.get("temper") or {}) if section == "temper" else entry).pop(key, None)
+        owner = run_sec.setdefault("temper", {}) if section == "temper" else run_sec
+        owner[key] = flags[dest]
     return cfg
 
 

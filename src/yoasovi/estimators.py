@@ -68,6 +68,8 @@ def update_step(lam: VariationalParams, grad: np.ndarray, rho: float) -> Variati
     with np.errstate(over="ignore"):
         m = lam.m + rho * grad[: lam.dim]
         log_s = lam.log_s + rho * grad[lam.dim :]
-    if not (np.isfinite(m).all() and np.isfinite(log_s).all()):
-        raise NumericError("parameter update produced non-finite values")
-    return VariationalParams(m=m, log_s=log_s)
+    # m and log_s have lam's shape: finiteness is all VariationalParams can fail
+    try:
+        return VariationalParams(m=m, log_s=log_s)
+    except ValueError:
+        raise NumericError("parameter update produced non-finite values") from None

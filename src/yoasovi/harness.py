@@ -17,7 +17,7 @@ import yaml
 
 from .acceptance import TemperatureSchedule
 from .driver import IterationRecord, RunConfig, RunSummary, RunTrace, run
-from .errors import ParseError
+from .errors import ParseError, require_number
 from .gmm import Dataset, GmmParams, GmmSpec, load_csv, simulate
 
 TRACE_FIELDS = ["iter", "elapsed_s", "elbo", "accepted", "M"]
@@ -36,11 +36,9 @@ PRESET_NAMES = tuple(_PRESET_GEOMETRY)
 
 
 def make_preset(name: str, N: int = 500, seed: int | None = None,
-                means=None, sds=None, weights=None,
-                prior_mean_scale: float = 10.0,
-                prior_dirichlet_alpha: float = 1.0,
-                prior_logsd_scale: float = 1.0) -> tuple[GmmSpec, Dataset]:
-    """Simulated dataset by name; true parameters can be overridden."""
+                means=None, sds=None, weights=None) -> tuple[GmmSpec, Dataset]:
+    """Simulated dataset by name, with the default-prior spec of its shape;
+    true parameters can be overridden."""
     if name not in _PRESET_GEOMETRY:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     geo = _PRESET_GEOMETRY[name]
@@ -50,9 +48,7 @@ def make_preset(name: str, N: int = 500, seed: int | None = None,
         raise ValueError(f"preset {name} is {geo['p']}-dimensional")
     sds = np.full((K, p), 1.0) if sds is None else np.asarray(sds, dtype=float)
     weights = np.full(K, 1.0 / K) if weights is None else np.asarray(weights, dtype=float)
-    spec = GmmSpec(K=K, p=p, prior_mean_scale=prior_mean_scale,
-                   prior_dirichlet_alpha=prior_dirichlet_alpha,
-                   prior_logsd_scale=prior_logsd_scale)
+    spec = GmmSpec(K=K, p=p)
     true = GmmParams(weights=weights, means=means, sds=sds)
     data = simulate(spec, true, N=N, seed=geo["seed"] if seed is None else seed)
     return spec, replace(data, name=name)
@@ -71,6 +67,8 @@ class ExperimentMatrix:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name in ("replicates", "base_seed"):
+            require_number(name, getattr(self, name), integral=True)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         cells = set()
@@ -257,57 +255,43 @@ def load_config(path) -> dict:
     return cfg
 
 
-def build_run_config(run_section: dict, model: GmmSpec | None = None) -> RunConfig:
-    """RunConfig from the nested run section; 'temper' maps to the schedule."""
-    sec = dict(run_section or {})
-    temper = sec.pop("temper", None)
-    schedule = TemperatureSchedule(**temper) if temper else TemperatureSchedule()
-    if "method" not in sec:
-        raise ValueError("run section needs a method")
-    return RunConfig(schedule=schedule, model=model, **sec)
-
-
 def resolve_data(data_section: dict, model: dict | None) -> tuple[str, GmmSpec, Dataset]:
     """Dataset plus the spec it should be fit with, from the data section.
 
-    Presets pin K and p by name; the prior scales still come from the model
-    section.  CSV data takes the full spec from the model section.
+    The spec is the model section with the shape the data pins over it:
+    presets pin K and p by name, CSV data pins p.
     """
     sec = dict(data_section or {})
-    model = dict(model or {})
     if "preset" in sec:
-        name = sec["preset"]
-        priors = {k: v for k, v in model.items() if k not in ("K", "p")}
-        spec, data = make_preset(name, N=sec.get("n", 500), seed=sec.get("seed"),
-                                 means=sec.get("means"), sds=sec.get("sds"),
-                                 weights=sec.get("weights"), **priors)
-        return name, spec, data
-    if "csv" in sec:
+        shape, data = make_preset(sec["preset"], N=sec.get("n", 500), seed=sec.get("seed"),
+                                  means=sec.get("means"), sds=sec.get("sds"),
+                                  weights=sec.get("weights"))
+        pinned = {"K": shape.K, "p": shape.p}
+    elif "csv" in sec:
         data = load_csv(sec["csv"], label_column=sec.get("label_column"))
-        spec = GmmSpec(**{**model, "p": data.p})
-        return data.name, spec, data
-    raise ValueError("data section needs either a preset name or a csv path")
+        pinned = {"p": data.p}
+    else:
+        raise ValueError("data section needs either a preset name or a csv path")
+    return data.name, GmmSpec(**{**(model or {}), **pinned}), data
 
 
 def build_matrix(cfg: dict) -> tuple[ExperimentMatrix, dict]:
-    """ExperimentMatrix plus execution options from a parsed config."""
+    """ExperimentMatrix plus execution options from a parsed config.  Each
+    experiment.methods entry is merged over the run section, temper one
+    level deep; an entry's seed is ignored (replicates seed from base_seed)."""
     name, spec, data = resolve_data(cfg.get("data"), cfg.get("model"))
-    exp = dict(cfg.get("experiment") or {})
-    run_section = dict(cfg.get("run") or {})
-
-    method_sections = exp.get("methods") or [run_section]
+    exp = cfg.get("experiment") or {}
+    run_sec = dict(cfg.get("run") or {})
+    temper = run_sec.pop("temper", None) or {}
     methods = []
-    for override in method_sections:
-        merged = {**run_section, **override}
-        merged.pop("seed", None)
-        template = build_run_config({**merged, "seed": 0}, model=spec)
+    for entry in exp.get("methods") or [{}]:
+        entry = {**entry}
+        schedule = TemperatureSchedule(**{**temper, **(entry.pop("temper", None) or {})})
+        template = RunConfig(**{**run_sec, **entry, "seed": 0}, schedule=schedule, model=spec)
         methods.append((template.method, template))
-
-    matrix = ExperimentMatrix(
-        datasets=((name, spec, data),),
-        methods=tuple(methods),
-        replicates=int(exp.get("replicates", 1)),
-        base_seed=int(exp.get("base_seed", run_section.get("seed", 0))),
-    )
-    options = {"jobs": int(exp.get("jobs", 1)), "out": exp.get("out", "results")}
-    return matrix, options
+    jobs = exp.get("jobs", 1)
+    require_number("jobs", jobs, integral=True)
+    matrix = ExperimentMatrix(datasets=((name, spec, data),), methods=tuple(methods),
+                              replicates=exp.get("replicates", 1),
+                              base_seed=exp.get("base_seed", run_sec.get("seed", 0)))
+    return matrix, {"jobs": jobs, "out": exp.get("out", "results")}

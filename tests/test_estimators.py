@@ -174,8 +174,10 @@ def test_update_step_validation():
         update_step(lam, np.ones(4), rho=0.0)
     with pytest.raises(ValueError):
         update_step(lam, np.ones(3), rho=0.1)
-    with pytest.raises(NumericError):
-        update_step(lam, np.full(4, 1e308), rho=1e308)
+    for bad in (np.full(4, 1e308), np.array([0.0, np.nan, 0.0, 0.0])):
+        with pytest.raises(NumericError,
+                           match="^parameter update produced non-finite values$"):
+            update_step(lam, bad, rho=1e308)
 
 
 def test_scrambled_sequence_reduces_estimator_variance():

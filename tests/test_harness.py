@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from yoasovi.acceptance import TemperatureSchedule
-from yoasovi.cli import apply_overrides, build_parser
+from yoasovi.cli import apply_overrides, build_parser, main
 from yoasovi.driver import IterationRecord, RunConfig, run
 from yoasovi.errors import ParseError
 from yoasovi.harness import (ExperimentMatrix, any_cell_failed, build_matrix,
@@ -362,8 +362,79 @@ def test_method_flag_picks_matching_experiment_entry():
     assert out["experiment"]["methods"] == [{"method": "qmcvi", "samples": 10}]
 
 
+# One precedence for run settings: flag, then the kept experiment.methods
+# entry, then the run section, then the RunConfig defaults.
+
+PRECEDENCE_CONFIG = {
+    "model": {"K": 2, "p": 2},
+    "run": {"method": "yoasovi-naive", "samples": 1, "learning_rate": 1e-3,
+            "max_iters": 50, "patience": 10, "temper": {"kind": "linear", "k": 0.1}},
+    "data": {"preset": "sim-p2k2", "n": 60},
+    "experiment": {"methods": [
+        {"method": "mcvi", "samples": 100, "learning_rate": 2e-3, "max_iters": 40,
+         "patience": 20, "temper": {"kind": "constant", "k": 0.3}},
+        {"method": "yoasovi-naive", "samples": 1, "temper": {"k": 0.2}}]},
+}
+
+
+def templates(*flags, cfg=PRECEDENCE_CONFIG):
+    args = build_parser().parse_args(["run", "--config", "unused.yaml", *flags])
+    matrix, _ = build_matrix(apply_overrides(cfg, args))
+    return dict(matrix.methods)
+
+
+def test_samples_flag_beats_the_kept_entry():
+    assert templates("--method", "mcvi")["mcvi"].samples == 100
+    assert templates("--method", "mcvi", "--samples", "5")["mcvi"].samples == 5
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--lr", "5e-06", "learning_rate"), ("--patience", "7", "patience"),
+    ("--max-iters", "9", "max_iters"), ("--temper", "log", "kind"), ("--k", "0.7", "k")])
+def test_run_setting_flag_beats_every_entry(flag, value, field):
+    for template in templates(flag, value).values():
+        owner = template.schedule if field in ("kind", "k") else template
+        assert str(getattr(owner, field)) == value
+
+
+def test_entry_beats_run_section_and_temper_merges_one_level_deep():
+    got = templates()
+    assert got["mcvi"].learning_rate == 2e-3
+    assert got["mcvi"].schedule == TemperatureSchedule("constant", 0.3)
+    assert got["yoasovi-naive"].learning_rate == 1e-3
+    assert got["yoasovi-naive"].schedule == TemperatureSchedule("linear", 0.2)
+
+
+def test_samples_flag_reaches_yoasovi_entries_and_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({**PRECEDENCE_CONFIG,
+                                   "experiment": {**PRECEDENCE_CONFIG["experiment"],
+                                                  "out": str(tmp_path / "res")}}))
+    assert main(["run", "--config", str(cfg), "--samples", "7"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "yoasovi run: error: acceptance sampling estimates from exactly one draw; "
+        "samples must be 1"]
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("key,value,shown", [
+    ("replicates", 2.5, "2.5"), ("jobs", 1.9, "1.9"), ("base_seed", 3.7, "3.7"),
+    ("replicates", "1.0e3", "'1.0e3'")])
+def test_cli_non_integer_experiment_setting_is_one_line_and_exit_2(tmp_path, capsys,
+                                                                  key, value, shown):
+    cfg = write_quick_config(tmp_path)
+    loaded = load_config(cfg)
+    loaded["experiment"][key] = value
+    cfg.write_text(yaml.safe_dump(loaded))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"yoasovi run: error: {key} must be an integer, got {shown}"]
+    assert not (tmp_path / "res").exists()
+
+
 # ---------------------------------------------------------------------------
 # command line, end to end
+
 
 def write_quick_config(tmp_path, lr="5.0e-7"):
     cfg = f"""

@@ -1,0 +1,90 @@
+"""The flag table in cli.py and the command lines the repo ships stay in
+step: every `yoasovi run` option goes through the table, and every argv
+in the README, scripts/run_sim_benchmarks.py and perfbench's matrix
+workload builds a matrix from each shipped config, with every flag it
+sets reaching every cell."""
+
+import argparse
+import importlib.util
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+from yoasovi.cli import FLAG_KEYS, apply_overrides, build_parser
+from yoasovi.harness import build_matrix, load_config
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+NO_TABLE = {"config", "method", "data", "preset"}
+
+
+def load_module(path: Path):
+    spec = importlib.util.spec_from_file_location(f"shipped_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_argvs() -> list[list[str]]:
+    """Every `yoasovi run` command in the README, continuation lines joined."""
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("yoasovi run ")]
+
+
+def script_argvs(monkeypatch, *script_args) -> list[list[str]]:
+    script = load_module(ROOT / "scripts" / "run_sim_benchmarks.py")
+    seen = []
+    monkeypatch.setattr(script, "cli_main", lambda argv: seen.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", ["run_sim_benchmarks.py", *script_args])
+    assert script.main() == 0
+    return seen
+
+
+def perfbench_argv() -> list[str]:
+    workloads = load_module(ROOT / "perfbench" / "workloads.py")
+    return workloads.MatrixSetup(workloads.FULL["matrix"], None, None, (), "").argv(0, "out")
+
+
+def with_config(argv: list[str], config: Path) -> list[str]:
+    argv = list(argv)
+    argv[argv.index("--config") + 1] = str(config)
+    return argv
+
+
+def assert_every_flag_reaches_every_cell(argv: list[str]) -> None:
+    args = build_parser().parse_args(argv)
+    matrix, options = build_matrix(apply_overrides(load_config(args.config), args))
+    assert matrix.methods
+    for dest, (section, key) in FLAG_KEYS.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if section == "experiment":
+            got = [options[key] if key in options else getattr(matrix, key)]
+        else:
+            got = [getattr(t.schedule if section == "temper" else t, key)
+                   for _, t in matrix.methods]
+        assert got == [value] * len(got), dest
+
+
+def test_every_run_option_goes_through_the_flag_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["run"]._actions} - {"help"}
+    assert dests - NO_TABLE == set(FLAG_KEYS)
+
+
+def test_the_readme_ships_a_run_example():
+    assert any("--method" in argv for argv in readme_argvs())
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+def test_shipped_argvs_build_a_matrix_from_every_config(config, monkeypatch):
+    argvs = [*readme_argvs(), perfbench_argv(),
+             *script_argvs(monkeypatch), *script_argvs(monkeypatch, "--quick")]
+    assert len(argvs) >= 8
+    for argv in argvs:
+        assert_every_flag_reaches_every_cell(with_config(argv, config))
