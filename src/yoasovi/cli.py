@@ -3,22 +3,19 @@
 yoasovi run --config experiments.yaml [flag overrides...]
 yoasovi trajectory --trace out/traces/run.csv --horizon 5 --out traj.csv
 
-Flags set the run settings, the data source and the experiment's seed,
-replicates, jobs and out.  A run setting comes from its flag, else the
-kept experiment.methods entry, else the run section, else the RunConfig
-default; temper merges one level deep.  --method keeps only that method's
-entries (and implies --samples 1 for yoasovi); without it, a --samples
-other than 1 fails on any yoasovi entry.  The model section,
-kmeans_style_init, the other data keys and the entries have no flag.
-The run command prints the summary table and exits 1 when every
-replicate of some dataset x method cell failed; either command exits 2
-with one stderr line on input it cannot use.
+A run setting comes from its flag, else the kept experiment.methods entry,
+else the run section, else the RunConfig default; temper merges one level
+deep.  --method keeps only that method's entries (and implies --samples 1
+for yoasovi).  The run command exits 1 when every replicate of some
+dataset x method cell failed; either command exits 2 with one stderr line
+on input it cannot use, such as an unknown config section or key.
 """
 
 import argparse
 import copy
 import sys
 
+from .acceptance import SCHEDULE_KINDS
 from .driver import METHODS
 from .harness import (any_cell_failed, build_matrix, emit_trajectory, format_table,
                       load_config, read_trace, run_matrix, write_trajectory)
@@ -32,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--config", required=True, help="YAML config file")
     runp.add_argument("--method", choices=METHODS)
     runp.add_argument("--samples", type=int, help="draws per iteration")
-    runp.add_argument("--temper", choices=["constant", "log", "linear"])
+    runp.add_argument("--temper", choices=SCHEDULE_KINDS)
     runp.add_argument("--k", type=float, help="temperature coefficient")
     runp.add_argument("--patience", type=int)
     runp.add_argument("--max-iters", type=int, dest="max_iters")
@@ -68,10 +65,10 @@ def apply_overrides(cfg: dict, args) -> dict:
     run_sec = cfg.setdefault("run", {})
     exp = cfg.setdefault("experiment", {})
     flags = {dest: getattr(args, dest) for dest in FLAG_KEYS}
+    exp["methods"] = [m for m in exp.pop("methods", None) or []
+                      if args.method in (None, m.get("method"))]
     if args.method:
         run_sec["method"] = args.method
-        exp["methods"] = [m for m in exp.get("methods") or []
-                          if m.get("method") == args.method]
         if args.method.startswith("yoasovi") and args.samples is None:
             flags["samples"] = 1
     if args.data or args.preset:
@@ -82,7 +79,7 @@ def apply_overrides(cfg: dict, args) -> dict:
         if section == "experiment":
             exp[key] = flags[dest]
             continue
-        for entry in exp.get("methods") or []:
+        for entry in exp["methods"]:
             ((entry.get("temper") or {}) if section == "temper" else entry).pop(key, None)
         owner = run_sec.setdefault("temper", {}) if section == "temper" else run_sec
         owner[key] = flags[dest]
@@ -91,8 +88,7 @@ def apply_overrides(cfg: dict, args) -> dict:
 
 def cmd_run(args) -> int:
     try:
-        cfg = apply_overrides(load_config(args.config), args)
-        matrix, options = build_matrix(cfg)
+        matrix, options = build_matrix(apply_overrides(load_config(args.config), args))
     except (ValueError, TypeError, OSError) as exc:
         print(f"yoasovi run: error: {exc}", file=sys.stderr)
         return 2

@@ -12,10 +12,6 @@ class DegenerateReferenceError(ValueError):
     """The acceptance rule was given a reference ELBO of exactly zero."""
 
 
-class UnsupportedDimensionError(ValueError):
-    """Requested sequence dimension exceeds what the generator supports."""
-
-
 class ParseError(ValueError):
     """A data or config file could not be parsed; message carries the location."""
 

@@ -8,6 +8,7 @@ reproduces the file byte for byte.
 
 import concurrent.futures
 import csv
+import inspect
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -26,31 +27,27 @@ TRACE_FIELDS = ["iter", "elapsed_s", "elbo", "accepted", "M"]
 # hypercube corners distance 4 apart with unit sds, so the clusters overlap
 # in the tails but are unambiguous to the eye.
 _PRESET_GEOMETRY = {
-    "sim-p2k2": {"p": 2, "means": [[-2.0, -2.0], [2.0, 2.0]], "seed": 123},
-    "sim-p2k3": {"p": 2, "means": [[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]], "seed": 124},
-    "sim-p3k4": {"p": 3, "means": [[-2.0, -2.0, -2.0], [2.0, 2.0, -2.0],
-                                   [-2.0, 2.0, 2.0], [2.0, -2.0, 2.0]], "seed": 125},
+    "sim-p2k2": {"means": [[-2.0, -2.0], [2.0, 2.0]], "seed": 123},
+    "sim-p2k3": {"means": [[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]], "seed": 124},
+    "sim-p3k4": {"means": [[-2.0, -2.0, -2.0], [2.0, 2.0, -2.0],
+                           [-2.0, 2.0, 2.0], [2.0, -2.0, 2.0]], "seed": 125},
 }
 
-PRESET_NAMES = tuple(_PRESET_GEOMETRY)
 
-
-def make_preset(name: str, N: int = 500, seed: int | None = None,
-                means=None, sds=None, weights=None) -> tuple[GmmSpec, Dataset]:
-    """Simulated dataset by name, with the default-prior spec of its shape;
-    true parameters can be overridden."""
+def make_preset(name: str, N: int = 500, seed: int | None = None) -> tuple[GmmSpec, Dataset]:
+    """N points from the named preset's equal-weight, unit-sd mixture (under
+    its own seed by default), and the default-prior spec of its shape."""
     if name not in _PRESET_GEOMETRY:
-        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+        raise ValueError(f"unknown preset {name!r}; expected one of {tuple(_PRESET_GEOMETRY)}")
     geo = _PRESET_GEOMETRY[name]
-    means = np.asarray(means if means is not None else geo["means"], dtype=float)
+    seed = geo["seed"] if seed is None else seed
+    require_number("N", N, integral=True)
+    require_number("seed", seed, integral=True)
+    means = np.asarray(geo["means"], dtype=float)
     K, p = means.shape
-    if p != geo["p"]:
-        raise ValueError(f"preset {name} is {geo['p']}-dimensional")
-    sds = np.full((K, p), 1.0) if sds is None else np.asarray(sds, dtype=float)
-    weights = np.full(K, 1.0 / K) if weights is None else np.asarray(weights, dtype=float)
     spec = GmmSpec(K=K, p=p)
-    true = GmmParams(weights=weights, means=means, sds=sds)
-    data = simulate(spec, true, N=N, seed=geo["seed"] if seed is None else seed)
+    true = GmmParams(weights=np.full(K, 1.0 / K), means=means, sds=np.ones((K, p)))
+    data = simulate(spec, true, N=N, seed=seed)
     return spec, replace(data, name=name)
 
 
@@ -63,7 +60,7 @@ class ExperimentMatrix:
 
     datasets: tuple
     methods: tuple
-    replicates: int
+    replicates: int = 1
     base_seed: int = 0
 
     def __post_init__(self):
@@ -243,6 +240,8 @@ def write_trajectory(series: list[tuple[str, list[tuple[float, float]]]], path) 
 # config files
 
 def load_config(path) -> dict:
+    """The four sections, each a mapping ({} if absent or null)."""
+    sections = ("model", "run", "data", "experiment")
     with open(path) as fh:
         try:
             cfg = yaml.safe_load(fh)
@@ -252,46 +251,65 @@ def load_config(path) -> dict:
                              else f"{path}: {' '.join(str(exc).split())}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a mapping")
+    for name, section in cfg.items():
+        if name not in sections:
+            raise ValueError(f"{path}: unknown section {name!r}; expected one of {sections}")
+        if not isinstance(section, dict | None):
+            raise ValueError(f"{path}: section {name} must be a mapping, got {section!r}")
+    cfg = {name: cfg.get(name) or {} for name in sections}
+    methods = cfg["experiment"].get("methods") or []
+    if not (isinstance(methods, list) and all(isinstance(m, dict) for m in methods)):
+        raise ValueError(f"{path}: experiment.methods must be a list of mappings: {methods!r}")
     return cfg
 
 
-def resolve_data(data_section: dict, model: dict | None) -> tuple[str, GmmSpec, Dataset]:
-    """Dataset plus the spec it should be fit with, from the data section.
+def _keywords(fn, section: str, keys: dict, **fixed):
+    """fn(**keys, **fixed); a key that is not fn's or that the caller fixes is unknown."""
+    for key in keys:
+        if key in fixed or key not in inspect.signature(fn).parameters:
+            raise TypeError(f"unknown {section} key {key!r}")
+    return fn(**keys, **fixed)
 
-    The spec is the model section with the shape the data pins over it:
-    presets pin K and p by name, CSV data pins p.
-    """
-    sec = dict(data_section or {})
+
+def resolve_data(data_section: dict, model: dict) -> tuple[str, GmmSpec, Dataset]:
+    """Dataset and its spec: make_preset's keywords (preset, n for name, N) or
+    load_csv's (csv for path); presets pin K and p over model, CSV data p."""
+    sec = dict(data_section)
     if "preset" in sec:
-        shape, data = make_preset(sec["preset"], N=sec.get("n", 500), seed=sec.get("seed"),
-                                  means=sec.get("means"), sds=sec.get("sds"),
-                                  weights=sec.get("weights"))
+        name, n = sec.pop("preset"), sec.pop("n", 500)
+        shape, data = _keywords(make_preset, "data", sec, name=name, N=n)
         pinned = {"K": shape.K, "p": shape.p}
     elif "csv" in sec:
-        data = load_csv(sec["csv"], label_column=sec.get("label_column"))
+        path = sec.pop("csv")
+        data = _keywords(load_csv, "data", sec, path=path)
         pinned = {"p": data.p}
     else:
         raise ValueError("data section needs either a preset name or a csv path")
-    return data.name, GmmSpec(**{**(model or {}), **pinned}), data
+    return data.name, _keywords(GmmSpec, "model", {**model, **pinned}), data
 
 
 def build_matrix(cfg: dict) -> tuple[ExperimentMatrix, dict]:
-    """ExperimentMatrix plus execution options from a parsed config.  Each
-    experiment.methods entry is merged over the run section, temper one
-    level deep; an entry's seed is ignored (replicates seed from base_seed)."""
-    name, spec, data = resolve_data(cfg.get("data"), cfg.get("model"))
-    exp = cfg.get("experiment") or {}
-    run_sec = dict(cfg.get("run") or {})
+    """ExperimentMatrix and options (jobs, out) from load_config's sections.
+    Each experiment.methods entry is merged over run, temper one level deep,
+    and its seed is ignored (replicates seed from base_seed, else run.seed);
+    the rest of experiment is ExperimentMatrix's keywords."""
+    name, spec, data = resolve_data(cfg["data"], cfg["model"])
+    exp, run_sec = dict(cfg["experiment"]), dict(cfg["run"])
     temper = run_sec.pop("temper", None) or {}
+    exp.setdefault("base_seed", run_sec.pop("seed", 0))
     methods = []
-    for entry in exp.get("methods") or [{}]:
-        entry = {**entry}
-        schedule = TemperatureSchedule(**{**temper, **(entry.pop("temper", None) or {})})
-        template = RunConfig(**{**run_sec, **entry, "seed": 0}, schedule=schedule, model=spec)
+    for entry in map(dict, exp.pop("methods", None) or [{}]):
+        schedule = _keywords(TemperatureSchedule, "temper",
+                             {**temper, **(entry.pop("temper", None) or {})})
+        template = _keywords(RunConfig, "run", {**run_sec, **entry, "seed": 0},
+                             schedule=schedule, model=spec)
         methods.append((template.method, template))
-    jobs = exp.get("jobs", 1)
+    jobs, out = exp.pop("jobs", 1), exp.pop("out", "results")
     require_number("jobs", jobs, integral=True)
-    matrix = ExperimentMatrix(datasets=((name, spec, data),), methods=tuple(methods),
-                              replicates=exp.get("replicates", 1),
-                              base_seed=exp.get("base_seed", run_sec.get("seed", 0)))
-    return matrix, {"jobs": jobs, "out": exp.get("out", "results")}
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not isinstance(out, str):
+        raise TypeError(f"out must be a string, got {out!r}")
+    matrix = _keywords(ExperimentMatrix, "experiment", exp,
+                       datasets=((name, spec, data),), methods=tuple(methods))
+    return matrix, {"jobs": jobs, "out": out}

@@ -10,14 +10,9 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from .errors import UnsupportedDimensionError
-
 # 2^-53 scaled up by 2^10: far enough from the endpoints that ndtri stays
 # comfortably finite, tiny enough to leave the distribution undisturbed.
 EPS = 2.0 ** -43
-
-# scipy's Sobol direction-number table (Joe & Kuo) tops out here.
-SOBOL_MAX_DIMENSION = 21201
 
 
 def clamp(pts: np.ndarray) -> np.ndarray:
@@ -55,11 +50,6 @@ def make_source(kind: str, dimension: int, seed: int) -> SequenceSource:
     if kind == "pseudo-random":
         rng = np.random.default_rng(seed)
         return SequenceSource(lambda n: rng.random((n, dimension)))
-    if dimension > SOBOL_MAX_DIMENSION:
-        raise UnsupportedDimensionError(
-            f"Sobol direction numbers available up to dimension "
-            f"{SOBOL_MAX_DIMENSION}, got {dimension}"
-        )
     engine = stats.qmc.Sobol(d=dimension, scramble=True, seed=seed)
     engine.fast_forward(1)
     return SequenceSource(engine.random)

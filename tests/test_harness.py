@@ -56,18 +56,17 @@ def test_preset_is_reproducible_and_seedable():
 
 
 def test_preset_accepts_parameter_overrides():
-    spec, data = make_preset("sim-p2k2", N=100, means=[[-6.0, 0.0], [6.0, 0.0]],
-                             sds=np.full((2, 2), 0.5), weights=[0.9, 0.1])
+    spec, data = make_preset("sim-p2k2", N=100)
     assert data.N == 100
-    # dominant tight cluster near x = -6
-    assert np.mean(data.values[:, 0] < 0) > 0.75
 
 
-def test_preset_rejects_unknown_name_and_bad_dimension():
+def test_preset_rejects_unknown_name_and_non_integer_size_or_seed():
     with pytest.raises(ValueError):
         make_preset("sim-p9k9")
-    with pytest.raises(ValueError):
-        make_preset("sim-p2k2", means=[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(TypeError, match="^N must be an integer, got 2.5$"):
+        make_preset("sim-p2k2", N=2.5)
+    with pytest.raises(TypeError, match="^seed must be an integer, got '7'$"):
+        make_preset("sim-p2k2", seed="7")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ def test_matrix_writes_one_trace_per_run_and_a_summary(tmp_path):
 def test_duplicate_method_labels_are_rejected():
     """Two entries of one method would write their traces to the same
     files, and the second run would overwrite the first."""
-    cfg = {"run": {"method": "mcvi", "learning_rate": 5e-7},
+    cfg = {"model": {}, "run": {"method": "mcvi", "learning_rate": 5e-7},
            "data": {"preset": "sim-p2k2", "n": 60},
            "experiment": {"methods": [{"samples": 100}, {"samples": 10}]}}
     with pytest.raises(ValueError, match="'mcvi'"):
@@ -417,19 +416,42 @@ def test_samples_flag_reaches_yoasovi_entries_and_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "res").exists()
 
 
-@pytest.mark.parametrize("key,value,shown", [
-    ("replicates", 2.5, "2.5"), ("jobs", 1.9, "1.9"), ("base_seed", 3.7, "3.7"),
-    ("replicates", "1.0e3", "'1.0e3'")])
+@pytest.mark.parametrize("key,value,error", [
+    pytest.param("replicates", 2.5, "replicates must be an integer, got 2.5",
+                 id="replicates-2.5-2.5"),
+    pytest.param("jobs", 1.9, "jobs must be an integer, got 1.9", id="jobs-1.9-1.9"),
+    pytest.param("base_seed", 3.7, "base_seed must be an integer, got 3.7",
+                 id="base_seed-3.7-3.7"),
+    pytest.param("replicates", "1.0e3", "replicates must be an integer, got '1.0e3'",
+                 id="replicates-1.0e3-'1.0e3'"),
+    pytest.param("jobs", 0, "jobs must be >= 1, got 0", id="jobs-0"),
+    pytest.param("jobs", -3, "jobs must be >= 1, got -3", id="jobs--3"),
+    pytest.param("out", 5, "out must be a string, got 5", id="out-5"),
+    # the data section's n is make_preset's N
+    pytest.param("data.n", 2.5, "N must be an integer, got 2.5", id="data.n-2.5"),
+    pytest.param("data.n", "60", "N must be an integer, got '60'", id="data.n-'60'"),
+    pytest.param("data.seed", 1.5, "seed must be an integer, got 1.5", id="data.seed-1.5")])
 def test_cli_non_integer_experiment_setting_is_one_line_and_exit_2(tmp_path, capsys,
-                                                                  key, value, shown):
+                                                                  key, value, error):
     cfg = write_quick_config(tmp_path)
     loaded = load_config(cfg)
-    loaded["experiment"][key] = value
+    section, _, name = key.rpartition(".")
+    loaded[section or "experiment"][name] = value
     cfg.write_text(yaml.safe_dump(loaded))
     assert main(["run", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"yoasovi run: error: {key} must be an integer, got {shown}"]
+    assert capsys.readouterr().err.splitlines() == [f"yoasovi run: error: {error}"]
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--method", "mcvi"]], ids=["plain", "method"])
+def test_cli_null_section_runs_as_an_empty_one(tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.yaml").write_text(
+        "model:\nrun: {method: mcvi, max_iters: 3, learning_rate: 5.0e-7}\n"
+        "data: {preset: sim-p2k2, n: 60}\nexperiment:\n")
+    assert load_config(tmp_path / "cfg.yaml")["experiment"] == {}
+    assert main(["run", "--config", "cfg.yaml", *flags]) == 0
+    assert (tmp_path / "results" / "traces" / "sim-p2k2__mcvi__r0.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +504,31 @@ def test_cli_exit_code_when_every_replicate_fails(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+# case -> (text the error line must contain, config); each config runs on
+# the preset sim-p2k2 with n=60 unless it sets its own data section
+_RUN = {"method": "mcvi", "max_iters": 3, "learning_rate": 5e-7}
 _BAD_CONFIGS = {
-    "repeated-method": {"run": {"method": "mcvi", "learning_rate": 5e-7},
-                        "experiment": {"methods": [{"samples": 100}, {"samples": 10}]}},
-    "unknown-run-key": {"run": {"method": "mcvi", "foo": 1}},
-    "unknown-temper-key": {"run": {"method": "yoasovi-naive",
-                                   "temper": {"kind": "linear", "bogus": 1}}},
-    "unknown-model-key": {"model": {"K": 2, "p": 2, "bogus": 1},
-                          "run": {"method": "mcvi"}},
+    "repeated-method": ("'mcvi'", {"run": {"method": "mcvi", "learning_rate": 5e-7},
+                                   "experiment": {"methods": [{"samples": 100},
+                                                              {"samples": 10}]}}),
+    "unknown-run-key": ("'foo'", {"run": {"method": "mcvi", "foo": 1}}),
+    "unknown-temper-key": ("'bogus'", {"run": {"method": "yoasovi-naive",
+                                               "temper": {"kind": "linear", "bogus": 1}}}),
+    "unknown-model-key": ("'bogus'", {"model": {"K": 2, "p": 2, "bogus": 1},
+                                      "run": {"method": "mcvi"}}),
+    "run-key-the-harness-sets": ("'model'", {"run": {**_RUN, "model": {"K": 2}}}),
+    "unknown-section": ("'experiments'", {"run": _RUN, "experiments": {"replicates": 3}}),
+    "unknown-data-key": ("'N'", {"run": _RUN, "data": {"preset": "sim-p2k2", "N": 60}}),
+    "label-column-with-preset": ("'label_column'", {
+        "run": _RUN, "data": {"preset": "sim-p2k2", "label_column": "label"}}),
+    "n-with-csv": ("'n'", {"run": _RUN, "data": {"csv": "pts.csv", "n": 2}}),
+    "unknown-experiment-key": ("'replicate'", {"run": _RUN,
+                                               "experiment": {"replicate": 3}}),
+    "section-not-a-mapping": ("section run", {"run": "mcvi"}),
+    "bare-entry": ("'mcvi'", {"run": _RUN, "experiment": {"methods": ["mcvi"]}}),
+    "bare-entry-with-method": ("'mcvi'", {"run": _RUN, "experiment": {"methods": ["mcvi"]}}),
 }
+_BAD_FLAGS = {"bare-entry-with-method": ["--method", "mcvi"]}
 
 
 @pytest.mark.parametrize("case", [*_BAD_CONFIGS, "malformed-yaml", "control-character",
@@ -500,12 +538,16 @@ def test_cli_config_error_is_one_line_and_exit_2(tmp_path, case):
     line on stderr), not exit 1, which means every replicate of a cell
     failed."""
     cfg = write_quick_config(tmp_path)
-    argv = ["run", "--config", str(cfg)]
+    argv = ["run", "--config", str(cfg), *_BAD_FLAGS.get(case, [])]
+    named = ""
     if case in _BAD_CONFIGS:
-        cfg.write_text(yaml.safe_dump({
-            **_BAD_CONFIGS[case], "data": {"preset": "sim-p2k2", "n": 60},
-            "experiment": {**_BAD_CONFIGS[case].get("experiment", {}),
-                           "out": str(tmp_path / "res")}}))
+        named, bad = _BAD_CONFIGS[case]
+        bad = {"data": {"preset": "sim-p2k2", "n": 60}, **bad}
+        if "csv" in bad["data"]:
+            (tmp_path / "pts.csv").write_text("0.1,0.2\n0.3,0.4\n1.0,1.1\n")
+            bad["data"] = {**bad["data"], "csv": str(tmp_path / "pts.csv")}
+        bad["experiment"] = {**bad.get("experiment", {}), "out": str(tmp_path / "res")}
+        cfg.write_text(yaml.safe_dump(bad))
     elif case == "malformed-yaml":
         cfg.write_text("run: {method: mcvi\ndata: {preset: sim-p2k2}\n")
     elif case == "control-character":
@@ -519,6 +561,7 @@ def test_cli_config_error_is_one_line_and_exit_2(tmp_path, case):
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("yoasovi run: error: "), res.stderr
+    assert named in lines[0]
     assert not (tmp_path / "res").exists()
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yoasovi.errors import UnsupportedDimensionError
 from yoasovi.meanfield import VariationalParams, sample
 from yoasovi.sequences import EPS, clamp, make_source
 
@@ -102,7 +101,7 @@ def test_next_point_block_is_the_stream_of_single_points(kind):
 
 
 def test_sobol_dimension_cap():
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(ValueError, match="21201"):
         make_source("sobol-scrambled", 21202, seed=0)
     make_source("sobol-scrambled", 21201, seed=0)
 

@@ -2,7 +2,8 @@
 step: every `yoasovi run` option goes through the table, and every argv
 in the README, scripts/run_sim_benchmarks.py and perfbench's matrix
 workload builds a matrix from each shipped config, with every flag it
-sets reaching every cell."""
+sets reaching every cell.  An unknown key in any section of a shipped
+config, or an unknown section, is refused by name."""
 
 import argparse
 import importlib.util
@@ -11,7 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
+from yoasovi import cli
 from yoasovi.cli import FLAG_KEYS, apply_overrides, build_parser
 from yoasovi.harness import build_matrix, load_config
 
@@ -88,3 +91,21 @@ def test_shipped_argvs_build_a_matrix_from_every_config(config, monkeypatch):
     assert len(argvs) >= 8
     for argv in argvs:
         assert_every_flag_reaches_every_cell(with_config(argv, config))
+
+
+@pytest.mark.parametrize("section", ["model", "run", "data", "experiment", None],
+                         ids=["model", "run", "data", "experiment", "new-section"])
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+def test_unknown_key_in_a_shipped_config_is_refused_by_name(config, section, tmp_path,
+                                                           monkeypatch, capsys):
+    cfg = yaml.safe_load(config.read_text())
+    if section is None:
+        cfg["bogus_section"], named = {}, "'bogus_section'"
+    else:
+        cfg[section]["bogus_key"], named = 1, "'bogus_key'"
+    path = tmp_path / config.name
+    path.write_text(yaml.safe_dump(cfg))
+    monkeypatch.setattr(cli, "run_matrix", lambda *a, **k: pytest.fail("the matrix ran"))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and named in lines[0], lines
