@@ -12,6 +12,5 @@ from .harness import ExperimentMatrix, SummaryRow, make_preset, run_matrix
 from .meanfield import (ParamDraw, VariationalParams, constrain, initial_params,
                         log_q, sample, score)
 from .sequences import make_source
-from .validation import ConjugateOracle, closed_form_elbo, finite_diff
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ where metropolis is strictly more forgiving.
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateReferenceError, require_number
+from .errors import DegenerateReferenceError, require_positive
 
 RULE_KINDS = ("naive", "metropolis")
 SCHEDULE_KINDS = ("constant", "log", "linear")
@@ -33,9 +33,7 @@ class TemperatureSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.k is None:
             object.__setattr__(self, "k", 1.5 if self.kind == "constant" else 1.0)
-        require_number("k", self.k)
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise ValueError("schedule coefficient k must be positive and finite")
+        require_positive("k", self.k)
 
 
 def temperature(schedule: TemperatureSchedule, t: int) -> float:

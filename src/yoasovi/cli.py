@@ -5,8 +5,8 @@ yoasovi trajectory --trace out/traces/run.csv --horizon 5 --out traj.csv
 
 A run setting comes from its flag, else the kept experiment.methods entry,
 else the run section, else the RunConfig default; temper merges one level
-deep.  --method keeps only that method's entries (and implies --samples 1
-for yoasovi).  The run command exits 1 when every replicate of some
+deep.  --method keeps only its own entries; a single-draw one implies
+--samples 1.  The run command exits 1 when every replicate of some
 dataset x method cell failed; either command exits 2 with one stderr line
 on input it cannot use, such as an unknown config section or key.
 """
@@ -21,6 +21,23 @@ from .harness import (any_cell_failed, build_matrix, emit_trajectory, format_tab
                       load_config, read_trace, run_matrix, write_trajectory)
 
 
+# Run flag (argparse dest; --max-iters for max_iters) -> (section, key,
+# add_argument keywords).  A "run" or "temper" (the run section's temper
+# mapping) flag also drops its key from every kept entry.
+RUN_FLAGS = {
+    "samples": ("run", "samples", {"type": int, "help": "draws per iteration"}),
+    "temper": ("temper", "kind", {"choices": SCHEDULE_KINDS}),
+    "k": ("temper", "k", {"type": float, "help": "temperature coefficient"}),
+    "patience": ("run", "patience", {"type": int}),
+    "max_iters": ("run", "max_iters", {"type": int}),
+    "lr": ("run", "learning_rate", {"type": float, "help": "learning rate"}),
+    "seed": ("experiment", "base_seed", {"type": int, "help": "base seed; replicate r adds r"}),
+    "replicates": ("experiment", "replicates", {"type": int}),
+    "jobs": ("experiment", "jobs", {"type": int}),
+    "out": ("experiment", "out", {"help": "output directory"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="yoasovi")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -28,19 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run a method matrix against a dataset")
     runp.add_argument("--config", required=True, help="YAML config file")
     runp.add_argument("--method", choices=METHODS)
-    runp.add_argument("--samples", type=int, help="draws per iteration")
-    runp.add_argument("--temper", choices=SCHEDULE_KINDS)
-    runp.add_argument("--k", type=float, help="temperature coefficient")
-    runp.add_argument("--patience", type=int)
-    runp.add_argument("--max-iters", type=int, dest="max_iters")
-    runp.add_argument("--lr", type=float, help="learning rate")
-    runp.add_argument("--seed", type=int, help="base seed; replicate r adds r")
     data = runp.add_mutually_exclusive_group()
     data.add_argument("--data", help="CSV file of observations")
     data.add_argument("--preset", help="simulated dataset name")
-    runp.add_argument("--replicates", type=int)
-    runp.add_argument("--jobs", type=int)
-    runp.add_argument("--out", help="output directory")
+    for dest, (_, _, keywords) in RUN_FLAGS.items():
+        runp.add_argument("--" + dest.replace("_", "-"), **keywords)
 
     trajp = sub.add_parser("trajectory", help="extract (elapsed, elbo) rows from traces")
     trajp.add_argument("--trace", action="append", required=True,
@@ -51,29 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flag (argparse dest) -> (section, key).  A "run" or "temper" (the run
-# section's temper mapping) flag also drops its key from every kept entry.
-FLAG_KEYS = {"samples": ("run", "samples"), "patience": ("run", "patience"),
-             "max_iters": ("run", "max_iters"), "lr": ("run", "learning_rate"),
-             "temper": ("temper", "kind"), "k": ("temper", "k"),
-             "seed": ("experiment", "base_seed"), "replicates": ("experiment", "replicates"),
-             "jobs": ("experiment", "jobs"), "out": ("experiment", "out")}
-
-
 def apply_overrides(cfg: dict, args) -> dict:
     cfg = copy.deepcopy(cfg)
     run_sec = cfg.setdefault("run", {})
     exp = cfg.setdefault("experiment", {})
-    flags = {dest: getattr(args, dest) for dest in FLAG_KEYS}
+    flags = {dest: getattr(args, dest) for dest in RUN_FLAGS}
     exp["methods"] = [m for m in exp.pop("methods", None) or []
                       if args.method in (None, m.get("method"))]
     if args.method:
         run_sec["method"] = args.method
-        if args.method.startswith("yoasovi") and args.samples is None:
+        if METHODS[args.method].rule and args.samples is None:
             flags["samples"] = 1
     if args.data or args.preset:
         cfg["data"] = {"csv": args.data} if args.data else {"preset": args.preset}
-    for dest, (section, key) in FLAG_KEYS.items():
+    for dest, (section, key, _) in RUN_FLAGS.items():
         if flags[dest] is None:
             continue
         if section == "experiment":

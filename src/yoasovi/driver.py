@@ -17,19 +17,28 @@ the clock is the one quantity a seed cannot pin down.
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import gmm
 from .acceptance import TemperatureSchedule, decide, temperature
-from .errors import DegenerateReferenceError, NumericError, require_number
+from .errors import DegenerateReferenceError, NumericError, require_number, require_positive
 from .estimators import estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec
 from .meanfield import VariationalParams, constrain, initial_params, sample
 from .sequences import clamp, make_source
 
-METHODS = ("mcvi", "qmcvi", "yoasovi-naive", "yoasovi-metropolis")
+
+class Method(NamedTuple):
+    source: str        # make_source kind of the point stream
+    rule: str | None   # acceptance rule of a single-draw method; None applies every step
+
+
+METHODS = {"mcvi": Method("pseudo-random", None),
+           "qmcvi": Method("sobol-scrambled", None),
+           "yoasovi-naive": Method("pseudo-random", "naive"),
+           "yoasovi-metropolis": Method("pseudo-random", "metropolis")}
 
 ENDING_ELBO_WINDOW = 10
 DIC_DRAWS = 1000
@@ -49,29 +58,14 @@ class RunConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        for name in ("samples", "max_iters", "patience", "seed"):
-            require_number(name, getattr(self, name), integral=True)
-        require_number("learning_rate", self.learning_rate)
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.method.startswith("yoasovi") and self.samples != 1:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
+        for name in ("samples", "max_iters", "patience"):
+            require_number(name, getattr(self, name), integral=True, minimum=1)
+        require_number("seed", self.seed, integral=True, minimum=0)
+        require_positive("learning_rate", self.learning_rate)
+        if METHODS[self.method].rule and self.samples != 1:
             raise ValueError("acceptance sampling estimates from exactly one draw; "
                              "samples must be 1")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError("learning_rate must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-
-    @property
-    def rule_kind(self) -> str:
-        return self.method.split("-", 1)[1] if "-" in self.method else ""
-
-    @property
-    def source_kind(self) -> str:
-        return "sobol-scrambled" if self.method == "qmcvi" else "pseudo-random"
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,8 +134,9 @@ def run_problem(config: RunConfig, problem: Problem,
     clock = clock or time.perf_counter
     init_ss, src_ss, dec_ss, dic_ss = np.random.SeedSequence(config.seed).spawn(4)
 
+    method = METHODS[config.method]
     lam = problem.init(np.random.default_rng(init_ss))
-    src = make_source(config.source_kind, problem.dim,
+    src = make_source(method.source, problem.dim,
                       seed=int(src_ss.generate_state(1, dtype=np.uint64)[0]))
     dec_rng = np.random.default_rng(dec_ss)
 
@@ -162,8 +157,8 @@ def run_problem(config: RunConfig, problem: Problem,
     for t in range(1, config.max_iters + 1):
         try:
             est = estimate(lam, counted, src, config.samples)
-            M = temperature(config.schedule, t) if config.rule_kind else None
-            accepted = M is None or decide(config.rule_kind, M, est.elbo, L_prev,
+            M = temperature(config.schedule, t) if method.rule else None
+            accepted = M is None or decide(method.rule, M, est.elbo, L_prev,
                                            u=float(dec_rng.random()))
             if accepted:
                 lam = update_step(lam, est.grad, config.learning_rate)

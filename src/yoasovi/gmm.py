@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParseError, require_number
+from .errors import NumericError, ParseError, require_number, require_positive
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,9 @@ class GmmSpec:
 
     def __post_init__(self):
         for name in ("K", "p"):
-            require_number(name, getattr(self, name), integral=True)
-        if self.K < 1 or self.p < 1:
-            raise ValueError("K and p must be >= 1")
+            require_number(name, getattr(self, name), integral=True, minimum=1)
         for name in ("prior_mean_scale", "prior_dirichlet_alpha", "prior_logsd_scale"):
-            require_number(name, getattr(self, name))
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            require_positive(name, getattr(self, name))
 
     @property
     def n_unconstrained(self) -> int:
@@ -170,8 +166,8 @@ def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
 def simulate(spec: GmmSpec, true_params: GmmParams, N: int, seed: int) -> Dataset:
     """Draw N observations: component index from the weights, then the
     component Gaussian."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    require_number("N", N, integral=True, minimum=1)
+    require_number("seed", seed, integral=True, minimum=0)
     true_params.validate(spec)
     rng = np.random.default_rng(seed)
     comps = rng.choice(spec.K, size=N, p=true_params.weights)

@@ -41,8 +41,6 @@ def make_preset(name: str, N: int = 500, seed: int | None = None) -> tuple[GmmSp
         raise ValueError(f"unknown preset {name!r}; expected one of {tuple(_PRESET_GEOMETRY)}")
     geo = _PRESET_GEOMETRY[name]
     seed = geo["seed"] if seed is None else seed
-    require_number("N", N, integral=True)
-    require_number("seed", seed, integral=True)
     means = np.asarray(geo["means"], dtype=float)
     K, p = means.shape
     spec = GmmSpec(K=K, p=p)
@@ -64,10 +62,8 @@ class ExperimentMatrix:
     base_seed: int = 0
 
     def __post_init__(self):
-        for name in ("replicates", "base_seed"):
-            require_number(name, getattr(self, name), integral=True)
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        require_number("replicates", self.replicates, integral=True, minimum=1)
+        require_number("base_seed", self.base_seed, integral=True, minimum=0)
         cells = set()
         for ds_name, _, _ in self.datasets:
             for label, _ in self.methods:
@@ -240,7 +236,8 @@ def write_trajectory(series: list[tuple[str, list[tuple[float, float]]]], path) 
 # config files
 
 def load_config(path) -> dict:
-    """The four sections, each a mapping ({} if absent or null)."""
+    """The four sections, each a mapping ({} if absent or null), with
+    experiment.methods a list of mappings and every temper a mapping."""
     sections = ("model", "run", "data", "experiment")
     with open(path) as fh:
         try:
@@ -260,6 +257,11 @@ def load_config(path) -> dict:
     methods = cfg["experiment"].get("methods") or []
     if not (isinstance(methods, list) and all(isinstance(m, dict) for m in methods)):
         raise ValueError(f"{path}: experiment.methods must be a list of mappings: {methods!r}")
+    tempers = [("run.temper", cfg["run"].get("temper"))] + [
+        (f"experiment.methods[{i}].temper", m.get("temper")) for i, m in enumerate(methods)]
+    for where, temper in tempers:
+        if not isinstance(temper, dict | None):
+            raise ValueError(f"{path}: {where} must be a mapping, got {temper!r}")
     return cfg
 
 
@@ -305,9 +307,7 @@ def build_matrix(cfg: dict) -> tuple[ExperimentMatrix, dict]:
                              schedule=schedule, model=spec)
         methods.append((template.method, template))
     jobs, out = exp.pop("jobs", 1), exp.pop("out", "results")
-    require_number("jobs", jobs, integral=True)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    require_number("jobs", jobs, integral=True, minimum=1)
     if not isinstance(out, str):
         raise TypeError(f"out must be a string, got {out!r}")
     matrix = _keywords(ExperimentMatrix, "experiment", exp,

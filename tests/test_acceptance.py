@@ -21,7 +21,8 @@ from yoasovi.gmm import Dataset, GmmParams, GmmSpec, dic
 from yoasovi.harness import ExperimentMatrix, make_preset, run_matrix
 from yoasovi.meanfield import VariationalParams, initial_params, log_q, sample, score
 from yoasovi.sequences import make_source
-from yoasovi.validation import ConjugateOracle, closed_form_elbo, finite_diff
+
+from validation import ConjugateOracle, closed_form_elbo, finite_diff
 
 
 def report(num, desc, ok, detail=""):

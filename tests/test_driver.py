@@ -91,6 +91,12 @@ def test_config_bounds():
         RunConfig(method="mcvi", patience=0)
 
 
+def test_config_rejects_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+        RunConfig(method="mcvi", seed=-5)
+    RunConfig(method="mcvi", seed=0)
+
+
 @pytest.mark.parametrize("name,value", [
     ("learning_rate", "1.0e6"), ("learning_rate", None), ("samples", "10"),
     ("samples", 10.0), ("max_iters", True), ("patience", "10"), ("seed", 1.5)])

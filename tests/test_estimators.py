@@ -8,7 +8,8 @@ from yoasovi.estimators import GradientSample, estimate, update_step
 from yoasovi.harness import make_preset
 from yoasovi.meanfield import VariationalParams, log_q, sample, score
 from yoasovi.sequences import EPS, make_source
-from yoasovi.validation import ConjugateOracle, closed_form_elbo
+
+from validation import ConjugateOracle, closed_form_elbo
 
 
 class FrozenSource:

@@ -202,6 +202,15 @@ def test_spec_rejects_a_non_numeric_field_by_name(name, value):
         GmmSpec(**fields)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["prior_mean_scale", "prior_dirichlet_alpha",
+                                  "prior_logsd_scale"])
+def test_spec_requires_finite_priors(name, value):
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be positive and finite, got {value!r}$"):
+        GmmSpec(K=2, p=2, **{name: value})
+
+
 def test_spec_and_params_validation():
     with pytest.raises(ValueError):
         GmmSpec(K=0, p=1)

@@ -18,11 +18,12 @@ import hashlib
 import numpy as np
 import scipy
 
-from test_shipped_flags import (CONFIGS, ROOT, perfbench_argv, readme_argvs,
-                                script_argvs, with_config)
 from yoasovi import harness
 from yoasovi.cli import apply_overrides, build_parser
 from yoasovi.harness import build_matrix, load_config, run_matrix
+
+from test_shipped_flags import (CONFIGS, ROOT, perfbench_argv, readme_argvs,
+                                script_argvs, with_config)
 
 RUN_DIGEST = "e7a978a37014e0154574a0daab39c239279d3287cdaa3b980132393cad1ebf92"
 MATRIX_DIGEST = "8ea7877ab6e137c01f68d077feac68a37338300c5826a6348537b27969f192d9"

@@ -67,6 +67,8 @@ def test_preset_rejects_unknown_name_and_non_integer_size_or_seed():
         make_preset("sim-p2k2", N=2.5)
     with pytest.raises(TypeError, match="^seed must be an integer, got '7'$"):
         make_preset("sim-p2k2", seed="7")
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+        make_preset("sim-p2k2", seed=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +432,9 @@ def test_samples_flag_reaches_yoasovi_entries_and_is_rejected(tmp_path, capsys):
     # the data section's n is make_preset's N
     pytest.param("data.n", 2.5, "N must be an integer, got 2.5", id="data.n-2.5"),
     pytest.param("data.n", "60", "N must be an integer, got '60'", id="data.n-'60'"),
-    pytest.param("data.seed", 1.5, "seed must be an integer, got 1.5", id="data.seed-1.5")])
+    pytest.param("data.seed", 1.5, "seed must be an integer, got 1.5", id="data.seed-1.5"),
+    pytest.param("base_seed", -2, "base_seed must be >= 0, got -2", id="base_seed--2"),
+    pytest.param("data.seed", -3, "seed must be >= 0, got -3", id="data.seed--3")])
 def test_cli_non_integer_experiment_setting_is_one_line_and_exit_2(tmp_path, capsys,
                                                                   key, value, error):
     cfg = write_quick_config(tmp_path)
@@ -440,6 +444,38 @@ def test_cli_non_integer_experiment_setting_is_one_line_and_exit_2(tmp_path, cap
     cfg.write_text(yaml.safe_dump(loaded))
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"yoasovi run: error: {error}"]
+    assert not (tmp_path / "res").exists()
+
+
+def test_matrix_rejects_a_negative_base_seed_by_name():
+    spec, data = make_preset("sim-p2k2", N=60)
+    with pytest.raises(ValueError, match="^base_seed must be >= 0, got -1$"):
+        ExperimentMatrix(datasets=(("sim-p2k2", spec, data),),
+                         methods=(("yoasovi-naive", quick_template()),), base_seed=-1)
+
+
+@pytest.mark.parametrize("edit,argv,error", [
+    pytest.param({}, ["--seed", "-1"], "base_seed must be >= 0, got -1", id="flag"),
+    pytest.param({"run": {"method": "mcvi", "temper": 5}}, [],
+                 "run.temper must be a mapping, got 5", id="run.temper"),
+    pytest.param({"experiment": {"methods": [{"method": "mcvi", "temper": [1]}]}}, [],
+                 "experiment.methods[0].temper must be a mapping, got [1]", id="entry.temper"),
+    pytest.param({"experiment": {"methods": [{"method": "mcvi", "temper": [1]}]}},
+                 ["--k", "0.3"], "experiment.methods[0].temper must be a mapping, got [1]",
+                 id="entry.temper-k"),
+    pytest.param({"model": {"prior_mean_scale": float("nan")}}, [],
+                 "prior_mean_scale must be positive and finite, got nan", id="model-nan")])
+def test_cli_bad_setting_is_one_line_naming_it_and_exit_2(tmp_path, capsys, edit, argv,
+                                                         error):
+    cfg = write_quick_config(tmp_path)
+    loaded = load_config(cfg)
+    for section, keys in edit.items():
+        loaded[section] = {**loaded[section], **keys}
+    cfg.write_text(yaml.safe_dump(loaded))
+    assert main(["run", "--config", str(cfg), *argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("yoasovi run: error: "), lines
+    assert lines[0].endswith(error), lines
     assert not (tmp_path / "res").exists()
 
 

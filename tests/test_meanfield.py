@@ -12,7 +12,8 @@ from yoasovi.gmm import Dataset, GmmSpec
 from yoasovi.meanfield import (ParamDraw, VariationalParams, constrain,
                                initial_params, log_q, sample, score)
 from yoasovi.sequences import make_source
-from yoasovi.validation import finite_diff
+
+from validation import finite_diff
 
 SPEC22 = GmmSpec(K=2, p=2)
 

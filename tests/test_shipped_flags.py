@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from yoasovi import cli
-from yoasovi.cli import FLAG_KEYS, apply_overrides, build_parser
+from yoasovi.cli import RUN_FLAGS, apply_overrides, build_parser
 from yoasovi.harness import build_matrix, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,7 +61,7 @@ def assert_every_flag_reaches_every_cell(argv: list[str]) -> None:
     args = build_parser().parse_args(argv)
     matrix, options = build_matrix(apply_overrides(load_config(args.config), args))
     assert matrix.methods
-    for dest, (section, key) in FLAG_KEYS.items():
+    for dest, (section, key, _) in RUN_FLAGS.items():
         value = getattr(args, dest)
         if value is None:
             continue
@@ -77,7 +77,7 @@ def test_every_run_option_goes_through_the_flag_table():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in sub.choices["run"]._actions} - {"help"}
-    assert dests - NO_TABLE == set(FLAG_KEYS)
+    assert dests - NO_TABLE == set(RUN_FLAGS)
 
 
 def test_the_readme_ships_a_run_example():

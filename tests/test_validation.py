@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from yoasovi.validation import ConjugateOracle, closed_form_elbo, finite_diff
+from validation import ConjugateOracle, closed_form_elbo, finite_diff
 
 
 def oracle_fixture():
