@@ -14,6 +14,7 @@ on input it cannot use, such as an unknown config section or key.
 import argparse
 import copy
 import sys
+from pathlib import Path
 
 from .acceptance import SCHEDULE_KINDS
 from .driver import METHODS
@@ -89,6 +90,7 @@ def apply_overrides(cfg: dict, args) -> dict:
 def cmd_run(args) -> int:
     try:
         matrix, options = build_matrix(apply_overrides(load_config(args.config), args))
+        (Path(options["out"]) / "traces").mkdir(parents=True, exist_ok=True)
     except (ValueError, TypeError, OSError) as exc:
         print(f"yoasovi run: error: {exc}", file=sys.stderr)
         return 2
@@ -103,10 +105,10 @@ def cmd_trajectory(args) -> int:
     try:
         series = [(path.rsplit("/", 1)[-1].removesuffix(".csv"),
                    emit_trajectory(read_trace(path), args.horizon)) for path in args.trace]
+        write_trajectory(series, args.out)
     except (ValueError, OSError) as exc:
         print(f"yoasovi trajectory: error: {exc}", file=sys.stderr)
         return 2
-    write_trajectory(series, args.out)
     total = sum(len(rows) for _, rows in series)
     print(f"wrote {total} rows to {args.out}")
     return 0

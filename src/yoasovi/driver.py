@@ -98,14 +98,12 @@ class RunTrace:
 @dataclass(frozen=True)
 class Problem:
     """What the loop needs from a model: an unconstrained-space log joint
-    (Jacobian term folded in) and an initialiser.  spec and data are kept
-    when present so the run can report DIC afterwards."""
+    (Jacobian term folded in) and an initialiser.  dic, when present,
+    scores the final lambda on the run's own dic stream."""
 
-    dim: int
     target: Callable[[np.ndarray], float]
     init: Callable[[np.random.Generator], VariationalParams]
-    spec: GmmSpec | None = None
-    data: Dataset | None = None
+    dic: Callable[[VariationalParams, np.random.Generator], float] | None = None
 
 
 def build_gmm_problem(spec: GmmSpec, data: Dataset,
@@ -117,8 +115,10 @@ def build_gmm_problem(spec: GmmSpec, data: Dataset,
     def init(rng: np.random.Generator) -> VariationalParams:
         return initial_params(spec, data, rng, kmeans_style=kmeans_style_init)
 
-    return Problem(dim=spec.n_unconstrained, target=target, init=init,
-                   spec=spec, data=data)
+    def dic(lam: VariationalParams, rng: np.random.Generator) -> float:
+        return gmm.dic(spec, data, posterior_draw_set(lam, DIC_DRAWS, spec, rng))
+
+    return Problem(target=target, init=init, dic=dic)
 
 
 def run(config: RunConfig, data: Dataset, clock: Callable[[], float] | None = None) -> RunTrace:
@@ -136,7 +136,7 @@ def run_problem(config: RunConfig, problem: Problem,
 
     method = METHODS[config.method]
     lam = problem.init(np.random.default_rng(init_ss))
-    src = make_source(method.source, problem.dim,
+    src = make_source(method.source, lam.dim,
                       seed=int(src_ss.generate_state(1, dtype=np.uint64)[0]))
     dec_rng = np.random.default_rng(dec_ss)
 
@@ -179,13 +179,11 @@ def run_problem(config: RunConfig, problem: Problem,
         fe = final_elbo(records)
 
     dic_value = None
-    if problem.spec is not None and error is None:
+    if problem.dic is not None and error is None:
         try:
-            draws = posterior_draw_set(lam, DIC_DRAWS, problem.spec,
-                                       rng=np.random.default_rng(dic_ss))
-            dic_value = gmm.dic(problem.spec, problem.data, draws)
+            dic_value = problem.dic(lam, np.random.default_rng(dic_ss))
         except NumericError:
-            dic_value = None
+            pass
 
     summary = RunSummary(iterations=len(records), wall_seconds=wall,
                          final_elbo=fe, dic=dic_value, converged=converged,

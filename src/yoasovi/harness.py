@@ -173,11 +173,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    """header and one line per row of values, each value through _fmt."""
+    """header and one line per row of values, each value through _fmt and
+    quoted where the csv module reads it back only so."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
 def write_trace(trace: RunTrace, path) -> None:
@@ -222,8 +225,8 @@ def format_table(rows: list[SummaryRow]) -> str:
 def emit_trajectory(records: list[IterationRecord],
                     horizon_seconds: float) -> list[tuple[float, float]]:
     """(elapsed_s, elbo) pairs for records inside the horizon."""
-    if horizon_seconds < 0:
-        raise ValueError("horizon must be >= 0")
+    if not horizon_seconds >= 0:  # nan too
+        raise ValueError(f"horizon must be >= 0, got {horizon_seconds!r}")
     return [(r.elapsed_s, r.elbo) for r in records if r.elapsed_s <= horizon_seconds]
 
 
@@ -257,11 +260,14 @@ def load_config(path) -> dict:
     methods = cfg["experiment"].get("methods") or []
     if not (isinstance(methods, list) and all(isinstance(m, dict) for m in methods)):
         raise ValueError(f"{path}: experiment.methods must be a list of mappings: {methods!r}")
-    tempers = [("run.temper", cfg["run"].get("temper"))] + [
-        (f"experiment.methods[{i}].temper", m.get("temper")) for i, m in enumerate(methods)]
-    for where, temper in tempers:
+    owners = [("run", cfg["run"])] + [
+        (f"experiment.methods[{i}]", m) for i, m in enumerate(methods)]
+    for where, owner in owners:
+        temper = owner.get("temper")
         if not isinstance(temper, dict | None):
-            raise ValueError(f"{path}: {where} must be a mapping, got {temper!r}")
+            raise ValueError(f"{path}: {where}.temper must be a mapping, got {temper!r}")
+        if "temper" in owner:
+            owner["temper"] = temper or {}
     return cfg
 
 
@@ -287,7 +293,10 @@ def resolve_data(data_section: dict, model: dict) -> tuple[str, GmmSpec, Dataset
         pinned = {"p": data.p}
     else:
         raise ValueError("data section needs either a preset name or a csv path")
-    return data.name, _keywords(GmmSpec, "model", {**model, **pinned}), data
+    spec = _keywords(GmmSpec, "model", {**model, **pinned})
+    if data.N < spec.K:
+        raise ValueError(f"{data.name} has N={data.N} rows, fewer than K={spec.K} components")
+    return data.name, spec, data
 
 
 def build_matrix(cfg: dict) -> tuple[ExperimentMatrix, dict]:

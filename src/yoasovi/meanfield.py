@@ -121,7 +121,10 @@ def initial_params(spec: GmmSpec, data, rng: np.random.Generator,
         idx = [int(rng.integers(y.shape[0]))]
         for _ in range(K - 1):
             d2 = np.min(((y[:, None, :] - y[np.array(idx)][None]) ** 2).sum(axis=2), axis=1)
-            idx.append(int(rng.choice(y.shape[0], p=d2 / d2.sum())))
+            total = d2.sum()
+            # every point coincides with a pick: any next pick is as good
+            idx.append(int(rng.choice(y.shape[0], p=d2 / total) if total > 0
+                           else rng.integers(y.shape[0])))
         idx = np.array(idx)
     else:
         idx = rng.choice(y.shape[0], size=K, replace=False)

@@ -137,7 +137,7 @@ def test_criterion_05_conjugate_recovery():
         bool(np.all(np.abs(est.grad - target_grad) < 3 * se_grad))
 
     # part two: single-draw acceptance sampling finds the posterior mean
-    prob = Problem(dim=1, target=oracle.log_joint,
+    prob = Problem(target=oracle.log_joint,
                    init=lambda r: VariationalParams(m=np.zeros(1),
                                                     log_s=np.full(1, -1.0)))
     errs = []
@@ -164,7 +164,7 @@ def test_criterion_06_scrambled_sequence_variance():
     lam = initial_params(spec, data, np.random.default_rng(5), kmeans_style=True)
 
     def spread(kind, base):
-        vals = [estimate(lam, prob.target, make_source(kind, prob.dim, base + i),
+        vals = [estimate(lam, prob.target, make_source(kind, lam.dim, base + i),
                          S=10).elbo for i in range(200)]
         return float(np.var(vals))
 
@@ -182,7 +182,7 @@ def test_criterion_07_stall_detection():
         state["calls"] += 1
         return -100.0 * (2.0 ** state["calls"])
 
-    prob = Problem(dim=1, target=collapsing,
+    prob = Problem(target=collapsing,
                    init=lambda r: VariationalParams(m=np.zeros(1),
                                                     log_s=np.full(1, -1.0)))
     cfg = RunConfig(method="yoasovi-naive", learning_rate=1e-6, max_iters=500,

@@ -41,7 +41,7 @@ def collapsing_problem():
         state["calls"] += 1
         return -100.0 * (2.0 ** state["calls"])
 
-    return Problem(dim=1, target=target, init=flat_init(1))
+    return Problem(target=target, init=flat_init(1))
 
 
 def scripted_problem(script):
@@ -59,7 +59,7 @@ def scripted_problem(script):
             state["level"] = value
         return value
 
-    return Problem(dim=1, target=target, init=flat_init(1))
+    return Problem(target=target, init=flat_init(1))
 
 
 def small_gmm(N=80):
@@ -223,7 +223,7 @@ def failing_problem(fail_at):
             raise NumericError("synthetic overflow")
         return -50.0 - z[0] ** 2
 
-    return Problem(dim=1, target=target, init=flat_init(1))
+    return Problem(target=target, init=flat_init(1))
 
 
 def test_numeric_failure_yields_partial_trace():
@@ -242,7 +242,7 @@ def test_degenerate_reference_ends_the_run_with_an_error():
     # draw: the first estimate is accepted with a zero gradient, and the
     # second is compared against a reference ELBO of exactly zero
     lam = VariationalParams(m=np.array([0.3, -0.2]), log_s=np.array([-1.0, 0.5]))
-    prob = Problem(dim=2, target=lambda z: log_q(lam, z), init=lambda rng: lam)
+    prob = Problem(target=lambda z: log_q(lam, z), init=lambda rng: lam)
     cfg = RunConfig(method="yoasovi-naive", learning_rate=1e-3, max_iters=10, seed=4)
     trace = run_problem(cfg, prob, clock=FakeClock())
     assert [(r.elbo, r.accepted) for r in trace.records] == [(0.0, True)]
@@ -253,7 +253,7 @@ def test_degenerate_reference_ends_the_run_with_an_error():
 
 
 def test_non_finite_target_value_aborts_cleanly():
-    bad = Problem(dim=1, target=lambda z: math.inf, init=flat_init(1))
+    bad = Problem(target=lambda z: math.inf, init=flat_init(1))
     cfg = RunConfig(method="mcvi", samples=3, learning_rate=1e-3, max_iters=10, seed=8)
     trace = run_problem(cfg, bad)
     assert trace.records == ()
@@ -310,7 +310,7 @@ def test_wall_time_excludes_setup():
     # clock ticks once at loop start, once per record, once at loop exit
     clock = FakeClock(step=0.25)
     cfg = RunConfig(method="mcvi", samples=2, learning_rate=1e-6, max_iters=4, seed=0)
-    prob = Problem(dim=1, target=lambda z: -1.0 - z[0] ** 2, init=flat_init(1))
+    prob = Problem(target=lambda z: -1.0 - z[0] ** 2, init=flat_init(1))
     trace = run_problem(cfg, prob, clock=clock)
     np.testing.assert_allclose([r.elapsed_s for r in trace.records],
                                [0.25, 0.5, 0.75, 1.0])
@@ -391,6 +391,41 @@ def test_gmm_run_reports_dic():
     trace = run(cfg, data)
     assert trace.summary.dic is not None
     assert math.isfinite(trace.summary.dic)
+
+
+def quadratic_problem(dic=None):
+    return Problem(target=lambda z: -1.0 - z[0] ** 2, init=flat_init(1), dic=dic)
+
+
+DIC_CONFIG = RunConfig(method="mcvi", samples=2, learning_rate=1e-3, max_iters=5, seed=3)
+
+
+def test_summary_reports_the_problems_own_dic():
+    seen = []
+
+    def dic(lam, rng):
+        seen.append((lam, float(lam.m[0]) + rng.random()))
+        return seen[-1][1]
+
+    traces = [run_problem(DIC_CONFIG, quadratic_problem(dic)) for _ in range(2)]
+    assert [t.summary.dic for t in traces] == [value for _, value in seen]
+    assert seen[0][1] == seen[1][1]
+    assert all(lam is t.final_lambda for (lam, _), t in zip(seen, traces))
+
+
+def test_a_numeric_error_in_the_problems_dic_reports_none():
+    def dic(lam, rng):
+        raise NumericError("synthetic DIC overflow")
+
+    trace = run_problem(DIC_CONFIG, quadratic_problem(dic))
+    assert trace.summary.error is None
+    assert trace.summary.dic is None
+
+
+def test_a_problem_without_dic_reports_none():
+    trace = run_problem(DIC_CONFIG, quadratic_problem())
+    assert trace.summary.error is None
+    assert trace.summary.dic is None
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,11 @@ def test_estimate_is_bit_identical_to_the_per_draw_loop(kind, S):
     spec, data = make_preset("sim-p3k4", N=60)
     prob = build_gmm_problem(spec, data, kmeans_style_init=True)
     init = prob.init(np.random.default_rng(3))
-    spread = VariationalParams(m=init.m, log_s=np.linspace(-3.0, 0.5, prob.dim))
+    spread = VariationalParams(m=init.m, log_s=np.linspace(-3.0, 0.5, init.dim))
     for lam in (init, spread):
         for seed in (0, 1):
-            got = estimate(lam, prob.target, make_source(kind, prob.dim, seed), S)
-            grad, elbo = per_draw_estimate(lam, prob.target, make_source(kind, prob.dim, seed), S)
+            got = estimate(lam, prob.target, make_source(kind, lam.dim, seed), S)
+            grad, elbo = per_draw_estimate(lam, prob.target, make_source(kind, lam.dim, seed), S)
             assert got.elbo == elbo
             assert np.array_equal(got.grad, grad)
 

@@ -563,6 +563,13 @@ _BAD_CONFIGS = {
     "section-not-a-mapping": ("section run", {"run": "mcvi"}),
     "bare-entry": ("'mcvi'", {"run": _RUN, "experiment": {"methods": ["mcvi"]}}),
     "bare-entry-with-method": ("'mcvi'", {"run": _RUN, "experiment": {"methods": ["mcvi"]}}),
+    "fewer-rows-than-K": ("N=3 rows, fewer than K=4", {
+        "run": _RUN, "data": {"preset": "sim-p3k4", "n": 3}}),
+    "fewer-csv-rows-than-K": ("N=3 rows, fewer than K=4", {
+        "model": {"K": 4}, "run": _RUN, "data": {"csv": "pts.csv"}}),
+    "fewer-csv-rows-than-K-kmeans": ("N=3 rows, fewer than K=4", {
+        "model": {"K": 4}, "run": {**_RUN, "kmeans_style_init": True},
+        "data": {"csv": "pts.csv"}}),
 }
 _BAD_FLAGS = {"bare-entry-with-method": ["--method", "mcvi"]}
 
@@ -622,7 +629,8 @@ def test_malformed_yaml_names_the_file_and_line(tmp_path):
         load_config(cfg)
 
 
-@pytest.mark.parametrize("case", ["missing-trace", "foreign-header", "negative-horizon"])
+@pytest.mark.parametrize("case", ["missing-trace", "foreign-header", "negative-horizon",
+                                  "nan-horizon"])
 def test_cli_trajectory_input_error_is_one_line_and_exit_2(tmp_path, case):
     trace = tmp_path / "run.csv"
     trace.write_text("iter,elapsed_s,elbo,accepted,M\n1,0.5,-10.0,1,\n")
@@ -632,7 +640,7 @@ def test_cli_trajectory_input_error_is_one_line_and_exit_2(tmp_path, case):
     elif case == "foreign-header":
         trace.write_text("t,seconds,value\n1,0.5,-10.0\n")
     else:
-        horizon = "-1"
+        horizon = "-1" if case == "negative-horizon" else "nan"
     out = tmp_path / "traj.csv"
     res = cli("trajectory", "--trace", str(trace), "--horizon", horizon, "--out", str(out))
     assert res.returncode == 2
@@ -662,3 +670,65 @@ def test_parser_rejects_data_with_preset():
         build_parser().parse_args(["run", "--config", "x.yaml", "--data", "pts.csv",
                                    "--preset", "sim-p3k4"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# inputs at the edges of the boundary
+
+@pytest.mark.parametrize("flag,value,field,want", [("--k", "0.3", "k", 0.3),
+                                                   ("--temper", "log", "kind", "log")])
+def test_an_empty_run_temper_takes_a_temper_flag(tmp_path, flag, value, field, want):
+    (tmp_path / "cfg.yaml").write_text(
+        "run: {method: yoasovi-naive, temper: }\ndata: {preset: sim-p2k2, n: 60}\n")
+    args = build_parser().parse_args(["run", "--config", str(tmp_path / "cfg.yaml"),
+                                      flag, value])
+    matrix, _ = build_matrix(apply_overrides(load_config(args.config), args))
+    assert [getattr(t.schedule, field) for _, t in matrix.methods] == [want]
+
+
+def one_error_line(capsys, command: str) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"yoasovi {command}: error: "), lines
+    return lines[0]
+
+
+def test_cli_run_into_an_existing_file_is_one_line_and_exit_2(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    cfg = write_quick_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "taken")]) == 2
+    assert "taken" in one_error_line(capsys, "run")
+
+
+def test_cli_trajectory_into_a_directory_is_one_line_and_exit_2(tmp_path, capsys):
+    trace = tmp_path / "run.csv"
+    trace.write_text("iter,elapsed_s,elbo,accepted,M\n1,0.5,-10.0,1,\n")
+    (tmp_path / "traj").mkdir()
+    assert main(["trajectory", "--trace", str(trace), "--horizon", "1.0",
+                 "--out", str(tmp_path / "traj")]) == 2
+    assert "traj" in one_error_line(capsys, "trajectory")
+
+
+def run_on_csv(tmp_path, name: str, rows: str) -> int:
+    """`yoasovi run` of mcvi with k-means++ seeding on a K=2 model of the CSV."""
+    (tmp_path / name).write_text(rows)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("model: {K: 2}\n"
+                   "run: {method: mcvi, samples: 2, max_iters: 3, learning_rate: 5.0e-7,"
+                   " kmeans_style_init: true}\n"
+                   f"experiment: {{out: {tmp_path / 'res'}}}\n")
+    return main(["run", "--config", str(cfg), "--data", str(tmp_path / name)])
+
+
+def test_summary_csv_quotes_a_dataset_name_with_a_comma(tmp_path):
+    assert run_on_csv(tmp_path, "a,b.csv", "0.1,0.2\n0.3,0.4\n1.0,1.1\n") == 0
+    with open(tmp_path / "res" / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["dataset"], r["method"], r["errors"]) for r in rows] == [("a,b", "mcvi", "0")]
+    assert None not in rows[0]  # no cell beyond the header
+
+
+def test_kmeans_seeding_runs_on_one_repeated_point(tmp_path):
+    assert run_on_csv(tmp_path, "same.csv", "1.0,2.0\n" * 4) == 0
+    with open(tmp_path / "res" / "summary.csv", newline="") as fh:
+        [row] = csv.DictReader(fh)
+    assert row["errors"] == "0"
