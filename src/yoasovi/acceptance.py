@@ -16,23 +16,27 @@ from dataclasses import dataclass
 
 from .errors import DegenerateReferenceError, require_positive
 
-RULE_KINDS = ("naive", "metropolis")
-SCHEDULE_KINDS = ("constant", "log", "linear")
+# rule -> acceptance probability at a relative gain g < 0
+RULES = {"naive": lambda g: max(0.0, 1.0 + g),
+         "metropolis": lambda g: min(1.0, math.exp(g))}
+# schedule kind -> (default k, temperature M(k, t) at iteration t)
+SCHEDULES = {"constant": (1.5, lambda k, t: k),
+             "log": (1.0, lambda k, t: k * math.log(t)),
+             "linear": (1.0, lambda k, t: k * t)}
 
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
-    """kind is constant, log (k * ln t), or linear (k * t).  When k is left
-    unset, constant schedules default to 1.5 and tempered ones to 1.0."""
+    """kind is a key of SCHEDULES; k left unset takes that kind's default."""
 
     kind: str = "log"
     k: float | None = None
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
+        if self.kind not in SCHEDULES:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.k is None:
-            object.__setattr__(self, "k", 1.5 if self.kind == "constant" else 1.0)
+            object.__setattr__(self, "k", SCHEDULES[self.kind][0])
         require_positive("k", self.k)
 
 
@@ -40,23 +44,19 @@ def temperature(schedule: TemperatureSchedule, t: int) -> float:
     """Temperature M at iteration t (1-based)."""
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
-    if schedule.kind == "constant":
-        return schedule.k
-    if schedule.kind == "log":
-        return schedule.k * math.log(t)
-    return schedule.k * t
+    return SCHEDULES[schedule.kind][1](schedule.k, t)
 
 
 def accept_probability(kind: str, M: float, L_new: float, L_prev: float) -> float:
     """Probability of accepting L_new given reference L_prev under the rule
-    named kind (one of RULE_KINDS).
+    named kind (a key of RULES).
 
     L_prev must be finite and nonzero, or -inf (the fresh-start sentinel,
     which accepts anything).  A reference of exactly zero leaves the
     relative gain undefined and is reported as such rather than silently
     patched.
     """
-    if kind not in RULE_KINDS:
+    if kind not in RULES:
         raise ValueError(f"unknown acceptance rule {kind!r}")
     if not (M >= 0 and math.isfinite(M)):
         raise ValueError(f"temperature must be finite and >= 0, got {M}")
@@ -71,10 +71,7 @@ def accept_probability(kind: str, M: float, L_new: float, L_prev: float) -> floa
         raise ValueError(f"reference ELBO must be finite or -inf, got {L_prev}")
     if L_new >= L_prev:
         return 1.0
-    g = M * (L_new - L_prev) / abs(L_prev)
-    if kind == "naive":
-        return max(0.0, 1.0 + g)
-    return min(1.0, math.exp(g))
+    return RULES[kind](M * (L_new - L_prev) / abs(L_prev))
 
 
 def decide(kind: str, M: float, L_new: float, L_prev: float, u: float) -> bool:

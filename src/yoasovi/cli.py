@@ -8,15 +8,15 @@ else the run section, else the RunConfig default; temper merges one level
 deep.  --method keeps only its own entries; a single-draw one implies
 --samples 1.  The run command exits 1 when every replicate of some
 dataset x method cell failed; either command exits 2 with one stderr line
-on input it cannot use, such as an unknown config section or key.
+on input it cannot use, such as an unknown config section or key, or an
+output file it cannot write.
 """
 
 import argparse
 import copy
 import sys
-from pathlib import Path
 
-from .acceptance import SCHEDULE_KINDS
+from .acceptance import SCHEDULES
 from .driver import METHODS
 from .harness import (any_cell_failed, build_matrix, emit_trajectory, format_table,
                       load_config, read_trace, run_matrix, write_trajectory)
@@ -27,7 +27,7 @@ from .harness import (any_cell_failed, build_matrix, emit_trajectory, format_tab
 # mapping) flag also drops its key from every kept entry.
 RUN_FLAGS = {
     "samples": ("run", "samples", {"type": int, "help": "draws per iteration"}),
-    "temper": ("temper", "kind", {"choices": SCHEDULE_KINDS}),
+    "temper": ("temper", "kind", {"choices": SCHEDULES}),
     "k": ("temper", "k", {"type": float, "help": "temperature coefficient"}),
     "patience": ("run", "patience", {"type": int}),
     "max_iters": ("run", "max_iters", {"type": int}),
@@ -90,11 +90,10 @@ def apply_overrides(cfg: dict, args) -> dict:
 def cmd_run(args) -> int:
     try:
         matrix, options = build_matrix(apply_overrides(load_config(args.config), args))
-        (Path(options["out"]) / "traces").mkdir(parents=True, exist_ok=True)
+        rows = run_matrix(matrix, out_dir=options["out"], jobs=options["jobs"])
     except (ValueError, TypeError, OSError) as exc:
         print(f"yoasovi run: error: {exc}", file=sys.stderr)
         return 2
-    rows = run_matrix(matrix, out_dir=options["out"], jobs=options["jobs"])
     print(format_table(rows))
     print(f"\nwrote {options['out']}/summary.csv and "
           f"{len(matrix.datasets) * len(matrix.methods) * matrix.replicates} trace files")

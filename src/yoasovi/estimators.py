@@ -37,18 +37,17 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
     if S < 1:
         raise ValueError("S must be >= 1")
     z = sample(lam, src.next_point(S)).z
-    # log_q and score take the draws before the first non-finite one.  They
-    # run ahead of the target calls, so they stay quiet on draws a raising
-    # target call would never have reached; a non-finite log_q or score
-    # still ends the estimate or the update with a NumericError.
-    n_ok = S if np.isfinite(z).all() else int(np.isfinite(z).all(axis=-1).argmin())
+    finite = np.isfinite(z).all(axis=-1)
+    # log_q and score run ahead of the target calls, so they stay quiet on
+    # draws a raising target call would never reach; a non-finite log_q or
+    # score still ends the estimate or the update with a NumericError.
     with np.errstate(all="ignore"):
-        lq = log_q(lam, z[:n_ok])
-        sc = score(lam, z[:n_ok])
+        lq = log_q(lam, z)
+        sc = score(lam, z)
     grad = np.zeros(2 * lam.dim)
     elbo = 0.0
     for s in range(S):
-        if s == n_ok:
+        if not finite[s]:
             raise NumericError(f"draw {s + 1} of {S} overflowed the sampling transform")
         w = float(log_joint_z(z[s])) - float(lq[s])
         if not math.isfinite(w):

@@ -173,3 +173,37 @@ def test_decide_boundary_is_inclusive():
     assert decide(*args, u=0.5000001) is False
     with pytest.raises(ValueError):
         decide(*args, u=1.5)
+
+
+# ---------------------------------------------------------------------------
+# exact values, pinned to the digit
+
+@pytest.mark.parametrize("rule, M, L_new, L_prev, expected", [
+    # M = 0 makes every gain zero: certain acceptance
+    ("naive", 0.0, -5000.0, -1000.0, 1.0),
+    ("metropolis", 0.0, -5000.0, -1000.0, 1.0),
+    # g = 10 * (-1e308) / 1e-300 overflows to -inf
+    ("naive", 10.0, -1e308, -1e-300, 0.0),
+    ("metropolis", 10.0, -1e308, -1e-300, 0.0),
+    # L_new == L_prev is no regression
+    ("naive", 2.0, -1234.5, -1234.5, 1.0),
+    ("metropolis", 2.0, -1234.5, -1234.5, 1.0),
+    # g = 1.3 * -234.5 / 1000
+    ("naive", 1.3, -1234.5, -1000.0, 0.6951499999999999),
+    ("metropolis", 1.3, -1234.5, -1000.0, 0.7372339511908391),
+])
+def test_rule_exact_values(rule, M, L_new, L_prev, expected):
+    assert accept_probability(rule, M, L_new, L_prev) == expected
+
+
+@pytest.mark.parametrize("kind, k, expected", [
+    ("constant", None, (1.5, 1.5, 1.5)),
+    ("constant", 0.7, (0.7, 0.7, 0.7)),
+    ("log", None, (0.0, 0.9162907318741551, 6.214608098422191)),
+    ("log", 0.7, (0.0, 0.6414035123119085, 4.350225668895534)),
+    ("linear", None, (1.0, 2.5, 500.0)),
+    ("linear", 0.7, (0.7, 1.75, 350.0)),
+])
+def test_schedule_exact_values(kind, k, expected):
+    sched = TemperatureSchedule(kind, k)
+    assert tuple(temperature(sched, t) for t in (1, 2.5, 500)) == expected

@@ -43,14 +43,18 @@ def oracle_log_likelihood(spec, data, params):
     return total
 
 
-def oracle_log_joint(spec, data, params):
-    """oracle_log_likelihood plus textbook prior densities."""
-    total = oracle_log_likelihood(spec, data, params)
-    total += stats.dirichlet.logpdf(params.weights,
-                                    np.full(spec.K, spec.prior_dirichlet_alpha))
+def oracle_log_prior(spec, params):
+    """Textbook prior densities through scipy.stats."""
+    total = stats.dirichlet.logpdf(params.weights,
+                                   np.full(spec.K, spec.prior_dirichlet_alpha))
     total += stats.norm.logpdf(params.means, 0.0, spec.prior_mean_scale).sum()
     total += stats.lognorm.logpdf(params.sds, s=spec.prior_logsd_scale).sum()
     return total
+
+
+def oracle_log_joint(spec, data, params):
+    """oracle_log_likelihood plus oracle_log_prior."""
+    return oracle_log_likelihood(spec, data, params) + oracle_log_prior(spec, params)
 
 
 def test_log_joint_matches_brute_force_on_random_instances():
@@ -167,6 +171,43 @@ def test_log_likelihood_over_two_leading_axes_matches_each_set():
     assert got.shape == (2, 19)
     want = np.array([log_likelihood(spec, data, th) for th in draws]).reshape(2, 19)
     np.testing.assert_array_equal(got, want)
+
+
+def positive_draws(rng, spec, B):
+    """B parameter sets for spec with every weight positive: finite priors."""
+    return [GmmParams(weights=rng.dirichlet(np.ones(spec.K)),
+                      means=rng.uniform(-3.0, 3.0, (spec.K, spec.p)),
+                      sds=rng.uniform(0.3, 2.0, (spec.K, spec.p))) for _ in range(B)]
+
+
+def test_log_prior_and_log_joint_score_stacked_sets_row_by_row():
+    rng = np.random.default_rng(1618)
+    spec, data, _ = random_instance(rng, K=3, p=2, N=6)
+    draws = positive_draws(rng, spec, 6)
+    flat = stack(draws)
+    grid = GmmParams(*(getattr(flat, f).reshape((2, 3) + getattr(flat, f).shape[1:])
+                       for f in ("weights", "means", "sds")))
+    for params in (flat, grid):
+        prior, joint = log_prior(spec, params), log_joint(spec, data, params)
+        assert prior.shape == joint.shape == params.weights.shape[:-1]
+        assert list(prior.ravel()) == [log_prior(spec, th) for th in draws]
+        assert list(joint.ravel()) == [log_joint(spec, data, th) for th in draws]
+    np.testing.assert_allclose(log_prior(spec, flat),
+                               [oracle_log_prior(spec, th) for th in draws], rtol=1e-12)
+    np.testing.assert_allclose(log_joint(spec, data, flat),
+                               [oracle_log_joint(spec, data, th) for th in draws], rtol=1e-12)
+
+
+def test_log_joint_raises_when_any_stacked_set_is_non_finite():
+    rng = np.random.default_rng(1619)
+    spec, data, _ = random_instance(rng, K=2, p=1, N=4)
+    draws = positive_draws(rng, spec, 3)
+    draws[1] = GmmParams(weights=draws[1].weights, means=np.full((2, 1), np.inf),
+                         sds=draws[1].sds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^log joint is non-finite \("):
+            log_joint(spec, data, stack(draws))
 
 
 def test_block_kernel_keeps_the_validation_messages():

@@ -699,6 +699,16 @@ def test_cli_run_into_an_existing_file_is_one_line_and_exit_2(tmp_path, capsys):
     assert "taken" in one_error_line(capsys, "run")
 
 
+@pytest.mark.parametrize("blocked, jobs", [("summary.csv", "1"),
+                                           ("traces/sim-p2k2__yoasovi-naive__r0.csv", "2")])
+def test_cli_run_with_an_unwritable_output_is_one_line_and_exit_2(tmp_path, capsys,
+                                                                   blocked, jobs):
+    (tmp_path / "res" / blocked).mkdir(parents=True)
+    cfg = write_quick_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--max-iters", "3", "--jobs", jobs]) == 2
+    assert blocked.rsplit("/", 1)[-1] in one_error_line(capsys, "run")
+
+
 def test_cli_trajectory_into_a_directory_is_one_line_and_exit_2(tmp_path, capsys):
     trace = tmp_path / "run.csv"
     trace.write_text("iter,elapsed_s,elbo,accepted,M\n1,0.5,-10.0,1,\n")
