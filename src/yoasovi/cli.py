@@ -87,13 +87,20 @@ def apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
+def _refuse(command: str, exc: Exception) -> int:
+    print(f"yoasovi {command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
     try:
         matrix, options = build_matrix(apply_overrides(load_config(args.config), args))
-        rows = run_matrix(matrix, out_dir=options["out"], jobs=options["jobs"])
     except (ValueError, TypeError, OSError) as exc:
-        print(f"yoasovi run: error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse("run", exc)
+    try:
+        rows = run_matrix(matrix, out_dir=options["out"], jobs=options["jobs"])
+    except OSError as exc:  # an output path it cannot write; anything else is a bug
+        return _refuse("run", exc)
     print(format_table(rows))
     print(f"\nwrote {options['out']}/summary.csv and "
           f"{len(matrix.datasets) * len(matrix.methods) * matrix.replicates} trace files")
@@ -106,8 +113,7 @@ def cmd_trajectory(args) -> int:
                    emit_trajectory(read_trace(path), args.horizon)) for path in args.trace]
         write_trajectory(series, args.out)
     except (ValueError, OSError) as exc:
-        print(f"yoasovi trajectory: error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse("trajectory", exc)
     total = sum(len(rows) for _, rows in series)
     print(f"wrote {total} rows to {args.out}")
     return 0

@@ -140,7 +140,7 @@ def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarra
 
 def log_prior(spec: GmmSpec, params: GmmParams):
     """Log prior density of each parameter set in params: an array of the
-    leading shape of its fields, and a float for one set."""
+    leading shape of its fields (a scalar for one set)."""
     a = spec.prior_dirichlet_alpha
     # a zero weight or an overflowing square gives a non-finite prior, which
     # log_joint rejects
@@ -155,21 +155,12 @@ def log_prior(spec: GmmSpec, params: GmmParams):
         # lognormal over sds: Gaussian on log sd plus the 1/sd change of variables
         lp += -0.5 * ((ls / t) ** 2).sum(axis=(-2, -1)) - ls.sum(axis=(-2, -1)) \
             - spec.K * spec.p * 0.5 * math.log(2.0 * math.pi * t**2)
-    return float(lp) if lp.ndim == 0 else lp
+    return lp
 
 
-def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams):
-    """log_likelihood plus log_prior, shaped as they are; a NumericError if
-    any parameter set's value is non-finite."""
-    ll, lp = log_likelihood(spec, data, params), log_prior(spec, params)
-    if ll.ndim == 0:  # one set, once per draw in a run: floats skip numpy overhead
-        out = float(ll) + lp
-        finite = math.isfinite(out)
-    else:
-        with np.errstate(invalid="ignore"):  # inf - inf is non-finite too
-            out = ll + lp
-        finite = np.isfinite(out).all()
-    if not finite:
+def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
+    out = float(log_likelihood(spec, data, params)) + float(log_prior(spec, params))
+    if not math.isfinite(out):
         raise NumericError(f"log joint is non-finite ({out}) for {params}")
     return out
 

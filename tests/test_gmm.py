@@ -112,6 +112,14 @@ def test_log_joint_raises_on_non_finite():
         warnings.simplefilter("error")
         with pytest.raises(NumericError):
             log_joint(spec, Dataset(np.array([[0.0]])), params)
+    # a -inf likelihood plus a +inf prior (a zero weight at alpha < 1)
+    spec = GmmSpec(K=2, p=1, prior_dirichlet_alpha=0.5)
+    params = GmmParams(weights=np.array([1.0, 0.0]), means=np.zeros((2, 1)),
+                       sds=np.ones((2, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^log joint is non-finite \(nan\)"):
+            log_joint(spec, Dataset(np.array([[1e200]])), params)
 
 
 def test_logsumexp_non_finite_rows_match_scipy():
@@ -180,7 +188,7 @@ def positive_draws(rng, spec, B):
                       sds=rng.uniform(0.3, 2.0, (spec.K, spec.p))) for _ in range(B)]
 
 
-def test_log_prior_and_log_joint_score_stacked_sets_row_by_row():
+def test_log_prior_scores_stacked_sets_row_by_row():
     rng = np.random.default_rng(1618)
     spec, data, _ = random_instance(rng, K=3, p=2, N=6)
     draws = positive_draws(rng, spec, 6)
@@ -188,26 +196,14 @@ def test_log_prior_and_log_joint_score_stacked_sets_row_by_row():
     grid = GmmParams(*(getattr(flat, f).reshape((2, 3) + getattr(flat, f).shape[1:])
                        for f in ("weights", "means", "sds")))
     for params in (flat, grid):
-        prior, joint = log_prior(spec, params), log_joint(spec, data, params)
-        assert prior.shape == joint.shape == params.weights.shape[:-1]
+        prior = log_prior(spec, params)
+        assert prior.shape == params.weights.shape[:-1]
         assert list(prior.ravel()) == [log_prior(spec, th) for th in draws]
+        # a stack's log joint is the row-wise sum, bit for bit per set
+        joint = log_likelihood(spec, data, params) + prior
         assert list(joint.ravel()) == [log_joint(spec, data, th) for th in draws]
     np.testing.assert_allclose(log_prior(spec, flat),
                                [oracle_log_prior(spec, th) for th in draws], rtol=1e-12)
-    np.testing.assert_allclose(log_joint(spec, data, flat),
-                               [oracle_log_joint(spec, data, th) for th in draws], rtol=1e-12)
-
-
-def test_log_joint_raises_when_any_stacked_set_is_non_finite():
-    rng = np.random.default_rng(1619)
-    spec, data, _ = random_instance(rng, K=2, p=1, N=4)
-    draws = positive_draws(rng, spec, 3)
-    draws[1] = GmmParams(weights=draws[1].weights, means=np.full((2, 1), np.inf),
-                         sds=draws[1].sds)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericError, match=r"^log joint is non-finite \("):
-            log_joint(spec, data, stack(draws))
 
 
 def test_block_kernel_keeps_the_validation_messages():

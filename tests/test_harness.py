@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from yoasovi import harness
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.cli import apply_overrides, build_parser, main
 from yoasovi.driver import IterationRecord, RunConfig, run
@@ -707,6 +708,17 @@ def test_cli_run_with_an_unwritable_output_is_one_line_and_exit_2(tmp_path, caps
     cfg = write_quick_config(tmp_path)
     assert main(["run", "--config", str(cfg), "--max-iters", "3", "--jobs", jobs]) == 2
     assert blocked.rsplit("/", 1)[-1] in one_error_line(capsys, "run")
+
+
+@pytest.mark.parametrize("bug", [ValueError, TypeError])
+def test_cli_run_lets_an_error_inside_a_run_end_in_a_traceback(tmp_path, monkeypatch, bug):
+    # only building the matrix and writing its files are input errors (exit 2)
+    def broken_run(*args, **kwargs):
+        raise bug("a bug in the run")
+    monkeypatch.setattr(harness, "_run_one", broken_run)
+    cfg = write_quick_config(tmp_path)
+    with pytest.raises(bug, match="a bug in the run"):
+        main(["run", "--config", str(cfg), "--max-iters", "3"])
 
 
 def test_cli_trajectory_into_a_directory_is_one_line_and_exit_2(tmp_path, capsys):
