@@ -110,7 +110,8 @@ def build_gmm_problem(spec: GmmSpec, data: Dataset,
                       kmeans_style_init: bool = False) -> Problem:
     def target(z: np.ndarray) -> float:
         params, ldj = constrain(z, spec)
-        return gmm.log_joint(spec, data, params) + ldj
+        # constrain builds valid params, so the checks of gmm.log_joint are skipped
+        return gmm._add_log_prior(spec, params, gmm._log_likelihood(spec, data, params)) + ldj
 
     def init(rng: np.random.Generator) -> VariationalParams:
         return initial_params(spec, data, rng, kmeans_style=kmeans_style_init)

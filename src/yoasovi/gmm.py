@@ -113,10 +113,16 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarray:
     """Mixture log likelihood of the data under each parameter set in params:
-    an array of the leading shape of its fields (a scalar for one set)."""
+    an array of the leading shape of its fields (a scalar for one set).
+    Checks params against spec and the data first."""
     if data.p != spec.p:
         raise ValueError(f"data dimension {data.p} does not match spec p={spec.p}")
     params.validate(spec)
+    return _log_likelihood(spec, data, params)
+
+
+def _log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarray:
+    """log_likelihood of params already known to fit spec and the data."""
     lead = params.weights.shape[:-1]
     weights = params.weights.reshape(-1, spec.K)
     means = params.means.reshape(-1, spec.K, spec.p)
@@ -159,7 +165,16 @@ def log_prior(spec: GmmSpec, params: GmmParams):
 
 
 def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
-    out = float(log_likelihood(spec, data, params)) + float(log_prior(spec, params))
+    """Log joint density of one parameter set, which log_likelihood checks."""
+    return _add_log_prior(spec, params, log_likelihood(spec, data, params))
+
+
+def _add_log_prior(spec: GmmSpec, params: GmmParams, ll) -> float:
+    """The log likelihood ll of one parameter set plus its log prior, as a
+    float; a NumericError if that is non-finite.  A run's target passes
+    _log_likelihood of the params constrain built, which are valid by
+    construction, so no check runs once per draw."""
+    out = float(ll) + float(log_prior(spec, params))
     if not math.isfinite(out):
         raise NumericError(f"log joint is non-finite ({out}) for {params}")
     return out

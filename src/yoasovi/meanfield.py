@@ -8,7 +8,7 @@ log Jacobian determinant, so the ELBO integrand is
     log p(y, constrain(z)) + log|J(z)| - log q(z | lambda).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -17,20 +17,48 @@ from .errors import NumericError
 from .gmm import GmmParams, GmmSpec
 
 
+# the log normaliser of a standard normal density, -log(2 pi) / 2
+_LOG_NORM = -0.5 * np.log(2.0 * np.pi)
+
+
 @dataclass(frozen=True)
 class VariationalParams:
+    """lambda = (m, log_s), plus the terms of log_s that sample, log_q and
+    score read, computed once when lambda is built: s = exp(log_s),
+    two_var = 2 exp(2 log_s) and inv_var = exp(-2 log_s).  A log_s large
+    enough to overflow them gives inf or 0 without a warning."""
+
     m: np.ndarray
     log_s: np.ndarray
+    s: np.ndarray = field(init=False, repr=False, compare=False)
+    two_var: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_var: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         log_s = np.asarray(self.log_s, dtype=float)
         if m.shape != log_s.shape or m.ndim != 1:
             raise ValueError("m and log_s must be 1-d arrays of equal length")
+        self._set(m, log_s)
+
+    @classmethod
+    def of_arrays(cls, m: np.ndarray, log_s: np.ndarray) -> "VariationalParams":
+        """lambda from float arrays already of one 1-d shape, as update_step
+        makes them: only finiteness is checked."""
+        lam = object.__new__(cls)
+        lam._set(m, log_s)
+        return lam
+
+    def _set(self, m: np.ndarray, log_s: np.ndarray) -> None:
         if not (np.isfinite(m).all() and np.isfinite(log_s).all()):
             raise ValueError("variational parameters must be finite")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "log_s", log_s)
+        set_ = object.__setattr__
+        set_(self, "m", m)
+        set_(self, "log_s", log_s)
+        with np.errstate(over="ignore"):
+            set_(self, "s", np.exp(log_s))
+            set_(self, "two_var", 2.0 * np.exp(2.0 * log_s))
+            set_(self, "inv_var", np.exp(-2.0 * log_s))
 
     @property
     def dim(self) -> int:
@@ -60,7 +88,8 @@ def constrain(z: np.ndarray, spec: GmmSpec) -> tuple[GmmParams, np.ndarray]:
         raise NumericError("non-finite unconstrained vector")
     K, p = spec.K, spec.p
     lead = z.shape[:-1]
-    a = np.concatenate([z[..., : K - 1], np.zeros(lead + (1,))], axis=-1)
+    a = np.zeros(lead + (K,))
+    a[..., : K - 1] = z[..., : K - 1]
     e = np.exp(a - a.max(axis=-1, keepdims=True))  # max-shifted softmax
     weights = e / e.sum(axis=-1, keepdims=True)
     log_sds = z[..., K - 1 + K * p :]
@@ -83,15 +112,14 @@ def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
     if u.shape[-1:] != (lam.dim,):
         raise ValueError(f"expected points of dimension {lam.dim}, got {u.shape}")
     with np.errstate(over="ignore"):
-        return ParamDraw(z=lam.m + np.exp(lam.log_s) * ndtri(u))
+        return ParamDraw(z=lam.m + lam.s * ndtri(u))
 
 
 def log_q(lam: VariationalParams, z: np.ndarray):
     """log q(z | lam), row by row: z of shape (..., dim) gives an array of
     the leading shape, and a float for one draw."""
     z = np.asarray(z, dtype=float)
-    out = (-0.5 * np.log(2.0 * np.pi) - lam.log_s
-           - (z - lam.m) ** 2 / (2.0 * np.exp(2.0 * lam.log_s))).sum(axis=-1)
+    out = (_LOG_NORM - lam.log_s - (z - lam.m) ** 2 / lam.two_var).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -99,8 +127,7 @@ def score(lam: VariationalParams, z: np.ndarray) -> np.ndarray:
     """Gradient of log_q with respect to (m, log_s), concatenated, row by
     row: z of shape (..., dim) gives shape (..., 2 * dim)."""
     d = np.asarray(z, dtype=float) - lam.m
-    inv_var = np.exp(-2.0 * lam.log_s)
-    return np.concatenate([d * inv_var, d ** 2 * inv_var - 1.0], axis=-1)
+    return np.concatenate([d * lam.inv_var, d ** 2 * lam.inv_var - 1.0], axis=-1)
 
 
 def initial_params(spec: GmmSpec, data, rng: np.random.Generator,

@@ -8,7 +8,6 @@ downstream transforms never see 0 or 1 and never produce infinities.
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 # 2^-53 scaled up by 2^10: far enough from the endpoints that ndtri stays
 # comfortably finite, tiny enough to leave the distribution undisturbed.
@@ -50,6 +49,10 @@ def make_source(kind: str, dimension: int, seed: int) -> SequenceSource:
     if kind == "pseudo-random":
         rng = np.random.default_rng(seed)
         return SequenceSource(lambda n: rng.random((n, dimension)))
-    engine = stats.qmc.Sobol(d=dimension, scramble=True, seed=seed)
+    # imported here: scipy.stats would be most of import yoasovi's time, and
+    # only a Sobol source needs it
+    from scipy.stats import qmc
+
+    engine = qmc.Sobol(d=dimension, scramble=True, seed=seed)
     engine.fast_forward(1)
     return SequenceSource(engine.random)

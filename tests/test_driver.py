@@ -13,10 +13,11 @@ from yoasovi.driver import (Problem, RunConfig, build_gmm_problem, final_elbo,
                             posterior_draw_set, run, run_problem)
 from yoasovi.driver import IterationRecord
 from yoasovi.errors import NumericError
+from yoasovi.estimators import estimate
 from yoasovi.gmm import GmmParams
 from yoasovi.harness import make_preset
 from yoasovi.meanfield import VariationalParams, constrain, log_q, sample
-from yoasovi.sequences import EPS
+from yoasovi.sequences import EPS, make_source
 
 
 class FakeClock:
@@ -338,6 +339,36 @@ def test_single_draw_method_needs_fewer_evaluations_to_match_mcvi():
         hits = [r.t for r in yo.records if r.accepted and r.elbo >= threshold]
         yo_cost.append(hits[0] if hits else math.inf)
     assert np.median(yo_cost) < np.median(mc_cost)
+
+
+# ---------------------------------------------------------------------------
+# where GmmParams are checked
+
+def count_validate_calls(monkeypatch):
+    calls = []
+    real = GmmParams.validate
+    monkeypatch.setattr(GmmParams, "validate",
+                        lambda self, spec: calls.append(1) or real(self, spec))
+    return calls
+
+
+def test_the_target_path_never_validates(monkeypatch):
+    """constrain builds valid params, so neither a run's iterations nor an
+    S=10 estimate check them; the DIC at the end of a run checks its stacked
+    draws and its plug-in point once each, through gmm.dic."""
+    spec, data = small_gmm()
+    calls = count_validate_calls(monkeypatch)
+    cfg = RunConfig(method="yoasovi-naive", learning_rate=5e-7, max_iters=20, patience=100,
+                    seed=4, model=spec, kmeans_style_init=True)
+    problem = build_gmm_problem(spec, data, kmeans_style_init=True)
+    trace = run_problem(cfg, dataclasses.replace(problem, dic=None))
+    assert trace.summary.iterations == 20 and trace.summary.error is None
+    lam = problem.init(np.random.default_rng(0))
+    est = estimate(lam, problem.target, make_source("sobol-scrambled", lam.dim, 1), 10)
+    assert math.isfinite(est.elbo)
+    assert calls == []
+    assert run(cfg, data).summary.dic is not None
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

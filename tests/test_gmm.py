@@ -207,6 +207,8 @@ def test_log_prior_scores_stacked_sets_row_by_row():
 
 
 def test_block_kernel_keeps_the_validation_messages():
+    """log_likelihood, log_joint and dic check their input; only the run's
+    target, whose params constrain builds, skips the checks."""
     spec = GmmSpec(K=2, p=1)
     data = Dataset(np.array([[0.0]]))
     good = dict(weights=np.full((3, 2), 0.5), means=np.zeros((3, 2, 1)),
@@ -214,14 +216,24 @@ def test_block_kernel_keeps_the_validation_messages():
     for field, value, message in [
         ("weights", np.ones((3, 3)) / 3, r"weights shape \(3,\), expected \(2,\)"),
         ("means", np.zeros((3, 2, 2)), "means/sds must have shape"),
-        ("weights", np.array([[0.5, 0.5], [0.7, 0.7], [0.5, 0.5]]), "simplex"),
-        ("sds", np.array([[[1.0], [1.0]], [[1.0], [0.0]], [[1.0], [1.0]]]), "strictly positive"),
+        ("weights", np.array([[0.5, 0.5], [0.7, 0.7], [0.5, 0.5]]),
+         "^weights must be a simplex vector$"),
+        ("sds", np.array([[[1.0], [1.0]], [[1.0], [0.0]], [[1.0], [1.0]]]),
+         "^sds must be strictly positive$"),
         ("sds", np.ones((2, 2, 1)), "means/sds must have shape"),
     ]:
+        bad = GmmParams(**{**good, field: value})
+        for density in (log_likelihood, dic):
+            with pytest.raises(ValueError, match=message):
+                density(spec, data, bad)
+    one = {name: value[0] for name, value in good.items()}
+    for field, value, message in [("weights", np.array([0.7, 0.7]), "simplex"),
+                                  ("sds", np.array([[1.0], [0.0]]), "strictly positive")]:
         with pytest.raises(ValueError, match=message):
-            log_likelihood(spec, data, GmmParams(**{**good, field: value}))
-    with pytest.raises(ValueError, match="data dimension"):
-        log_likelihood(spec, Dataset(np.zeros((1, 2))), GmmParams(**good))
+            log_joint(spec, data, GmmParams(**{**one, field: value}))
+    for density, params in ((log_likelihood, good), (dic, good), (log_joint, one)):
+        with pytest.raises(ValueError, match="data dimension"):
+            density(spec, Dataset(np.zeros((1, 2))), GmmParams(**params))
 
 
 def test_n_unconstrained_count():

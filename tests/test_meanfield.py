@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
+from scipy.special import ndtri
 
 from yoasovi.errors import NumericError
-from yoasovi.gmm import Dataset, GmmSpec
+from yoasovi.estimators import update_step
+from yoasovi.gmm import Dataset, GmmSpec, log_joint
 from yoasovi.meanfield import (ParamDraw, VariationalParams, constrain,
                                initial_params, log_q, sample, score)
 from yoasovi.sequences import make_source
@@ -45,6 +47,40 @@ def test_constrain_produces_valid_params():
         params, ldj = constrain(z, spec)
         params.validate(spec)
         assert np.isfinite(ldj)
+
+
+@st.composite
+def extreme_z(draw):
+    """A spec and z of one row or stacked rows whose weight logits reach
+    +-800 (a weight can underflow to 0) and whose log sds reach 800 (an sd
+    can overflow to inf), but stay above the -745 where an sd underflows."""
+    K, p = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    spec = GmmSpec(K=K, p=p)
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    n = int(np.prod(lead, dtype=int))
+    cols = [st.floats(-800, 800)] * (K - 1) + [st.floats(-50, 50)] * (K * p) \
+        + [st.floats(-700, 800)] * (K * p)
+    rows = [[draw(c) for c in cols] for _ in range(n)]
+    return spec, np.array(rows, dtype=float).reshape(lead + (spec.n_unconstrained,))
+
+
+@given(extreme_z())
+@settings(max_examples=300, deadline=None)
+def test_constrain_output_always_passes_validate(case):
+    """constrain builds valid params by construction, which is why the run's
+    target does not call validate once per draw.  Weights that underflow to
+    0 and sds that overflow to inf are valid too; log_joint rejects them."""
+    spec, z = case
+    params, _ = constrain(z, spec)
+    params.validate(spec)
+    assert params.weights.shape == z.shape[:-1] + (spec.K,)
+    data = Dataset(np.zeros((3, spec.p)))
+    for idx in np.ndindex(z.shape[:-1]):
+        one, _ = constrain(z[idx], spec)
+        one.validate(spec)
+        if (one.weights == 0.0).any() or np.isinf(one.sds).any():
+            with pytest.raises(NumericError, match="log joint is non-finite"):
+                log_joint(spec, data, one)
 
 
 def test_constrain_layout():
@@ -214,6 +250,54 @@ def test_variational_params_validation():
         VariationalParams(m=np.array([np.inf]), log_s=np.array([0.0]))
     with pytest.raises(ValueError):
         VariationalParams(m=np.zeros((2, 2)), log_s=np.zeros((2, 2)))
+
+
+def _lambdas():
+    """lambdas built by initial_params and by update_step, log_s at +-700
+    included."""
+    spec = GmmSpec(K=2, p=2)
+    init = initial_params(spec, _toy_data(), np.random.default_rng(2), kmeans_style=True)
+    step = np.random.default_rng(3).normal(0.0, 1.0, 2 * init.dim)
+    out = [init, update_step(init, step, 0.1)]
+    for log_s in (700.0, -700.0):
+        lam = VariationalParams(m=init.m, log_s=np.full(init.dim, log_s))
+        out += [lam, update_step(lam, step, 1e-3)]
+    return out
+
+
+def test_cached_lambda_terms_give_the_inline_expressions():
+    """sample, log_q and score read exp(log_s), 2 exp(2 log_s) and
+    exp(-2 log_s) from lambda; each result equals the expression written
+    out here, bit for bit, nan where both are nan."""
+    u = np.random.default_rng(4).uniform(0.01, 0.99, (6, 9))
+    u[0] = 0.5  # ndtri(0.5) = 0: z = m exactly
+    for lam in _lambdas():
+        with np.errstate(all="ignore"):
+            z_want = lam.m + np.exp(lam.log_s) * ndtri(u)
+            z = sample(lam, u).z
+            lq_want = (-0.5 * np.log(2.0 * np.pi) - lam.log_s
+                       - (z - lam.m) ** 2 / (2.0 * np.exp(2.0 * lam.log_s))).sum(axis=-1)
+            d = z - lam.m
+            inv_var = np.exp(-2.0 * lam.log_s)
+            sc_want = np.concatenate([d * inv_var, d ** 2 * inv_var - 1.0], axis=-1)
+            lq, sc = log_q(lam, z), score(lam, z)
+            lq_one, sc_one = log_q(lam, z[1]), score(lam, z[1])
+        np.testing.assert_array_equal(z, z_want)
+        np.testing.assert_array_equal(lq, lq_want)
+        np.testing.assert_array_equal(sc, sc_want)
+        assert lq_one == lq_want[1] or (np.isnan(lq_one) and np.isnan(lq_want[1]))
+        np.testing.assert_array_equal(sc_one, sc_want[1])
+
+
+def test_lambda_at_extreme_log_s_builds_quietly_and_updates_stay_checked():
+    """exp(2 * 700) overflows and exp(-2 * 700) is 0: neither warns, while
+    an update to a non-finite lambda is still a NumericError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in _lambdas():
+            with pytest.raises(NumericError,
+                               match="^parameter update produced non-finite values$"):
+                update_step(lam, np.full(2 * lam.dim, 1e308), rho=1e308)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import yoasovi
 from yoasovi.meanfield import VariationalParams, sample
 from yoasovi.sequences import EPS, clamp, make_source
 
@@ -98,6 +103,21 @@ def test_next_point_block_is_the_stream_of_single_points(kind):
             assert block.shape == (n, 4)
             np.testing.assert_array_equal(
                 block, np.stack([singles.next_point(1)[0] for _ in range(n)]))
+
+
+def test_import_leaves_scipy_stats_to_the_first_sobol_source():
+    """import yoasovi does not load scipy.stats; the first Sobol source
+    does, and draws the same stream as one made here."""
+    src = str(Path(yoasovi.__file__).resolve().parents[1])
+    code = ("import sys; import yoasovi; print('scipy.stats' in sys.modules); "
+            "from yoasovi.sequences import make_source; "
+            "print(make_source('sobol-scrambled', 3, seed=42).next_point(5).tobytes().hex())")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    assert out[0] == "False"
+    assert out[1] == make_source("sobol-scrambled", 3, seed=42).next_point(5).tobytes().hex()
 
 
 def test_sobol_dimension_cap():
