@@ -108,10 +108,13 @@ class Problem:
 
 def build_gmm_problem(spec: GmmSpec, data: Dataset,
                       kmeans_style_init: bool = False) -> Problem:
+    if data.p != spec.p:
+        raise ValueError(f"data dimension {data.p} does not match spec p={spec.p}")
+
     def target(z: np.ndarray) -> float:
         params, ldj = constrain(z, spec)
-        # constrain builds valid params, so the checks of gmm.log_joint are skipped
-        return gmm._add_log_prior(spec, params, gmm._log_likelihood(spec, data, params)) + ldj
+        # constrain builds valid params, so gmm.log_joint's checks are skipped
+        return gmm._log_joint(spec, data, params) + ldj
 
     def init(rng: np.random.Generator) -> VariationalParams:
         return initial_params(spec, data, rng, kmeans_style=kmeans_style_init)

@@ -169,11 +169,16 @@ def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
     return _add_log_prior(spec, params, log_likelihood(spec, data, params))
 
 
+def _log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
+    """log_joint of one parameter set already known to fit spec and the
+    data, as a run's target scores the params constrain built: no check
+    runs once per draw."""
+    return _add_log_prior(spec, params, _log_likelihood(spec, data, params))
+
+
 def _add_log_prior(spec: GmmSpec, params: GmmParams, ll) -> float:
     """The log likelihood ll of one parameter set plus its log prior, as a
-    float; a NumericError if that is non-finite.  A run's target passes
-    _log_likelihood of the params constrain built, which are valid by
-    construction, so no check runs once per draw."""
+    float; a NumericError if that is non-finite."""
     out = float(ll) + float(log_prior(spec, params))
     if not math.isfinite(out):
         raise NumericError(f"log joint is non-finite ({out}) for {params}")

@@ -39,17 +39,6 @@ class VariationalParams:
         log_s = np.asarray(self.log_s, dtype=float)
         if m.shape != log_s.shape or m.ndim != 1:
             raise ValueError("m and log_s must be 1-d arrays of equal length")
-        self._set(m, log_s)
-
-    @classmethod
-    def of_arrays(cls, m: np.ndarray, log_s: np.ndarray) -> "VariationalParams":
-        """lambda from float arrays already of one 1-d shape, as update_step
-        makes them: only finiteness is checked."""
-        lam = object.__new__(cls)
-        lam._set(m, log_s)
-        return lam
-
-    def _set(self, m: np.ndarray, log_s: np.ndarray) -> None:
         if not (np.isfinite(m).all() and np.isfinite(log_s).all()):
             raise ValueError("variational parameters must be finite")
         set_ = object.__setattr__

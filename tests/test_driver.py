@@ -14,7 +14,8 @@ from yoasovi.driver import (Problem, RunConfig, build_gmm_problem, final_elbo,
 from yoasovi.driver import IterationRecord
 from yoasovi.errors import NumericError
 from yoasovi.estimators import estimate
-from yoasovi.gmm import GmmParams
+from yoasovi import gmm
+from yoasovi.gmm import Dataset, GmmParams
 from yoasovi.harness import make_preset
 from yoasovi.meanfield import VariationalParams, constrain, log_q, sample
 from yoasovi.sequences import EPS, make_source
@@ -369,6 +370,34 @@ def test_the_target_path_never_validates(monkeypatch):
     assert calls == []
     assert run(cfg, data).summary.dic is not None
     assert len(calls) == 2
+
+
+def test_the_target_is_the_checked_log_joint_plus_ldj():
+    """The unchecked target gives the same bits as the public, checked
+    gmm.log_joint plus the Jacobian term, at single draws and at rows of a
+    stacked sample, and fails where log_joint fails."""
+    spec, data = small_gmm()
+    target = build_gmm_problem(spec, data).target
+    rng = np.random.default_rng(8)
+    lam = VariationalParams(m=rng.normal(0.0, 2.0, spec.n_unconstrained),
+                            log_s=rng.normal(-1.0, 0.5, spec.n_unconstrained))
+    rows = sample(lam, rng.random((6, lam.dim))).z
+    for z in [lam.m, sample(lam, rng.random(lam.dim)).z, *rows]:
+        params, ldj = constrain(z, spec)
+        assert target(z) == gmm.log_joint(spec, data, params) + ldj
+    far = lam.m.copy()
+    far[: spec.K - 1] = 800.0  # the pinned weight underflows to 0
+    with pytest.raises(NumericError, match="non-finite"):
+        gmm.log_joint(spec, data, constrain(far, spec)[0])
+    with pytest.raises(NumericError, match="non-finite"):
+        target(far)
+
+
+def test_a_gmm_problem_needs_data_of_the_specs_dimension():
+    spec, data = small_gmm()
+    wide = Dataset(np.hstack([data.values, data.values[:, :1]]))
+    with pytest.raises(ValueError, match="data dimension 3 does not match spec p=2"):
+        build_gmm_problem(spec, wide)
 
 
 # ---------------------------------------------------------------------------
