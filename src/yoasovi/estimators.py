@@ -2,7 +2,8 @@
 same draws, plus the constant-rate parameter update."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -16,11 +17,26 @@ LogJointFn = Callable[[np.ndarray], float]
 
 @dataclass(frozen=True)
 class GradientSample:
-    """One estimate pair: grad targets (m, log_s) stacked to length 2D, and
-    elbo is the matching ELBO estimate from the very same draws."""
+    """One estimate pair from the same S draws z of q(.|lam): elbo is the
+    ELBO estimate, the mean of the integrands w, and grad the matching
+    gradient for (m, log_s) stacked to length 2D.  grad is computed when
+    first read, so a rejected single-draw step never scores its draw."""
 
-    grad: np.ndarray
     elbo: float
+    lam: VariationalParams = field(repr=False, compare=False)
+    z: np.ndarray = field(repr=False, compare=False)
+    w: list[float] = field(repr=False, compare=False)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        # score stays quiet like log_q; a non-finite score still ends the
+        # update with a NumericError
+        with np.errstate(all="ignore"):
+            sc = score(self.lam, self.z)
+        grad = np.zeros(2 * self.lam.dim)
+        for s, w in enumerate(self.w):
+            grad += sc[s] * w
+        return grad / len(self.w)
 
 
 def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
@@ -29,8 +45,8 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
 
     log_joint_z must return log p(y, constrain(z)) plus the transform's log
     Jacobian term, so that w = log_joint_z(z) - log_q(z) is the ELBO
-    integrand on the unconstrained space.  The S points, draws, log_q and
-    scores come from one row-wise pass; each draw then costs exactly one
+    integrand on the unconstrained space.  The S points, draws and log_q
+    come from one row-wise pass; each draw then costs exactly one
     log_joint_z evaluation, made in draw order.  S=1 is the single-draw
     acceptance-sampling path.
     """
@@ -38,13 +54,12 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
         raise ValueError("S must be >= 1")
     z = sample(lam, src.next_point(S)).z
     finite = np.isfinite(z).all(axis=-1)
-    # log_q and score run ahead of the target calls, so they stay quiet on
-    # draws a raising target call would never reach; a non-finite log_q or
-    # score still ends the estimate or the update with a NumericError.
+    # log_q runs ahead of the target calls, so it stays quiet on draws a
+    # raising target call would never reach; a non-finite log_q still ends
+    # the estimate with a NumericError.
     with np.errstate(all="ignore"):
         lq = log_q(lam, z)
-        sc = score(lam, z)
-    grad = np.zeros(2 * lam.dim)
+    ws = []
     elbo = 0.0
     for s in range(S):
         if not finite[s]:
@@ -52,9 +67,9 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
         w = float(log_joint_z(z[s])) - float(lq[s])
         if not math.isfinite(w):
             raise NumericError(f"non-finite integrand ({w}) at draw {s + 1} of {S}, z={z[s]}")
-        grad += sc[s] * w
+        ws.append(w)
         elbo += w
-    return GradientSample(grad=grad / S, elbo=elbo / S)
+    return GradientSample(elbo=elbo / S, lam=lam, z=z, w=ws)
 
 
 def update_step(lam: VariationalParams, grad: np.ndarray, rho: float) -> VariationalParams:

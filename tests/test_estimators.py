@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from yoasovi.driver import build_gmm_problem
+from yoasovi import estimators
+from yoasovi.driver import RunConfig, build_gmm_problem, run_problem
 from yoasovi.errors import NumericError
 from yoasovi.estimators import GradientSample, estimate, update_step
+from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.harness import make_preset
 from yoasovi.meanfield import VariationalParams, log_q, sample, score
 from yoasovi.sequences import EPS, make_source
@@ -125,6 +127,43 @@ def test_estimate_is_bit_identical_to_the_per_draw_loop(kind, S):
             grad, elbo = per_draw_estimate(lam, prob.target, make_source(kind, lam.dim, seed), S)
             assert got.elbo == elbo
             assert np.array_equal(got.grad, grad)
+
+
+@pytest.mark.parametrize("S", [1, 10])
+def test_grad_read_later_is_the_eager_sum(S):
+    """grad, computed when first read, is bit for bit the sum an eager
+    estimate formed: one row-wise score, accumulated in draw order."""
+    spec, data = make_preset("sim-p2k2", N=60)
+    prob = build_gmm_problem(spec, data, kmeans_style_init=True)
+    lam = prob.init(np.random.default_rng(5))
+    est = estimate(lam, prob.target, make_source("sobol-scrambled", lam.dim, 2), S)
+
+    z = sample(lam, make_source("sobol-scrambled", lam.dim, 2).next_point(S)).z
+    lq = log_q(lam, z)
+    sc = score(lam, z)
+    grad = np.zeros(2 * lam.dim)
+    for s in range(S):
+        grad += sc[s] * (float(prob.target(z[s])) - float(lq[s]))
+    assert np.array_equal(est.grad, grad / S)
+    assert est.grad is est.grad
+
+
+def test_a_rejected_step_never_scores_its_draw(monkeypatch):
+    """The driver reads grad only to update lambda, so over a single-draw
+    run score runs once per accepted iteration and never otherwise."""
+    calls = []
+    real = estimators.score
+    monkeypatch.setattr(estimators, "score",
+                        lambda lam, z: calls.append(1) or real(lam, z))
+    spec, data = make_preset("sim-p2k2", N=80)
+    cfg = RunConfig(method="yoasovi-naive", learning_rate=5e-7, max_iters=20, patience=100,
+                    schedule=TemperatureSchedule("linear", 0.1), seed=4, model=spec,
+                    kmeans_style_init=True)
+    problem = build_gmm_problem(spec, data, kmeans_style_init=True)
+    trace = run_problem(cfg, problem)
+    accepted = sum(r.accepted for r in trace.records)
+    assert trace.summary.iterations == 20 and 0 < accepted < 20
+    assert len(calls) == accepted
 
 
 @pytest.mark.parametrize("k,S", [(1, 1), (1, 5), (3, 5), (5, 5)])
