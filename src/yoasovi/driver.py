@@ -112,9 +112,7 @@ def build_gmm_problem(spec: GmmSpec, data: Dataset,
         raise ValueError(f"data dimension {data.p} does not match spec p={spec.p}")
 
     def target(z: np.ndarray) -> float:
-        params, ldj = constrain(z, spec)
-        # constrain builds valid params, so gmm.log_joint's checks are skipped
-        return gmm._log_joint(spec, data, params) + ldj
+        return gmm.unconstrained_log_joint(spec, data, z)
 
     def init(rng: np.random.Generator) -> VariationalParams:
         return initial_params(spec, data, rng, kmeans_style=kmeans_style_init)

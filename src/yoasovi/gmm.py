@@ -10,6 +10,11 @@ GmmParams fields may carry leading axes, one parameter set per index.
 log_likelihood scores every set against the (N, p) data with a max-shifted
 numpy log-sum-exp over the components; dic takes its posterior draws
 stacked on one leading axis and scores them in a single call.
+
+A run optimises over unconstrained vectors z instead (split_unconstrained
+gives their layout), and unconstrained_log_joint scores them in z's own
+coordinates, Jacobian term included.  It and log_likelihood share one
+likelihood kernel, and it and log_prior one prior formula.
 """
 
 import csv
@@ -90,9 +95,11 @@ class Dataset:
         return self.values.shape[1]
 
 
-# Parameter sets per pass of log_likelihood: at N=500, K=4, p=3 its (B, K, p, N)
-# temporaries stay under 1 MB however many draws a caller stacks.
+# Parameter sets per pass of the likelihood kernel: at N=500, K=4, p=3 its
+# (B, K, p, N) buffer stays under 1 MB however many draws a caller stacks.
 _BLOCK = 16
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -111,6 +118,56 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
+def split_unconstrained(spec: GmmSpec, z: np.ndarray):
+    """The layout of unconstrained vectors z of shape (..., n_unconstrained):
+    K-1 free weight logits, then the K*p means, then the K*p log sds.
+
+    Returns weights, a softmax over the logits with the last category pinned
+    at logit 0, and means, log sds and sds = exp(log sds), each with z's
+    leading axes; means and log sds are views of z.  An sd that underflows
+    to 0 raises NumericError; one that overflows is inf, with a warning
+    unless the caller's errstate ignores overflow.  z is taken to be finite:
+    each caller deals with a non-finite z its own way."""
+    if z.shape[-1:] != (spec.n_unconstrained,):
+        raise ValueError(f"expected z of length {spec.n_unconstrained}, got {z.shape}")
+    K, p = spec.K, spec.p
+    lead = z.shape[:-1]
+    a = np.zeros(lead + (K,))
+    a[..., : K - 1] = z[..., : K - 1]
+    e = np.exp(a - a.max(axis=-1, keepdims=True))  # max-shifted softmax
+    weights = e / e.sum(axis=-1, keepdims=True)
+    log_sds = z[..., K - 1 + K * p :].reshape(lead + (K, p))
+    sds = np.exp(log_sds)
+    if (sds == 0.0).any():
+        raise NumericError("an sd underflowed to 0")
+    return weights, z[..., K - 1 : K - 1 + K * p].reshape(lead + (K, p)), log_sds, sds
+
+
+def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray):
+    """log p(y, constrain(z)) plus the log |Jacobian| of the map from z, row
+    by row: the density a run optimises, scored in z's own coordinates.
+    z of shape (..., n_unconstrained) gives an array of the leading shape,
+    and a float for one vector.
+
+    log w comes from the softmax, log sds straight from z.  No parameter
+    check runs, since split_unconstrained builds valid parameters.  An sd
+    that underflows to 0 or overflows to inf raises NumericError, and so
+    does a non-finite result, which is what a non-finite z or a weight that
+    underflows to 0 gives: every coordinate of z enters the prior."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(all="ignore"):
+        weights, means, log_sds, sds = split_unconstrained(spec, z)
+        log_w = np.log(weights)
+        out = _log_likelihood(spec, data, log_w, means, sds, log_sds) \
+            + _log_prior_z(spec, log_w, means, log_sds)
+    if sds.max() == np.inf:
+        raise NumericError("an sd overflowed to inf")
+    # math.isfinite takes a hundredth of the time on the one-vector path
+    if not (math.isfinite(out) if out.ndim == 0 else np.isfinite(out).all()):
+        raise NumericError(f"log joint is non-finite ({out}) at z={z}")
+    return out
+
+
 def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarray:
     """Mixture log likelihood of the data under each parameter set in params:
     an array of the leading shape of its fields (a scalar for one set).
@@ -118,68 +175,77 @@ def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarra
     if data.p != spec.p:
         raise ValueError(f"data dimension {data.p} does not match spec p={spec.p}")
     params.validate(spec)
-    return _log_likelihood(spec, data, params)
+    # zero weights drop out (log 0 = -inf); an sd of inf gives a -inf or
+    # nan density, which log_joint rejects
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _log_likelihood(spec, data, np.log(params.weights), params.means,
+                               params.sds, np.log(params.sds))
 
 
-def _log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarray:
-    """log_likelihood of params already known to fit spec and the data."""
-    lead = params.weights.shape[:-1]
-    weights = params.weights.reshape(-1, spec.K)
-    means = params.means.reshape(-1, spec.K, spec.p)
-    sds = params.sds.reshape(-1, spec.K, spec.p)
+def _log_likelihood(spec: GmmSpec, data: Dataset, log_w, means, sds, log_sds) -> np.ndarray:
+    """The likelihood kernel: log likelihood of parameter sets that fit spec
+    and the data, given as log weights (..., K) and means, sds and log sds
+    (..., K, p).  Each component's normaliser, log w - sum_p log sd -
+    (p/2) log 2 pi, is added once per (set, component); the squared
+    standardised residuals work in place in one (B, K, p, N) buffer.
+    The caller sets the errstate for overflowing residuals."""
+    K, p = spec.K, spec.p
+    lead = log_w.shape[:-1]
+    log_w = log_w.reshape(-1, K)
+    means = means.reshape(-1, K, p)[..., None]
+    sds = sds.reshape(-1, K, p)[..., None]
+    norm = (log_w - log_sds.reshape(-1, K, p).sum(axis=2) - p * _HALF_LOG_2PI)[..., None]
     # observations on the last axis, so every elementwise pass runs over N
     y = data.values_t  # (p, N)
-    out = np.empty(weights.shape[0])
-    # zero weights drop out (log 0 = -inf); an sd whose square under- or
-    # overflows gives a -inf or nan density, which log_joint rejects
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_w = np.log(weights)[..., None]
-        log_norm = np.log(2.0 * np.pi * sds**2)[..., None]
-        for lo in range(0, weights.shape[0], _BLOCK):
-            b = slice(lo, lo + _BLOCK)
-            # (b, K, N): sum over p of the componentwise normal log densities
-            comp = -0.5 * (
-                log_norm[b] + ((y - means[b, ..., None]) / sds[b, ..., None]) ** 2).sum(axis=2)
-            out[b] = _logsumexp(log_w[b] + comp, axis=1).sum(axis=1)
+    B = log_w.shape[0]
+    out = np.empty(B)
+    buf = np.empty((min(B, _BLOCK), K, p, data.N))
+    for lo in range(0, B, _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        r = buf[: min(B - lo, _BLOCK)]
+        np.subtract(y, means[b], out=r)
+        np.divide(r, sds[b], out=r)
+        np.square(r, out=r)
+        comp = r.sum(axis=2)  # (b, K, N)
+        comp *= -0.5
+        comp += norm[b]
+        out[b] = _logsumexp(comp, axis=1).sum(axis=1)
     return out.reshape(lead)[()]
+
+
+def _log_prior_z(spec: GmmSpec, log_w, means, log_sds):
+    """The prior in z's coordinates, row by row: the prior density of the
+    parameters plus the log |Jacobian| of constrain's map, sum log w +
+    sum log sd, which cancels the Dirichlet's -sum log w and the lognormal's
+    -sum log sd.  So alpha sum log w, Normal means and Normal log sds."""
+    a = spec.prior_dirichlet_alpha
+    s = spec.prior_mean_scale
+    t = spec.prior_logsd_scale
+    Kp = spec.K * spec.p
+    return (a * log_w.sum(axis=-1)
+            - (0.5 / s**2) * np.square(means).sum(axis=(-2, -1))
+            - (0.5 / t**2) * np.square(log_sds).sum(axis=(-2, -1))
+            + (math.lgamma(spec.K * a) - spec.K * math.lgamma(a)
+               - Kp * (math.log(s * t) + 2.0 * _HALF_LOG_2PI)))
 
 
 def log_prior(spec: GmmSpec, params: GmmParams):
     """Log prior density of each parameter set in params: an array of the
-    leading shape of its fields (a scalar for one set)."""
-    a = spec.prior_dirichlet_alpha
+    leading shape of its fields (a scalar for one set).  It is the prior in
+    z's coordinates less the log |Jacobian| of constrain's map."""
     # a zero weight or an overflowing square gives a non-finite prior, which
     # log_joint rejects
     with np.errstate(all="ignore"):
-        lp = (a - 1.0) * np.log(params.weights).sum(axis=-1)
-        lp += math.lgamma(spec.K * a) - spec.K * math.lgamma(a)
-        s = spec.prior_mean_scale
-        lp += -0.5 * ((params.means / s) ** 2).sum(axis=(-2, -1)) \
-            - spec.K * spec.p * 0.5 * math.log(2.0 * math.pi * s**2)
-        ls = np.log(params.sds)
-        t = spec.prior_logsd_scale
-        # lognormal over sds: Gaussian on log sd plus the 1/sd change of variables
-        lp += -0.5 * ((ls / t) ** 2).sum(axis=(-2, -1)) - ls.sum(axis=(-2, -1)) \
-            - spec.K * spec.p * 0.5 * math.log(2.0 * math.pi * t**2)
-    return lp
+        log_w = np.log(params.weights)
+        log_sds = np.log(params.sds)
+        return (_log_prior_z(spec, log_w, params.means, log_sds)
+                - log_w.sum(axis=-1) - log_sds.sum(axis=(-2, -1)))
 
 
 def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
-    """Log joint density of one parameter set, which log_likelihood checks."""
-    return _add_log_prior(spec, params, log_likelihood(spec, data, params))
-
-
-def _log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
-    """log_joint of one parameter set already known to fit spec and the
-    data, as a run's target scores the params constrain built: no check
-    runs once per draw."""
-    return _add_log_prior(spec, params, _log_likelihood(spec, data, params))
-
-
-def _add_log_prior(spec: GmmSpec, params: GmmParams, ll) -> float:
-    """The log likelihood ll of one parameter set plus its log prior, as a
-    float; a NumericError if that is non-finite."""
-    out = float(ll) + float(log_prior(spec, params))
+    """Log joint density of one parameter set, which log_likelihood checks;
+    a NumericError if it is non-finite."""
+    out = float(log_likelihood(spec, data, params)) + float(log_prior(spec, params))
     if not math.isfinite(out):
         raise NumericError(f"log joint is non-finite ({out}) for {params}")
     return out

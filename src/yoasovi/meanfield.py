@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import NumericError
-from .gmm import GmmParams, GmmSpec
+from .gmm import GmmParams, GmmSpec, split_unconstrained
 
 
 # the log normaliser of a standard normal density, -log(2 pi) / 2
@@ -64,33 +64,21 @@ def constrain(z: np.ndarray, spec: GmmSpec) -> tuple[GmmParams, np.ndarray]:
     row by row: z of shape (..., n_unconstrained) gives params with the same
     leading axes and an ldj of the leading shape.
 
-    Weights come from a softmax over the K-1 free logits with the last
-    category pinned at logit 0; sds from exp.  The weight-block Jacobian
-    determinant is the product of all K weights, the sd block contributes
-    each log sd.  A non-finite z or an sd that underflows to 0 raises
-    NumericError.
+    z's layout and the map are gmm.split_unconstrained's: weights from a
+    softmax over the K-1 free logits with the last category pinned at logit
+    0, sds from exp.  The weight-block Jacobian determinant is the product
+    of all K weights, the sd block contributes each log sd.  A non-finite z
+    or an sd that underflows to 0 raises NumericError.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape[-1:] != (spec.n_unconstrained,):
-        raise ValueError(f"expected z of length {spec.n_unconstrained}, got {z.shape}")
     if not np.isfinite(z).all():
         raise NumericError("non-finite unconstrained vector")
-    K, p = spec.K, spec.p
-    lead = z.shape[:-1]
-    a = np.zeros(lead + (K,))
-    a[..., : K - 1] = z[..., : K - 1]
-    e = np.exp(a - a.max(axis=-1, keepdims=True))  # max-shifted softmax
-    weights = e / e.sum(axis=-1, keepdims=True)
-    log_sds = z[..., K - 1 + K * p :]
     # a weight that underflows to 0 gives ldj = -inf, an sd that overflows
     # gives inf; the log joint rejects both as non-finite
     with np.errstate(divide="ignore", over="ignore"):
-        ldj = np.log(weights).sum(axis=-1) + log_sds.sum(axis=-1)
-        sds = np.exp(log_sds).reshape(lead + (K, p))
-    if (sds == 0.0).any():
-        raise NumericError("an sd underflowed to 0")
-    means = z[..., K - 1 : K - 1 + K * p].reshape(lead + (K, p)).copy()
-    return GmmParams(weights=weights, means=means, sds=sds), ldj
+        weights, means, log_sds, sds = split_unconstrained(spec, z)
+        ldj = np.log(weights).sum(axis=-1) + log_sds.sum(axis=(-2, -1))
+    return GmmParams(weights=weights, means=means.copy(), sds=sds), ldj
 
 
 def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:

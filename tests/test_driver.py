@@ -373,9 +373,11 @@ def test_the_target_path_never_validates(monkeypatch):
 
 
 def test_the_target_is_the_checked_log_joint_plus_ldj():
-    """The unchecked target gives the same bits as the public, checked
-    gmm.log_joint plus the Jacobian term, at single draws and at rows of a
-    stacked sample, and fails where log_joint fails."""
+    """The unchecked target, scored in z's coordinates, agrees with the
+    public, checked gmm.log_joint plus the Jacobian term to 1e-12 relative
+    at single draws and at rows of a stacked sample (a dropped prior or
+    Jacobian term misses by at least a nat), and fails where log_joint
+    fails."""
     spec, data = small_gmm()
     target = build_gmm_problem(spec, data).target
     rng = np.random.default_rng(8)
@@ -384,13 +386,18 @@ def test_the_target_is_the_checked_log_joint_plus_ldj():
     rows = sample(lam, rng.random((6, lam.dim))).z
     for z in [lam.m, sample(lam, rng.random(lam.dim)).z, *rows]:
         params, ldj = constrain(z, spec)
-        assert target(z) == gmm.log_joint(spec, data, params) + ldj
+        want = gmm.log_joint(spec, data, params) + ldj
+        assert abs(target(z) - want) <= 1e-12 * abs(want)
     far = lam.m.copy()
     far[: spec.K - 1] = 800.0  # the pinned weight underflows to 0
     with pytest.raises(NumericError, match="non-finite"):
         gmm.log_joint(spec, data, constrain(far, spec)[0])
     with pytest.raises(NumericError, match="non-finite"):
         target(far)
+    tiny = lam.m.copy()
+    tiny[-1] = -800.0  # exp(-800) is 0: an sd underflows
+    with pytest.raises(NumericError, match="underflowed"):
+        target(tiny)
 
 
 def test_a_gmm_problem_needs_data_of_the_specs_dimension():

@@ -4,12 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import logsumexp
 
 from yoasovi.errors import NumericError, ParseError
 from yoasovi.gmm import (_BLOCK, Dataset, GmmParams, GmmSpec, _logsumexp, dic, load_csv,
-                         log_joint, log_likelihood, log_prior, simulate)
+                         log_joint, log_likelihood, log_prior, simulate,
+                         unconstrained_log_joint)
+from yoasovi.meanfield import constrain
 
 
 def random_instance(rng, K=None, p=None, N=None):
@@ -204,6 +208,40 @@ def test_log_prior_scores_stacked_sets_row_by_row():
         assert list(joint.ravel()) == [log_joint(spec, data, th) for th in draws]
     np.testing.assert_allclose(log_prior(spec, flat),
                                [oracle_log_prior(spec, th) for th in draws], rtol=1e-12)
+
+
+# data of each (K, p) the unconstrained rows below are scored against
+Z_DATA = {(K, p): Dataset(np.random.default_rng(K).normal(0.0, 2.0, (40, p)))
+          for K, p in [(2, 2), (4, 3)]}
+
+
+@st.composite
+def z_rows(draw):
+    """A spec of K=2, p=2 or K=4, p=3 and 1 to 20 rows of z, so some stacks
+    span two kernel blocks, in a box where the log joint is finite."""
+    K, p = draw(st.sampled_from(sorted(Z_DATA)))
+    n = draw(st.integers(1, 20))
+    cols = [st.floats(-8, 8)] * (K - 1) + [st.floats(-6, 6)] * (K * p) \
+        + [st.floats(-3, 2)] * (K * p)
+    return GmmSpec(K=K, p=p), np.array([[draw(c) for c in cols] for _ in range(n)])
+
+
+@given(z_rows())
+@settings(max_examples=100, deadline=None)
+def test_unconstrained_log_joint_rows_are_per_row_calls_and_the_constrained_path(case):
+    """Stacked rows give the bits of one call per row, and each agrees with
+    the checked log_joint of constrain(z) plus its Jacobian term to 1e-12
+    relative: the z-space prior is the same formula with the Jacobian folded
+    in, and only the rounding differs."""
+    spec, z = case
+    data = Z_DATA[spec.K, spec.p]
+    got = unconstrained_log_joint(spec, data, z)
+    assert got.shape == (len(z),)
+    assert list(got) == [unconstrained_log_joint(spec, data, row) for row in z]
+    for row, value in zip(z, got):
+        params, ldj = constrain(row, spec)
+        want = log_joint(spec, data, params) + ldj
+        assert abs(value - want) <= 1e-12 * abs(want)
 
 
 def test_block_kernel_keeps_the_validation_messages():

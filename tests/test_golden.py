@@ -25,7 +25,7 @@ from yoasovi.harness import build_matrix, load_config, run_matrix
 from test_shipped_flags import (CONFIGS, ROOT, perfbench_argv, readme_argvs,
                                 script_argvs, with_config)
 
-RUN_DIGEST = "e7a978a37014e0154574a0daab39c239279d3287cdaa3b980132393cad1ebf92"
+RUN_DIGEST = "bc553df14d12d8ab6b914b4198c53737ea55ed77c440a4b1ece09b06376cab2b"
 MATRIX_DIGEST = "8ea7877ab6e137c01f68d077feac68a37338300c5826a6348537b27969f192d9"
 
 
@@ -63,12 +63,16 @@ def test_sim_p2k2_run_matches_its_golden_digest(tmp_path, monkeypatch):
         "mcvi", "qmcvi", "yoasovi-naive", "yoasovi-metropolis"]
     run_matrix(matrix, tmp_path, clock=TickClock())
     h = hashlib.sha256()
+    parts = {}  # each hashed part's own sha256, printed on a mismatch
     for path in sorted((tmp_path / "traces").glob("*.csv")) + [tmp_path / "summary.csv"]:
         h.update(path.name.encode() + b"\0" + path.read_bytes())
-    for lam in lambdas:
+        parts[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for i, lam in enumerate(lambdas):
         h.update(lam.m.tobytes() + lam.log_s.tobytes())
+        parts[f"final_lambda[{i}]"] = hashlib.sha256(lam.m.tobytes() + lam.log_s.tobytes()).hexdigest()
     assert len(lambdas) == 8
-    assert h.hexdigest() == RUN_DIGEST, versions()
+    assert h.hexdigest() == RUN_DIGEST, "\n".join(
+        [versions(), "sha256 of each hashed part:", *(f"  {k} {v}" for k, v in parts.items())])
 
 
 FLAG_ARGVS = [*(["--method", m] for m in ("mcvi", "qmcvi", "yoasovi-naive",
