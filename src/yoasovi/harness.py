@@ -303,18 +303,23 @@ def build_matrix(cfg: dict) -> tuple[ExperimentMatrix, dict]:
     """ExperimentMatrix and options (jobs, out) from load_config's sections.
     Each experiment.methods entry is merged over run, temper one level deep,
     and its seed is ignored (replicates seed from base_seed, else run.seed);
-    the rest of experiment is ExperimentMatrix's keywords."""
+    its optional label names its cells and defaults to the method, so two
+    entries of one method need two labels.  The rest of experiment is
+    ExperimentMatrix's keywords."""
     name, spec, data = resolve_data(cfg["data"], cfg["model"])
     exp, run_sec = dict(cfg["experiment"]), dict(cfg["run"])
     temper = run_sec.pop("temper", None) or {}
     exp.setdefault("base_seed", run_sec.pop("seed", 0))
     methods = []
     for entry in map(dict, exp.pop("methods", None) or [{}]):
+        label = entry.pop("label", None)
+        if label is not None and not (isinstance(label, str) and label and "/" not in label):
+            raise ValueError(f"label must be a non-empty string without '/', got {label!r}")
         schedule = _keywords(TemperatureSchedule, "temper",
                              {**temper, **(entry.pop("temper", None) or {})})
         template = _keywords(RunConfig, "run", {**run_sec, **entry, "seed": 0},
                              schedule=schedule, model=spec)
-        methods.append((template.method, template))
+        methods.append((label or template.method, template))
     jobs, out = exp.pop("jobs", 1), exp.pop("out", "results")
     require_number("jobs", jobs, integral=True, minimum=1)
     if not isinstance(out, str):

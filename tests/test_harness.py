@@ -107,6 +107,26 @@ def test_duplicate_method_labels_are_rejected():
                      methods=(("mcvi", quick_template(method="mcvi")),), replicates=1)
 
 
+def test_labelled_entries_of_one_method_share_a_matrix(tmp_path):
+    """An experiment.methods label names the entry's cells, so mcvi at
+    S=100 and at S=10 each get their own trace files and summary row."""
+    cfg = {"model": {}, "run": {"method": "mcvi", "learning_rate": 5e-7, "max_iters": 3},
+           "data": {"preset": "sim-p2k2", "n": 60},
+           "experiment": {"methods": [{"samples": 100, "label": "mcvi-S100"},
+                                      {"samples": 10, "label": "mcvi-S10"}],
+                          "replicates": 2}}
+    matrix, _ = build_matrix(cfg)
+    assert [(label, t.method, t.samples) for label, t in matrix.methods] == [
+        ("mcvi-S100", "mcvi", 100), ("mcvi-S10", "mcvi", 10)]
+    rows = run_matrix(matrix, tmp_path, clock=FakeClock())
+    traces = {p.name for p in (tmp_path / "traces").glob("*.csv")}
+    assert traces == {f"sim-p2k2__mcvi-S{S}__r{r}.csv" for S in (100, 10) for r in (0, 1)}
+    assert [(r.method, r.runs, r.errors) for r in rows] == [("mcvi-S100", 2, 0),
+                                                           ("mcvi-S10", 2, 0)]
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        assert [row["method"] for row in csv.DictReader(fh)] == ["mcvi-S100", "mcvi-S10"]
+
+
 def test_replicate_seeds_offset_from_base(tmp_path):
     spec, data = make_preset("sim-p2k2", N=60)
     matrix = ExperimentMatrix(datasets=(("sim-p2k2", spec, data),),
@@ -606,6 +626,22 @@ def test_cli_config_error_is_one_line_and_exit_2(tmp_path, case):
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("yoasovi run: error: "), res.stderr
     assert named in lines[0]
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("label", ["", "runs/mcvi", 7])
+def test_cli_bad_method_label_is_one_line_and_exit_2(tmp_path, label):
+    """A label names trace files, so it must be a non-empty string without
+    a path separator."""
+    cfg = write_quick_config(tmp_path)
+    bad = yaml.safe_load(cfg.read_text())
+    bad["experiment"]["methods"] = [{"method": "mcvi", "samples": 10, "label": label}]
+    cfg.write_text(yaml.safe_dump(bad))
+    res = cli("run", "--config", str(cfg))
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("yoasovi run: error: label "), res.stderr
+    assert repr(label) in lines[0]
     assert not (tmp_path / "res").exists()
 
 
