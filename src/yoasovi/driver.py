@@ -17,6 +17,7 @@ the clock is the one quantity a seed cannot pin down.
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,16 +112,12 @@ def build_gmm_problem(spec: GmmSpec, data: Dataset,
     if data.p != spec.p:
         raise ValueError(f"data dimension {data.p} does not match spec p={spec.p}")
 
-    def target(z: np.ndarray) -> float:
-        return gmm.unconstrained_log_joint(spec, data, z)
-
-    def init(rng: np.random.Generator) -> VariationalParams:
-        return initial_params(spec, data, rng, kmeans_style=kmeans_style_init)
-
     def dic(lam: VariationalParams, rng: np.random.Generator) -> float:
         return gmm.dic(spec, data, posterior_draw_set(lam, DIC_DRAWS, spec, rng))
 
-    return Problem(target=target, init=init, dic=dic)
+    return Problem(target=partial(gmm.unconstrained_log_joint, spec, data),
+                   init=partial(initial_params, spec, data, kmeans_style=kmeans_style_init),
+                   dic=dic)
 
 
 def run(config: RunConfig, data: Dataset, clock: Callable[[], float] | None = None) -> RunTrace:
@@ -212,4 +209,4 @@ def posterior_draw_set(lam: VariationalParams, n_draws: int, spec: GmmSpec,
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     u = clamp(rng.random((n_draws, lam.dim)))
-    return constrain(sample(lam, u).z, spec)[0]
+    return constrain(sample(lam, u).z, spec)

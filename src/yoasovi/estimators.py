@@ -25,18 +25,15 @@ class GradientSample:
     elbo: float
     lam: VariationalParams = field(repr=False, compare=False)
     z: np.ndarray = field(repr=False, compare=False)
-    w: list[float] = field(repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def grad(self) -> np.ndarray:
-        # score stays quiet like log_q; a non-finite score still ends the
-        # update with a NumericError
+        # score stays quiet like log_q; a non-finite gradient still ends the
+        # update with a NumericError.  The sum over axis 0 adds the draws'
+        # rows in draw order.
         with np.errstate(all="ignore"):
-            sc = score(self.lam, self.z)
-        grad = np.zeros(2 * self.lam.dim)
-        for s, w in enumerate(self.w):
-            grad += sc[s] * w
-        return grad / len(self.w)
+            return (score(self.lam, self.z) * self.w[:, None]).sum(axis=0) / len(self.w)
 
 
 def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
@@ -60,7 +57,6 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
     with np.errstate(all="ignore"):
         lq = log_q(lam, z)
     ws = []
-    elbo = 0.0
     for s in range(S):
         if not finite[s]:
             raise NumericError(f"draw {s + 1} of {S} overflowed the sampling transform")
@@ -68,8 +64,7 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
         if not math.isfinite(w):
             raise NumericError(f"non-finite integrand ({w}) at draw {s + 1} of {S}, z={z[s]}")
         ws.append(w)
-        elbo += w
-    return GradientSample(elbo=elbo / S, lam=lam, z=z, w=ws)
+    return GradientSample(elbo=sum(ws) / S, lam=lam, z=z, w=np.array(ws))
 
 
 def update_step(lam: VariationalParams, grad: np.ndarray, rho: float) -> VariationalParams:

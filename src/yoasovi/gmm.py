@@ -271,8 +271,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     files); it requires a header row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(c.strip() for c in r)]
+        reader = csv.reader(fh)
+        # blank rows are skipped; messages name a row by its line in the file
+        rows = [(reader.line_num, r) for r in reader if r and any(c.strip() for c in r)]
     if not rows:
         raise ParseError(f"{path}: empty file")
 
@@ -284,8 +285,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             return False
 
     header = None
-    if not all(numeric(c) for c in rows[0]):
-        header = [c.strip() for c in rows[0]]
+    if not all(numeric(c) for c in rows[0][1]):
+        header = [c.strip() for c in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
@@ -296,10 +297,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             raise ParseError(f"{path}: label column {label_column!r} not found in header")
         drop = header.index(label_column)
 
-    width = len(rows[0]) if header is None else len(header)
+    width = len(rows[0][1]) if header is None else len(header)
     values = []
-    for i, row in enumerate(rows):
-        rownum = i + 1 + (1 if header is not None else 0)
+    for rownum, row in rows:
         if len(row) != width:
             raise ParseError(f"{path}: row {rownum} has {len(row)} cells, expected {width}")
         out = []

@@ -2,10 +2,13 @@
 
 q(z | lambda) is a product of independent Gaussians with parameters
 lambda = (m, log_s).  Model parameters with constraints (simplex weights,
-positive sds) are reached through a deterministic transform with a tracked
-log Jacobian determinant, so the ELBO integrand is
+positive sds) are reached through the deterministic transform constrain,
+so the ELBO integrand is
 
-    log p(y, constrain(z)) + log|J(z)| - log q(z | lambda).
+    log p(y, constrain(z)) + log|J(z)| - log q(z | lambda),
+
+and gmm.unconstrained_log_joint scores its first two terms in z's own
+coordinates.
 """
 
 from dataclasses import dataclass, field
@@ -59,26 +62,22 @@ class ParamDraw:
     z: np.ndarray
 
 
-def constrain(z: np.ndarray, spec: GmmSpec) -> tuple[GmmParams, np.ndarray]:
-    """Unconstrained vectors to GmmParams plus the log |Jacobian| of the map,
-    row by row: z of shape (..., n_unconstrained) gives params with the same
-    leading axes and an ldj of the leading shape.
+def constrain(z: np.ndarray, spec: GmmSpec) -> GmmParams:
+    """Unconstrained vectors to GmmParams, row by row: z of shape
+    (..., n_unconstrained) gives params with the same leading axes.
 
     z's layout and the map are gmm.split_unconstrained's: weights from a
     softmax over the K-1 free logits with the last category pinned at logit
-    0, sds from exp.  The weight-block Jacobian determinant is the product
-    of all K weights, the sd block contributes each log sd.  A non-finite z
-    or an sd that underflows to 0 raises NumericError.
+    0, sds from exp.  A non-finite z or an sd that underflows to 0 raises
+    NumericError.
     """
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise NumericError("non-finite unconstrained vector")
-    # a weight that underflows to 0 gives ldj = -inf, an sd that overflows
-    # gives inf; the log joint rejects both as non-finite
-    with np.errstate(divide="ignore", over="ignore"):
-        weights, means, log_sds, sds = split_unconstrained(spec, z)
-        ldj = np.log(weights).sum(axis=-1) + log_sds.sum(axis=(-2, -1))
-    return GmmParams(weights=weights, means=means.copy(), sds=sds), ldj
+    # an sd that overflows is inf; log_joint rejects it as non-finite
+    with np.errstate(over="ignore"):
+        weights, means, _, sds = split_unconstrained(spec, z)
+    return GmmParams(weights=weights, means=means.copy(), sds=sds)
 
 
 def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
@@ -96,8 +95,7 @@ def log_q(lam: VariationalParams, z: np.ndarray):
     """log q(z | lam), row by row: z of shape (..., dim) gives an array of
     the leading shape, and a float for one draw."""
     z = np.asarray(z, dtype=float)
-    out = (_LOG_NORM - lam.log_s - (z - lam.m) ** 2 / lam.two_var).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return (_LOG_NORM - lam.log_s - (z - lam.m) ** 2 / lam.two_var).sum(axis=-1)
 
 
 def score(lam: VariationalParams, z: np.ndarray) -> np.ndarray:

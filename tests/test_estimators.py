@@ -129,7 +129,7 @@ def test_estimate_is_bit_identical_to_the_per_draw_loop(kind, S):
             assert np.array_equal(got.grad, grad)
 
 
-@pytest.mark.parametrize("S", [1, 10])
+@pytest.mark.parametrize("S", [1, 10, 100])
 def test_grad_read_later_is_the_eager_sum(S):
     """grad, computed when first read, is bit for bit the sum an eager
     estimate formed: one row-wise score, accumulated in draw order."""

@@ -239,7 +239,8 @@ def test_unconstrained_log_joint_rows_are_per_row_calls_and_the_constrained_path
     assert got.shape == (len(z),)
     assert list(got) == [unconstrained_log_joint(spec, data, row) for row in z]
     for row, value in zip(z, got):
-        params, ldj = constrain(row, spec)
+        params = constrain(row, spec)
+        ldj = np.log(params.weights).sum() + np.log(params.sds).sum()
         want = log_joint(spec, data, params) + ldj
         assert abs(value - want) <= 1e-12 * abs(want)
 
@@ -389,17 +390,20 @@ def test_load_csv_label_without_header_fails(tmp_path):
 
 
 def test_load_csv_reports_bad_cell_position(tmp_path):
+    """A row is named by its line in the file, blank lines included."""
     f = tmp_path / "bad.csv"
-    f.write_text("x,y\n1.0,2.0\n3.0,oops\n")
-    with pytest.raises(ParseError, match=r"row 3, column 2"):
-        load_csv(f)
+    for text, row in [("x,y\n1.0,2.0\n3.0,oops\n", 3), ("a,b\n1,2\n\n3,4\n5,x\n", 5)]:
+        f.write_text(text)
+        with pytest.raises(ParseError, match=rf"row {row}, column 2"):
+            load_csv(f)
 
 
 def test_load_csv_reports_ragged_row(tmp_path):
     f = tmp_path / "ragged.csv"
-    f.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(ParseError, match=r"row 2"):
-        load_csv(f)
+    for text, row in [("1.0,2.0\n3.0\n", 2), ("1,2\n\n\n3\n", 4)]:
+        f.write_text(text)
+        with pytest.raises(ParseError, match=rf"row {row} has 1 cells"):
+            load_csv(f)
 
 
 def test_load_csv_empty_file(tmp_path):
