@@ -5,7 +5,7 @@ single-draw acceptance sampling with tempering and early stopping."""
 from .acceptance import TemperatureSchedule, accept_probability, decide, temperature
 from .driver import (METHODS, Problem, RunConfig, RunTrace, build_gmm_problem,
                      final_elbo, posterior_draw_set, run, run_problem)
-from .errors import DegenerateReferenceError, NumericError, ParseError
+from .errors import NumericError, ParseError
 from .estimators import GradientSample, estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec, dic, load_csv, log_joint, simulate
 from .harness import ExperimentMatrix, SummaryRow, make_preset, run_matrix

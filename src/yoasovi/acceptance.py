@@ -14,7 +14,7 @@ where metropolis is strictly more forgiving.
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateReferenceError, require_positive
+from .errors import NumericError, require_positive
 
 # rule -> acceptance probability at a relative gain g < 0
 RULES = {"naive": lambda g: max(0.0, 1.0 + g),
@@ -53,8 +53,8 @@ def accept_probability(kind: str, M: float, L_new: float, L_prev: float) -> floa
 
     L_prev must be finite and nonzero, or -inf (the fresh-start sentinel,
     which accepts anything).  A reference of exactly zero leaves the
-    relative gain undefined and is reported as such rather than silently
-    patched.
+    relative gain undefined: a NumericError, like any other non-finite
+    quantity a run meets, rather than a silent patch.
     """
     if kind not in RULES:
         raise ValueError(f"unknown acceptance rule {kind!r}")
@@ -65,8 +65,7 @@ def accept_probability(kind: str, M: float, L_new: float, L_prev: float) -> floa
     if L_prev == -math.inf:
         return 1.0
     if L_prev == 0.0:
-        raise DegenerateReferenceError(
-            "reference ELBO is exactly zero; relative gain is undefined")
+        raise NumericError("reference ELBO is exactly zero; relative gain is undefined")
     if not math.isfinite(L_prev):
         raise ValueError(f"reference ELBO must be finite or -inf, got {L_prev}")
     if L_new >= L_prev:

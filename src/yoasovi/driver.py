@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gmm
 from .acceptance import TemperatureSchedule, decide, temperature
-from .errors import DegenerateReferenceError, NumericError, require_number, require_positive
+from .errors import NumericError, require_number, require_positive
 from .estimators import estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec
 from .meanfield import VariationalParams, constrain, initial_params, sample
@@ -162,7 +162,7 @@ def run_problem(config: RunConfig, problem: Problem,
             if accepted:
                 lam = update_step(lam, est.grad, config.learning_rate)
                 L_prev = est.elbo
-        except (NumericError, DegenerateReferenceError) as exc:
+        except NumericError as exc:
             error = f"aborted at iteration {t}: {exc}"
             break
         records.append(IterationRecord(t=t, elapsed_s=clock() - t0,

@@ -9,10 +9,6 @@ class NumericError(RuntimeError):
     """A non-finite quantity appeared where a finite one is required."""
 
 
-class DegenerateReferenceError(ValueError):
-    """The acceptance rule was given a reference ELBO of exactly zero."""
-
-
 class ParseError(ValueError):
     """A data or config file could not be parsed; message carries the location."""
 

@@ -29,11 +29,12 @@ class GradientSample:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        # score stays quiet like log_q; a non-finite gradient still ends the
-        # update with a NumericError.  The sum over axis 0 adds the draws'
-        # rows in draw order.
+        sc = score(self.lam, self.z)
+        # an overflowing weighted sum stays quiet; a non-finite gradient
+        # still ends the update with a NumericError.  The sum over axis 0
+        # adds the draws' rows in draw order.
         with np.errstate(all="ignore"):
-            return (score(self.lam, self.z) * self.w[:, None]).sum(axis=0) / len(self.w)
+            return (sc * self.w[:, None]).sum(axis=0) / len(self.w)
 
 
 def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
@@ -51,11 +52,7 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
         raise ValueError("S must be >= 1")
     z = sample(lam, src.next_point(S)).z
     finite = np.isfinite(z).all(axis=-1)
-    # log_q runs ahead of the target calls, so it stays quiet on draws a
-    # raising target call would never reach; a non-finite log_q still ends
-    # the estimate with a NumericError.
-    with np.errstate(all="ignore"):
-        lq = log_q(lam, z)
+    lq = log_q(lam, z)
     ws = []
     for s in range(S):
         if not finite[s]:

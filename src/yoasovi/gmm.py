@@ -107,15 +107,11 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
     Where that maximum is not finite the values are left unshifted, so the
     result is the same inf or nan as scipy.special.logsumexp gives, and no
-    inf - inf is ever formed."""
+    inf - inf is ever formed.  An all -inf slice sums to 0: the caller's
+    errstate ignores the log's divide."""
     m = a.max(axis=axis, keepdims=True)
-    finite = np.isfinite(m)
-    if finite.all():
-        # the maximum adds exp(0) = 1 to every sum, so log never sees 0
-        return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
-    m[~finite] = 0.0
-    with np.errstate(divide="ignore"):  # an all -inf slice sums to 0
-        return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
+    m[~np.isfinite(m)] = 0.0
+    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
 def split_unconstrained(spec: GmmSpec, z: np.ndarray):
@@ -320,14 +316,19 @@ def dic(spec: GmmSpec, data: Dataset, draws: GmmParams) -> float:
     """Deviance information criterion of posterior draws stacked on one
     leading axis: mean deviance plus effective parameter count, with
     D(theta) = -2 * log likelihood (no prior) and the plug-in point the
-    draw-wise mean parameter (weights re-normalized)."""
+    draw-wise mean parameter (weights re-normalized).  A mean that
+    overflows stays quiet, and a non-finite DIC raises NumericError."""
     if draws.weights.ndim != 2 or len(draws.weights) < 2:
         raise ValueError("DIC needs at least 2 posterior draws stacked on one leading "
                          f"axis, got weights of shape {draws.weights.shape}")
-    devs = -2.0 * log_likelihood(spec, data, draws)
-    w_bar = draws.weights.mean(axis=0)
-    theta_bar = GmmParams(weights=w_bar / w_bar.sum(), means=draws.means.mean(axis=0),
-                          sds=draws.sds.mean(axis=0))
-    d_bar = float(devs.mean())
+    with np.errstate(over="ignore"):
+        devs = -2.0 * log_likelihood(spec, data, draws)
+        w_bar = draws.weights.mean(axis=0)
+        theta_bar = GmmParams(weights=w_bar / w_bar.sum(), means=draws.means.mean(axis=0),
+                              sds=draws.sds.mean(axis=0))
+        d_bar = float(devs.mean())
     p_d = d_bar - (-2.0 * float(log_likelihood(spec, data, theta_bar)))
-    return d_bar + p_d
+    out = d_bar + p_d
+    if not math.isfinite(out):
+        raise NumericError(f"DIC is non-finite ({out})")
+    return out

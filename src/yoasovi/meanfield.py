@@ -93,16 +93,20 @@ def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
 
 def log_q(lam: VariationalParams, z: np.ndarray):
     """log q(z | lam), row by row: z of shape (..., dim) gives an array of
-    the leading shape, and a float for one draw."""
+    the leading shape, and a float for one draw.  A far draw gives inf or
+    nan without a warning; estimate rejects a non-finite integrand."""
     z = np.asarray(z, dtype=float)
-    return (_LOG_NORM - lam.log_s - (z - lam.m) ** 2 / lam.two_var).sum(axis=-1)
+    with np.errstate(all="ignore"):
+        return (_LOG_NORM - lam.log_s - (z - lam.m) ** 2 / lam.two_var).sum(axis=-1)
 
 
 def score(lam: VariationalParams, z: np.ndarray) -> np.ndarray:
     """Gradient of log_q with respect to (m, log_s), concatenated, row by
-    row: z of shape (..., dim) gives shape (..., 2 * dim)."""
+    row: z of shape (..., dim) gives shape (..., 2 * dim).  A far draw gives
+    inf or nan without a warning; update_step rejects a non-finite step."""
     d = np.asarray(z, dtype=float) - lam.m
-    return np.concatenate([d * lam.inv_var, d ** 2 * lam.inv_var - 1.0], axis=-1)
+    with np.errstate(all="ignore"):
+        return np.concatenate([d * lam.inv_var, d ** 2 * lam.inv_var - 1.0], axis=-1)
 
 
 def initial_params(spec: GmmSpec, data, rng: np.random.Generator,

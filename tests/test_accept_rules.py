@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yoasovi.acceptance import TemperatureSchedule, accept_probability, decide, temperature
-from yoasovi.errors import DegenerateReferenceError
+from yoasovi.errors import NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_unknown_rule_kind_rejected():
 
 
 def test_zero_reference_is_degenerate():
-    with pytest.raises(DegenerateReferenceError):
+    with pytest.raises(NumericError, match="exactly zero"):
         accept_probability("naive", 1.0, -5.0, 0.0)
 
 

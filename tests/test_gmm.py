@@ -124,6 +124,15 @@ def test_log_joint_raises_on_non_finite():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=r"^log joint is non-finite \(nan\)"):
             log_joint(spec, Dataset(np.array([[1e200]])), params)
+    # an all -inf row through the run's target: log sds at -400 square every
+    # residual to inf, for one vector and for a stack
+    spec = GmmSpec(K=2, p=1)
+    z = np.array([0.0, 0.0, 0.0, -400.0, -400.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (z, np.stack([z, z])):
+            with pytest.raises(NumericError, match=r"^log joint is non-finite \(.*-inf"):
+                unconstrained_log_joint(spec, Dataset(np.array([[1.0], [2.0]])), rows)
 
 
 def test_logsumexp_non_finite_rows_match_scipy():
@@ -134,7 +143,8 @@ def test_logsumexp_non_finite_rows_match_scipy():
                   [nan, 0.0, 1.0],
                   [-inf, 2.0, -inf],
                   [700.0, 710.0, -1e300]])
-    with warnings.catch_warnings():
+    # both callers ignore the log's divide on an all -inf row
+    with warnings.catch_warnings(), np.errstate(divide="ignore"):
         warnings.simplefilter("error")
         got = _logsumexp(a, axis=1)
     want = logsumexp(a, axis=1)
@@ -464,6 +474,34 @@ def test_dic_matches_brute_force():
     d_bar = float(np.mean(devs))
     want = 2.0 * d_bar + 2.0 * oracle_log_likelihood(spec, data, theta_bar)
     assert dic(spec, data, stack(draws)) == pytest.approx(want, rel=1e-12)
+
+
+def test_dic_stays_quiet_when_the_plug_in_sd_overflows():
+    """Two draws whose second sd is 1e308 average to an inf plug-in sd:
+    that component drops out of D(theta_bar) without a warning, and DIC is
+    the first component's deviance, p_D being 0 to rounding."""
+    spec = GmmSpec(K=2, p=1)
+    data = Dataset(np.array([[0.0], [1.0]]))
+    draw = GmmParams(weights=np.array([0.5, 0.5]), means=np.zeros((2, 1)),
+                     sds=np.array([[1.0], [1e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dic(spec, data, stack([draw, draw]))
+    want = -2.0 * sum(math.log(0.5) + stats.norm.logpdf(y) for y in (0.0, 1.0))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_dic_raises_numeric_error_when_non_finite():
+    """Draws whose log sds sit at -400 have a -inf likelihood, so D-bar and
+    D(theta_bar) are both inf and DIC would be nan: a NumericError, without
+    a warning, as the run's target gives at the same z."""
+    spec = GmmSpec(K=1, p=1)
+    draw = GmmParams(weights=np.array([1.0]), means=np.array([[0.0]]),
+                     sds=np.array([[math.exp(-400.0)]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^DIC is non-finite \(nan\)$"):
+            dic(spec, Dataset(np.array([[1.0]])), stack([draw, draw]))
 
 
 def test_dic_rejects_draws_of_differing_shapes():

@@ -534,7 +534,9 @@ experiment: {{replicates: 2, base_seed: 0, out: {tmp_path / "res"}}}
 
 
 def cli(*argv):
-    return subprocess.run([sys.executable, "-m", "yoasovi.cli", *argv],
+    # the RuntimeWarning policy of pyproject's filterwarnings, in the child too
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "yoasovi.cli",
+                           *argv],
                           capture_output=True, text=True)
 
 

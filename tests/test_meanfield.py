@@ -300,13 +300,21 @@ def test_cached_lambda_terms_give_the_inline_expressions():
 
 def test_lambda_at_extreme_log_s_builds_quietly_and_updates_stay_checked():
     """exp(2 * 700) overflows and exp(-2 * 700) is 0: neither warns, while
-    an update to a non-finite lambda is still a NumericError."""
+    an update to a non-finite lambda is still a NumericError.  log_q and
+    score at far draws overflow their squares quietly, to non-finite
+    values that estimate and update_step reject."""
+    far = np.array([1e200, -1e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lam in _lambdas():
             with pytest.raises(NumericError,
                                match="^parameter update produced non-finite values$"):
                 update_step(lam, np.full(2 * lam.dim, 1e308), rho=1e308)
+            z = np.repeat(far[:, None], lam.dim, axis=1)
+            assert not np.isfinite(log_q(lam, z)).any()
+            assert not np.isfinite(log_q(lam, z[0]))
+            assert not np.isfinite(score(lam, z)).all(axis=-1).any()
+            assert not np.isfinite(score(lam, z[1])).all()
 
 
 # ---------------------------------------------------------------------------
