@@ -5,8 +5,10 @@ yoasovi trajectory --trace out/traces/run.csv --horizon 5 --out traj.csv
 
 A run setting comes from its flag, else the kept experiment.methods entry,
 else the run section, else the RunConfig default; temper merges one level
-deep.  --method keeps only its own entries; a single-draw one implies
---samples 1.  The run command exits 1 when every replicate of some
+deep.  --method keeps the entries that run it (by their own method, else
+run.method); a single-draw one implies --samples 1.  --data and --preset
+replace only the source key of a source of their own kind, else the whole
+data section.  The run command exits 1 when every replicate of some
 dataset x method cell failed; either command exits 2 with one stderr line
 on input it cannot use, such as an unknown config section or key, or an
 output file it cannot write.
@@ -23,8 +25,8 @@ from .harness import (any_cell_failed, build_matrix, emit_trajectory, format_tab
 
 
 # Run flag (argparse dest; --max-iters for max_iters) -> (section, key,
-# add_argument keywords).  A "run" or "temper" (the run section's temper
-# mapping) flag also drops its key from every kept entry.
+# add_argument keywords).  A "run" or "temper" (the temper mapping) flag is
+# written into the run section and into every kept entry alike.
 RUN_FLAGS = {
     "samples": ("run", "samples", {"type": int, "help": "draws per iteration"}),
     "temper": ("temper", "kind", {"choices": SCHEDULES}),
@@ -66,24 +68,22 @@ def apply_overrides(cfg: dict, args) -> dict:
     run_sec = cfg.setdefault("run", {})
     exp = cfg.setdefault("experiment", {})
     flags = {dest: getattr(args, dest) for dest in RUN_FLAGS}
-    exp["methods"] = [m for m in exp.pop("methods", None) or []
-                      if args.method in (None, m.get("method"))]
+    exp["methods"] = [m for m in exp.get("methods") or []
+                      if args.method in (None, m.get("method", run_sec.get("method")))]
     if args.method:
         run_sec["method"] = args.method
         if METHODS[args.method].rule and args.samples is None:
             flags["samples"] = 1
     if args.data or args.preset:
-        cfg["data"] = {"csv": args.data} if args.data else {"preset": args.preset}
+        kind, source = ("csv", args.data) if args.data else ("preset", args.preset)
+        data = cfg.get("data") or {}
+        cfg["data"] = {**data, kind: source} if kind in data else {kind: source}
     for dest, (section, key, _) in RUN_FLAGS.items():
         if flags[dest] is None:
             continue
-        if section == "experiment":
-            exp[key] = flags[dest]
-            continue
-        for entry in exp["methods"]:
-            ((entry.get("temper") or {}) if section == "temper" else entry).pop(key, None)
-        owner = run_sec.setdefault("temper", {}) if section == "temper" else run_sec
-        owner[key] = flags[dest]
+        owners = [exp] if section == "experiment" else [run_sec, *exp["methods"]]
+        for owner in owners:
+            (owner.setdefault("temper", {}) if section == "temper" else owner)[key] = flags[dest]
     return cfg
 
 

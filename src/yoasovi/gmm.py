@@ -316,8 +316,9 @@ def dic(spec: GmmSpec, data: Dataset, draws: GmmParams) -> float:
     """Deviance information criterion of posterior draws stacked on one
     leading axis: mean deviance plus effective parameter count, with
     D(theta) = -2 * log likelihood (no prior) and the plug-in point the
-    draw-wise mean parameter (weights re-normalized).  A mean that
-    overflows stays quiet, and a non-finite DIC raises NumericError."""
+    draw-wise mean parameter (weights re-normalized).  The means stay quiet;
+    a plug-in mean or sd that overflows, or a non-finite DIC, raises
+    NumericError."""
     if draws.weights.ndim != 2 or len(draws.weights) < 2:
         raise ValueError("DIC needs at least 2 posterior draws stacked on one leading "
                          f"axis, got weights of shape {draws.weights.shape}")
@@ -327,6 +328,8 @@ def dic(spec: GmmSpec, data: Dataset, draws: GmmParams) -> float:
         theta_bar = GmmParams(weights=w_bar / w_bar.sum(), means=draws.means.mean(axis=0),
                               sds=draws.sds.mean(axis=0))
         d_bar = float(devs.mean())
+    if not (np.isfinite(theta_bar.means).all() and np.isfinite(theta_bar.sds).all()):
+        raise NumericError("DIC's plug-in point has a non-finite mean or sd")
     p_d = d_bar - (-2.0 * float(log_likelihood(spec, data, theta_bar)))
     out = d_bar + p_d
     if not math.isfinite(out):

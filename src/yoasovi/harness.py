@@ -10,7 +10,7 @@ import concurrent.futures
 import csv
 import inspect
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,22 +73,22 @@ class ExperimentMatrix:
                 cells.add((ds_name, label))
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    dataset: str
-    method: str
-    runs: int
-    errors: int
-    iterations_mean: float
-    iterations_sd: float
-    seconds_mean: float
-    seconds_sd: float
-    elbo_mean: float | None
-    elbo_sd: float | None
-    dic_mean: float | None
-    dic_sd: float | None
-    converged_frac: float
+# summary.csv stem -> (RunSummary field, stdout column title, width, decimals).
+# Each stem gives SummaryRow a <stem>_mean and a <stem>_sd over a cell's
+# finished runs, in this order.
+SUMMARY_STATS = {
+    "iterations": ("iterations", "iters", 14, 1),
+    "seconds": ("wall_seconds", "seconds", 16, 3),
+    "elbo": ("final_elbo", "elbo", 22, 1),
+    "dic": ("dic", "dic", 22, 1),
+}
 
+SummaryRow = make_dataclass(
+    "SummaryRow",
+    [("dataset", str), ("method", str), ("runs", int), ("errors", int),
+     *((f"{stem}_{stat}", float | None) for stem in SUMMARY_STATS for stat in ("mean", "sd")),
+     ("converged_frac", float)],
+    frozen=True, namespace={"__module__": __name__})  # so rows pickle by name
 
 SUMMARY_FIELDS = [f.name for f in fields(SummaryRow)]
 
@@ -142,17 +142,12 @@ def _stats(values) -> tuple[float | None, float | None]:
 
 def _summarise_cell(dataset: str, method: str, cell: list[RunSummary]) -> SummaryRow:
     ok = [s for s in cell if s.error is None]
-    it_m, it_s = _stats([s.iterations for s in ok])
-    sec_m, sec_s = _stats([s.wall_seconds for s in ok])
-    el_m, el_s = _stats([s.final_elbo for s in ok])
-    dic_m, dic_s = _stats([s.dic for s in ok])
-    return SummaryRow(
-        dataset=dataset, method=method, runs=len(cell), errors=len(cell) - len(ok),
-        iterations_mean=it_m, iterations_sd=it_s,
-        seconds_mean=sec_m, seconds_sd=sec_s,
-        elbo_mean=el_m, elbo_sd=el_s, dic_mean=dic_m, dic_sd=dic_s,
-        converged_frac=sum(s.converged for s in cell) / len(cell),
-    )
+    stats = {}
+    for stem, (field, *_) in SUMMARY_STATS.items():
+        stats[f"{stem}_mean"], stats[f"{stem}_sd"] = _stats([getattr(s, field) for s in ok])
+    return SummaryRow(dataset=dataset, method=method, runs=len(cell),
+                      errors=len(cell) - len(ok), **stats,
+                      converged_frac=sum(s.converged for s in cell) / len(cell))
 
 
 def any_cell_failed(rows: list[SummaryRow]) -> bool:
@@ -205,20 +200,20 @@ def write_summary(rows: list[SummaryRow], path) -> None:
 
 
 def format_table(rows: list[SummaryRow]) -> str:
-    """Fixed-width summary for stdout."""
-    def ms(mean, sd, nd=1):
-        if mean is None:
-            return "-"
-        return f"{mean:.{nd}f} ({sd:.{nd}f})"
+    """Fixed-width summary for stdout: "mean (sd)" per statistic, "-" if none."""
+    def ms(row, stem, nd):
+        mean, sd = getattr(row, f"{stem}_mean"), getattr(row, f"{stem}_sd")
+        return "-" if mean is None else f"{mean:.{nd}f} ({sd:.{nd}f})"
 
-    header = f"{'dataset':<10} {'method':<20} {'iters':>14} {'seconds':>16} " \
-             f"{'elbo':>22} {'dic':>22} {'conv':>6} {'err':>4}"
+    header = " ".join([f"{'dataset':<10} {'method':<20}",
+                       *(f"{title:>{width}}" for _, title, width, _ in SUMMARY_STATS.values()),
+                       f"{'conv':>6} {'err':>4}"])
     out = [header, "-" * len(header)]
     for r in rows:
-        out.append(
-            f"{r.dataset:<10} {r.method:<20} {ms(r.iterations_mean, r.iterations_sd):>14} "
-            f"{ms(r.seconds_mean, r.seconds_sd, 3):>16} {ms(r.elbo_mean, r.elbo_sd):>22} "
-            f"{ms(r.dic_mean, r.dic_sd):>22} {r.converged_frac:>6.2f} {r.errors:>4}")
+        out.append(" ".join([
+            f"{r.dataset:<10} {r.method:<20}",
+            *(f"{ms(r, stem, nd):>{width}}" for stem, (_, _, width, nd) in SUMMARY_STATS.items()),
+            f"{r.converged_frac:>6.2f} {r.errors:>4}"]))
     return "\n".join(out)
 
 
@@ -302,7 +297,7 @@ def resolve_data(data_section: dict, model: dict) -> tuple[str, GmmSpec, Dataset
 def build_matrix(cfg: dict) -> tuple[ExperimentMatrix, dict]:
     """ExperimentMatrix and options (jobs, out) from load_config's sections.
     Each experiment.methods entry is merged over run, temper one level deep,
-    and its seed is ignored (replicates seed from base_seed, else run.seed);
+    and may not set seed (replicates seed from base_seed, else run.seed);
     its optional label names its cells and defaults to the method, so two
     entries of one method need two labels.  The rest of experiment is
     ExperimentMatrix's keywords."""
@@ -317,8 +312,8 @@ def build_matrix(cfg: dict) -> tuple[ExperimentMatrix, dict]:
             raise ValueError(f"label must be a non-empty string without '/', got {label!r}")
         schedule = _keywords(TemperatureSchedule, "temper",
                              {**temper, **(entry.pop("temper", None) or {})})
-        template = _keywords(RunConfig, "run", {**run_sec, **entry, "seed": 0},
-                             schedule=schedule, model=spec)
+        template = _keywords(RunConfig, "run", {**run_sec, **entry},
+                             seed=0, schedule=schedule, model=spec)
         methods.append((label or template.method, template))
     jobs, out = exp.pop("jobs", 1), exp.pop("out", "results")
     require_number("jobs", jobs, integral=True, minimum=1)

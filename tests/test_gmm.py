@@ -477,18 +477,17 @@ def test_dic_matches_brute_force():
 
 
 def test_dic_stays_quiet_when_the_plug_in_sd_overflows():
-    """Two draws whose second sd is 1e308 average to an inf plug-in sd:
-    that component drops out of D(theta_bar) without a warning, and DIC is
-    the first component's deviance, p_D being 0 to rounding."""
+    """Two draws whose second sd is 1e308 average to an inf plug-in sd, a
+    point outside the parameter space that would drop that component out
+    of D(theta_bar): a NumericError, without a warning."""
     spec = GmmSpec(K=2, p=1)
     data = Dataset(np.array([[0.0], [1.0]]))
     draw = GmmParams(weights=np.array([0.5, 0.5]), means=np.zeros((2, 1)),
                      sds=np.array([[1.0], [1e308]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = dic(spec, data, stack([draw, draw]))
-    want = -2.0 * sum(math.log(0.5) + stats.norm.logpdf(y) for y in (0.0, 1.0))
-    assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(NumericError, match="plug-in point has a non-finite mean or sd"):
+            dic(spec, data, stack([draw, draw]))
 
 
 def test_dic_raises_numeric_error_when_non_finite():

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import pickle
 import re
 import subprocess
 import sys
@@ -12,12 +13,12 @@ import yaml
 from yoasovi import harness
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.cli import apply_overrides, build_parser, main
-from yoasovi.driver import IterationRecord, RunConfig, run
+from yoasovi.driver import IterationRecord, RunConfig, RunSummary, run
 from yoasovi.errors import ParseError
 from yoasovi.harness import (ExperimentMatrix, any_cell_failed, build_matrix,
                              emit_trajectory, format_table, load_config,
-                             make_preset, read_trace, run_matrix, write_trace,
-                             write_trajectory)
+                             make_preset, read_trace, run_matrix, write_summary,
+                             write_trace, write_trajectory)
 
 
 class FakeClock:
@@ -223,6 +224,48 @@ def test_format_table_mentions_every_cell(tmp_path):
     assert "sim-p2k2" in table and "yoasovi-naive" in table
 
 
+def _summary(iterations, seconds, elbo, dic, converged=False, error=None):
+    return RunSummary(iterations=iterations, wall_seconds=seconds, final_elbo=elbo, dic=dic,
+                      converged=converged, density_evals=iterations, error=error)
+
+
+FIXED_CELLS = [  # finished; no accepted iteration and no DIC; all errors; a comma
+    ("sim-p2k2", "mcvi", [_summary(120, 1.25, -1234.5, 2470.0, converged=True),
+                          _summary(80, 0.75, -1240.25, 2480.5)]),
+    ("sim-p2k2", "yoasovi-naive", [_summary(3, 0.0125, None, None)]),
+    ("sim-p2k2", "big", [_summary(7, 0.5, None, None, error="NumericError: x")] * 2),
+    ("a,b", "qmcvi", [_summary(41, 2.0 / 3.0, -17.0 / 3.0, 11.0)]),
+]
+
+FIXED_TABLE = """\
+dataset    method                        iters          seconds                   elbo                    dic   conv  err
+-------------------------------------------------------------------------------------------------------------------------
+sim-p2k2   mcvi                   100.0 (20.0)    1.000 (0.250)          -1237.4 (2.9)           2475.2 (5.2)   0.50    0
+sim-p2k2   yoasovi-naive             3.0 (0.0)    0.013 (0.000)                      -                      -   0.00    0
+sim-p2k2   big                               -                -                      -                      -   0.00    2
+a,b        qmcvi                    41.0 (0.0)    0.667 (0.000)             -5.7 (0.0)             11.0 (0.0)   0.00    0"""
+
+FIXED_SUMMARY_CSV = """\
+dataset,method,runs,errors,iterations_mean,iterations_sd,seconds_mean,seconds_sd,elbo_mean,elbo_sd,dic_mean,dic_sd,converged_frac
+sim-p2k2,mcvi,2,0,100.0,20.0,1.0,0.25,-1237.375,2.875,2475.25,5.25,0.5
+sim-p2k2,yoasovi-naive,1,0,3.0,0.0,0.0125,0.0,,,,,0.0
+sim-p2k2,big,2,2,,,,,,,,,0.0
+"a,b",qmcvi,1,0,41.0,0.0,0.6666666666666666,0.0,-5.666666666666667,0.0,11.0,0.0,0.0
+"""
+
+
+def test_summary_table_csv_and_rows_are_pinned_for_fixed_cells(tmp_path):
+    rows = [harness._summarise_cell(*cell) for cell in FIXED_CELLS]
+    assert format_table(rows) == FIXED_TABLE
+    write_summary(rows, tmp_path / "summary.csv")
+    assert (tmp_path / "summary.csv").read_bytes() == FIXED_SUMMARY_CSV.encode()
+    assert repr(rows[1]) == (
+        "SummaryRow(dataset='sim-p2k2', method='yoasovi-naive', runs=1, errors=0, "
+        "iterations_mean=3.0, iterations_sd=0.0, seconds_mean=0.0125, seconds_sd=0.0, "
+        "elbo_mean=None, elbo_sd=None, dic_mean=None, dic_sd=None, converged_frac=0.0)")
+    assert pickle.loads(pickle.dumps(rows)) == rows
+
+
 # ---------------------------------------------------------------------------
 # trace file round trips
 
@@ -382,6 +425,47 @@ def test_method_flag_picks_matching_experiment_entry():
                                       {"method": "qmcvi", "samples": 10}]}}
     out = apply_overrides(cfg, _ns(method="qmcvi"))
     assert out["experiment"]["methods"] == [{"method": "qmcvi", "samples": 10}]
+
+
+def test_method_flag_keeps_entries_that_take_their_method_from_run():
+    """An entry without its own method runs run.method, so --method keeps it
+    when run.method matches and drops it when not."""
+    cfg = {"model": {}, "run": {"method": "mcvi", "learning_rate": 5e-7},
+           "data": {"preset": "sim-p2k2", "n": 60},
+           "experiment": {"methods": [{"samples": 100, "label": "big"},
+                                      {"samples": 10, "label": "small"},
+                                      {"method": "qmcvi", "samples": 5}]}}
+    def cells(*flags):
+        return {label: (t.method, t.samples) for label, t in templates(*flags, cfg=cfg).items()}
+    everything = {"big": ("mcvi", 100), "small": ("mcvi", 10), "qmcvi": ("qmcvi", 5)}
+    assert cells() == everything
+    assert cells("--method", "mcvi") == {"big": ("mcvi", 100), "small": ("mcvi", 10)}
+    assert cells("--method", "qmcvi") == {"qmcvi": ("qmcvi", 5)}
+    assert cells("--method", "yoasovi-naive") == {"yoasovi-naive": ("yoasovi-naive", 1)}
+
+
+def test_data_flag_on_a_csv_replaces_only_the_path(tmp_path):
+    """label_column stays, so the class column is still dropped (p=2, not 3)."""
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_text("x,y,species\n0.1,0.2,1\n0.3,0.4,2\n1.0,1.1,1\n")
+    cfg = {"run": {"method": "mcvi"},
+           "data": {"csv": str(tmp_path / "a.csv"), "label_column": "species"}}
+    out = apply_overrides(cfg, _ns(data=str(tmp_path / "b.csv")))
+    assert out["data"] == {"csv": str(tmp_path / "b.csv"), "label_column": "species"}
+    matrix, _ = build_matrix({"model": {"K": 2}, "experiment": {}, **out})
+    name, spec, data = matrix.datasets[0]
+    assert (name, spec.p, data.values.shape) == ("b", 2, (3, 2))
+
+
+def test_preset_flag_on_a_preset_replaces_only_the_name():
+    """n and seed stay, so --preset on n: 200 still fits 200 points."""
+    cfg = {"run": {"method": "mcvi"}, "data": {"preset": "sim-p2k2", "n": 200, "seed": 7}}
+    out = apply_overrides(cfg, _ns(preset="sim-p2k3"))
+    assert out["data"] == {"preset": "sim-p2k3", "n": 200, "seed": 7}
+    matrix, _ = build_matrix({"model": {}, "experiment": {}, **out})
+    name, spec, data = matrix.datasets[0]
+    assert (name, spec.K, data.N) == ("sim-p2k3", 3, 200)
+    np.testing.assert_array_equal(data.values, make_preset("sim-p2k3", N=200, seed=7)[1].values)
 
 
 # One precedence for run settings: flag, then the kept experiment.methods
@@ -581,6 +665,8 @@ _BAD_CONFIGS = {
     "label-column-with-preset": ("'label_column'", {
         "run": _RUN, "data": {"preset": "sim-p2k2", "label_column": "label"}}),
     "n-with-csv": ("'n'", {"run": _RUN, "data": {"csv": "pts.csv", "n": 2}}),
+    "seed-in-an-entry": ("'seed'", {"run": _RUN,
+                                    "experiment": {"methods": [{"samples": 10, "seed": 3}]}}),
     "unknown-experiment-key": ("'replicate'", {"run": _RUN,
                                                "experiment": {"replicate": 3}}),
     "section-not-a-mapping": ("section run", {"run": "mcvi"}),

@@ -1,5 +1,6 @@
 """The flag table in cli.py and the command lines the repo ships stay in
-step: every `yoasovi run` option goes through the table, and every argv
+step: every `yoasovi run` option goes through the table and is named in
+the README's "Command line" paragraph, and every argv
 in the README, scripts/run_sim_benchmarks.py and perfbench's matrix
 workload builds a matrix from each shipped config, with every flag it
 sets reaching every cell.  An unknown key in any section of a shipped
@@ -7,6 +8,7 @@ config, or an unknown section, is refused by name."""
 
 import argparse
 import importlib.util
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -73,11 +75,24 @@ def assert_every_flag_reaches_every_cell(argv: list[str]) -> None:
         assert got == [value] * len(got), dest
 
 
-def test_every_run_option_goes_through_the_flag_table():
+def run_actions() -> list[argparse.Action]:
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in sub.choices["run"]._actions} - {"help"}
+    return [a for a in sub.choices["run"]._actions if a.dest != "help"]
+
+
+def test_every_run_option_goes_through_the_flag_table():
+    dests = {a.dest for a in run_actions()}
     assert dests - NO_TABLE == set(RUN_FLAGS)
+
+
+def test_the_readme_command_line_paragraph_names_every_run_option():
+    """The paragraph that follows the first example under "Command line"
+    names each `yoasovi run` flag but --config, and no other."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    paragraph = section.split("```\n")[2].strip().split("\n\n")[0]
+    named = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph)) | {"--config"}
+    assert named == {o for a in run_actions() for o in a.option_strings}
 
 
 def test_the_readme_ships_a_run_example():
