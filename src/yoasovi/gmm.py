@@ -1,5 +1,5 @@
 """Gaussian mixture model with diagonal covariances: joint density, priors,
-simulation, CSV ingestion, and the DIC fit score.
+simulation, and the DIC fit score.
 
 Parameter layout is K mixture weights on the simplex, K mean vectors of
 length p, and K diagonal standard-deviation vectors of length p.  Priors:
@@ -17,14 +17,12 @@ coordinates, Jacobian term included.  It and log_likelihood share one
 likelihood kernel, and it and log_prior one prior formula.
 """
 
-import csv
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParseError, require_number, require_positive
+from .errors import NumericError, require_number, require_positive
 
 
 @dataclass(frozen=True)
@@ -257,59 +255,6 @@ def simulate(spec: GmmSpec, true_params: GmmParams, N: int, seed: int) -> Datase
     comps = rng.choice(spec.K, size=N, p=true_params.weights)
     values = true_params.means[comps] + rng.standard_normal((N, spec.p)) * true_params.sds[comps]
     return Dataset(values, name=f"sim-K{spec.K}-p{spec.p}-N{N}")
-
-
-def load_csv(path, label_column: str | None = None) -> Dataset:
-    """Read a rectangular numeric CSV, optional single header row.
-
-    If the first row contains any non-numeric cell it is treated as a header.
-    label_column names a header column to drop (class labels in benchmark
-    files); it requires a header row.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        # blank rows are skipped; messages name a row by its line in the file
-        rows = [(reader.line_num, r) for r in reader if r and any(c.strip() for c in r)]
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-
-    def numeric(cell):
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    header = None
-    if not all(numeric(c) for c in rows[0][1]):
-        header = [c.strip() for c in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: header but no data rows")
-
-    drop = None
-    if label_column is not None:
-        if header is None or label_column not in header:
-            raise ParseError(f"{path}: label column {label_column!r} not found in header")
-        drop = header.index(label_column)
-
-    width = len(rows[0][1]) if header is None else len(header)
-    values = []
-    for rownum, row in rows:
-        if len(row) != width:
-            raise ParseError(f"{path}: row {rownum} has {len(row)} cells, expected {width}")
-        out = []
-        for j, cell in enumerate(row):
-            if j == drop:
-                continue
-            try:
-                out.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell at row {rownum}, column {j + 1}: {cell!r}"
-                ) from None
-        values.append(out)
-    return Dataset(np.asarray(values), name=os.path.splitext(os.path.basename(path))[0])
 
 
 def dic(spec: GmmSpec, data: Dataset, draws: GmmParams) -> float:

@@ -1,15 +1,16 @@
 """Benchmark harness: simulated-data presets, the dataset x method x
-replicate matrix, trace and summary files, and trajectory extraction.
+replicate matrix, data, trace and summary files, and trajectory extraction.
 
-File formats are deliberately plain CSV.  Trace rows are written with
-repr() floats so that a rerun under the same seed and an injected clock
-reproduces the file byte for byte.
+File formats are deliberately plain CSV, read through one reader.  Floats
+are written in their shortest round-trip form, so a rerun under the same
+seed and an injected clock reproduces a trace file byte for byte.
 """
 
 import concurrent.futures
 import csv
 import inspect
 import math
+import operator
 from dataclasses import dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
@@ -19,9 +20,15 @@ import yaml
 from .acceptance import TemperatureSchedule
 from .driver import IterationRecord, RunConfig, RunSummary, RunTrace, run
 from .errors import ParseError, require_number
-from .gmm import Dataset, GmmParams, GmmSpec, load_csv, simulate
+from .gmm import Dataset, GmmParams, GmmSpec, simulate
 
-TRACE_FIELDS = ["iter", "elapsed_s", "elbo", "accepted", "M"]
+# Trace column -> cell parser, in IterationRecord field order: write_trace
+# writes a record's fields under these names and read_trace parses them back.
+TRACE_COLUMNS = {"iter": int, "elapsed_s": float, "elbo": float,
+                 "accepted": lambda cell: bool(int(cell)),
+                 "M": lambda cell: float(cell) if cell else None}
+TRACE_FIELDS = list(TRACE_COLUMNS)
+_record_cells = operator.attrgetter(*(f.name for f in fields(IterationRecord)))
 
 # Cluster geometry for the simulated benchmarks.  Component means sit at
 # hypercube corners distance 4 apart with unit sds, so the clusters overlap
@@ -54,7 +61,7 @@ class ExperimentMatrix:
     """datasets are (name, spec, data) triples; methods are (label, template)
     pairs whose model and seed fields get filled per run.  Replicate r of
     any cell runs under seed base_seed + r.  A (dataset, label) pair names
-    a cell's trace files, so each may appear only once."""
+    a cell's trace files, so it appears once and neither is empty or has '/'."""
 
     datasets: tuple
     methods: tuple
@@ -64,6 +71,10 @@ class ExperimentMatrix:
     def __post_init__(self):
         require_number("replicates", self.replicates, integral=True, minimum=1)
         require_number("base_seed", self.base_seed, integral=True, minimum=0)
+        for kind, name in [*(("dataset name", d[0]) for d in self.datasets),
+                           *(("label", m[0]) for m in self.methods)]:
+            if not (isinstance(name, str) and name and "/" not in name):
+                raise ValueError(f"{kind} must be a non-empty string without '/', got {name!r}")
         cells = set()
         for ds_name, _, _ in self.datasets:
             for label, _ in self.methods:
@@ -162,8 +173,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return str(int(x))
-    if isinstance(x, float):
-        return repr(x)
     return str(x)
 
 
@@ -178,20 +187,68 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows(map(_fmt, row) for row in rows)
 
 
+def _read_rows(path) -> list[tuple[int, list[str]]]:
+    """(line, cells) of each non-blank row; blank lines count toward line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+
+
+def _parse_rows(path, rows, parsers) -> list[list]:
+    """Each row's cells through parsers, one per column (None drops it); a row
+    of another width or a cell its parser rejects is a ParseError."""
+    out = []
+    for line, row in rows:
+        if len(row) != len(parsers):
+            raise ParseError(f"{path}: row {line} has {len(row)} cells, expected {len(parsers)}")
+        values = []
+        for j, (parse, cell) in enumerate(zip(parsers, row), 1):
+            try:
+                if parse is not None:
+                    values.append(parse(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-numeric cell at row {line}, column {j}: {cell!r}") from None
+        out.append(values)
+    return out
+
+
+def _finite(cell: str) -> float:
+    if math.isfinite(x := float(cell)):
+        return x
+    raise ValueError(cell)
+
+
+def load_csv(path, label_column: str | None = None) -> Dataset:
+    """A rectangular CSV of finite numbers.  A first row with any non-numeric
+    cell is a header, and label_column names a header column to drop (class
+    labels in benchmark files)."""
+    rows = _read_rows(path)
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    header = None
+    try:
+        [float(c) for c in rows[0][1]]  # a ValueError marks a header row
+    except ValueError:
+        header, rows = [c.strip() for c in rows[0][1]], rows[1:]
+        if not rows:
+            raise ParseError(f"{path}: header but no data rows") from None
+    if label_column is not None and label_column not in (header or ()):
+        raise ParseError(f"{path}: label column {label_column!r} not found in header")
+    parsers = [None if c == label_column else _finite for c in header or rows[0][1]]
+    return Dataset(np.asarray(_parse_rows(path, rows, parsers)), name=Path(path).stem)
+
+
 def write_trace(trace: RunTrace, path) -> None:
-    _write_csv(path, TRACE_FIELDS,
-               ((r.t, r.elapsed_s, r.elbo, r.accepted, r.M) for r in trace.records))
+    _write_csv(path, TRACE_FIELDS, map(_record_cells, trace.records))
 
 
 def read_trace(path) -> list[IterationRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRACE_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(TRACE_FIELDS)}")
-        return [IterationRecord(t=int(row["iter"]), elapsed_s=float(row["elapsed_s"]),
-                                elbo=float(row["elbo"]), accepted=bool(int(row["accepted"])),
-                                M=float(row["M"]) if row["M"] else None)
-                for row in reader]
+    rows = _read_rows(path)
+    if not rows or rows[0][1] != TRACE_FIELDS:
+        raise ParseError(f"{path}: expected header {','.join(TRACE_FIELDS)}")
+    return [IterationRecord(*values)
+            for values in _parse_rows(path, rows[1:], TRACE_COLUMNS.values())]
 
 
 def write_summary(rows: list[SummaryRow], path) -> None:
@@ -308,13 +365,11 @@ def build_matrix(cfg: dict) -> tuple[ExperimentMatrix, dict]:
     methods = []
     for entry in map(dict, exp.pop("methods", None) or [{}]):
         label = entry.pop("label", None)
-        if label is not None and not (isinstance(label, str) and label and "/" not in label):
-            raise ValueError(f"label must be a non-empty string without '/', got {label!r}")
         schedule = _keywords(TemperatureSchedule, "temper",
                              {**temper, **(entry.pop("temper", None) or {})})
         template = _keywords(RunConfig, "run", {**run_sec, **entry},
                              seed=0, schedule=schedule, model=spec)
-        methods.append((label or template.method, template))
+        methods.append((template.method if label is None else label, template))
     jobs, out = exp.pop("jobs", 1), exp.pop("out", "results")
     require_number("jobs", jobs, integral=True, minimum=1)
     if not isinstance(out, str):

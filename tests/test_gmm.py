@@ -10,9 +10,10 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from yoasovi.errors import NumericError, ParseError
-from yoasovi.gmm import (_BLOCK, Dataset, GmmParams, GmmSpec, _logsumexp, dic, load_csv,
+from yoasovi.gmm import (_BLOCK, Dataset, GmmParams, GmmSpec, _logsumexp, dic,
                          log_joint, log_likelihood, log_prior, simulate,
                          unconstrained_log_joint)
+from yoasovi.harness import load_csv
 from yoasovi.meanfield import constrain
 
 
@@ -400,9 +401,11 @@ def test_load_csv_label_without_header_fails(tmp_path):
 
 
 def test_load_csv_reports_bad_cell_position(tmp_path):
-    """A row is named by its line in the file, blank lines included."""
+    """A row is named by its line in the file, blank lines included; a cell
+    must hold a finite number."""
     f = tmp_path / "bad.csv"
-    for text, row in [("x,y\n1.0,2.0\n3.0,oops\n", 3), ("a,b\n1,2\n\n3,4\n5,x\n", 5)]:
+    for text, row in [("x,y\n1.0,2.0\n3.0,oops\n", 3), ("a,b\n1,2\n\n3,4\n5,x\n", 5),
+                      ("1.0,2.0\n3.0,nan\n", 2), ("x,y\n1,-inf\n", 2)]:
         f.write_text(text)
         with pytest.raises(ParseError, match=rf"row {row}, column 2"):
             load_csv(f)

@@ -13,7 +13,7 @@ import yaml
 from yoasovi import harness
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.cli import apply_overrides, build_parser, main
-from yoasovi.driver import IterationRecord, RunConfig, RunSummary, run
+from yoasovi.driver import IterationRecord, RunConfig, RunSummary, RunTrace, run
 from yoasovi.errors import ParseError
 from yoasovi.harness import (ExperimentMatrix, any_cell_failed, build_matrix,
                              emit_trajectory, format_table, load_config,
@@ -280,15 +280,21 @@ def test_trace_round_trip(tmp_path):
 
 
 def test_trace_round_trip_without_temperature(tmp_path):
-    rec = IterationRecord(t=1, elapsed_s=0.5, elbo=-10.0, accepted=True, M=None)
+    """Each record field lands under its own column, a rejected iteration
+    as 0 and a missing temperature as an empty cell, and reads back."""
     trace = run(quick_template(method="mcvi", samples=2, max_iters=3,
                                schedule=TemperatureSchedule(), seed=0,
                                model=make_preset("sim-p2k2", N=60)[0]),
                 make_preset("sim-p2k2", N=60)[1], clock=FakeClock())
     write_trace(trace, tmp_path / "m.csv")
     back = read_trace(tmp_path / "m.csv")
-    assert all(r.M is None for r in back)
-    assert rec.M is None  # sanity on the record type itself
+    assert back == list(trace.records) and all(r.M is None for r in back)
+    records = (IterationRecord(t=1, elapsed_s=0.25, elbo=-7.5, accepted=False, M=None),
+               IterationRecord(t=2, elapsed_s=0.5, elbo=-6.0, accepted=True, M=1.5))
+    write_trace(RunTrace(records=records, summary=None), tmp_path / "h.csv")
+    assert (tmp_path / "h.csv").read_text() == (
+        "iter,elapsed_s,elbo,accepted,M\n1,0.25,-7.5,0,\n2,0.5,-6.0,1,1.5\n")
+    assert read_trace(tmp_path / "h.csv") == list(records)
 
 
 def test_read_trace_rejects_foreign_header(tmp_path):
@@ -720,7 +726,12 @@ def test_cli_config_error_is_one_line_and_exit_2(tmp_path, case):
 @pytest.mark.parametrize("label", ["", "runs/mcvi", 7])
 def test_cli_bad_method_label_is_one_line_and_exit_2(tmp_path, label):
     """A label names trace files, so it must be a non-empty string without
-    a path separator."""
+    a path separator; so must a dataset name, in a matrix built in code."""
+    spec, data = make_preset("sim-p2k2", N=60)
+    with pytest.raises(ValueError, match="^label must be a non-empty string"):
+        ExperimentMatrix(datasets=(("sim", spec, data),), methods=((label, quick_template()),))
+    with pytest.raises(ValueError, match="^dataset name must be a non-empty string"):
+        ExperimentMatrix(datasets=((label, spec, data),), methods=(("m", quick_template()),))
     cfg = write_quick_config(tmp_path)
     bad = yaml.safe_load(cfg.read_text())
     bad["experiment"]["methods"] = [{"method": "mcvi", "samples": 10, "label": label}]
@@ -754,8 +765,13 @@ def test_malformed_yaml_names_the_file_and_line(tmp_path):
         load_config(cfg)
 
 
+# A malformed trace row, each on line 2 of the file.
+_BAD_TRACE_ROWS = {"short-row": "1,0.5,-10.0", "long-row": "1,0.5,-10.0,1,,7",
+                   "bad-cell": "1,0.5,abc,1,"}
+
+
 @pytest.mark.parametrize("case", ["missing-trace", "foreign-header", "negative-horizon",
-                                  "nan-horizon"])
+                                  "nan-horizon", *_BAD_TRACE_ROWS])
 def test_cli_trajectory_input_error_is_one_line_and_exit_2(tmp_path, case):
     trace = tmp_path / "run.csv"
     trace.write_text("iter,elapsed_s,elbo,accepted,M\n1,0.5,-10.0,1,\n")
@@ -764,6 +780,8 @@ def test_cli_trajectory_input_error_is_one_line_and_exit_2(tmp_path, case):
         trace = tmp_path / "absent.csv"
     elif case == "foreign-header":
         trace.write_text("t,seconds,value\n1,0.5,-10.0\n")
+    elif case in _BAD_TRACE_ROWS:
+        trace.write_text(f"iter,elapsed_s,elbo,accepted,M\n{_BAD_TRACE_ROWS[case]}\n")
     else:
         horizon = "-1" if case == "negative-horizon" else "nan"
     out = tmp_path / "traj.csv"
@@ -772,6 +790,8 @@ def test_cli_trajectory_input_error_is_one_line_and_exit_2(tmp_path, case):
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("yoasovi trajectory: error: "), res.stderr
+    if case in _BAD_TRACE_ROWS:
+        assert f"{trace}: " in lines[0] and "row 2" in lines[0], lines[0]
     assert not out.exists()
 
 

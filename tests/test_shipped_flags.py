@@ -4,7 +4,8 @@ the README's "Command line" paragraph, and every argv
 in the README, scripts/run_sim_benchmarks.py and perfbench's matrix
 workload builds a matrix from each shipped config, with every flag it
 sets reaching every cell.  An unknown key in any section of a shipped
-config, or an unknown section, is refused by name."""
+config, or an unknown section, is refused by name.  The README's "Layout"
+block names every module in src/yoasovi/."""
 
 import argparse
 import importlib.util
@@ -93,6 +94,20 @@ def test_the_readme_command_line_paragraph_names_every_run_option():
     paragraph = section.split("```\n")[2].strip().split("\n\n")[0]
     named = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph)) | {"--config"}
     assert named == {o for a in run_actions() for o in a.option_strings}
+
+
+def test_the_readme_layout_names_every_module():
+    """The src/yoasovi/ part of the README's "Layout" block lists each
+    module but __init__.py, and no other."""
+    block = (ROOT / "README.md").read_text().split("\n## Layout\n", 1)[1].split("```")[1]
+    lines = block.split("\nsrc/yoasovi/\n", 1)[1].splitlines()
+    listed = set()
+    for line in lines:
+        if not line.startswith(" "):
+            break
+        listed.update(re.findall(r"^  (\w+\.py)\b", line))
+    modules = {p.name for p in (ROOT / "src" / "yoasovi").glob("*.py")} - {"__init__.py"}
+    assert listed == modules
 
 
 def test_the_readme_ships_a_run_example():
