@@ -189,7 +189,7 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
     """(line, cells) of each non-blank row; blank lines count toward line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         return [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
 
@@ -236,6 +236,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     if label_column is not None and label_column not in (header or ()):
         raise ParseError(f"{path}: label column {label_column!r} not found in header")
     parsers = [None if c == label_column else _finite for c in header or rows[0][1]]
+    if not any(parsers):
+        raise ParseError(f"{path}: no data column besides label column {label_column!r}")
     return Dataset(np.asarray(_parse_rows(path, rows, parsers)), name=Path(path).stem)
 
 
@@ -324,16 +326,20 @@ def load_config(path) -> dict:
 
 
 def _keywords(fn, section: str, keys: dict, **fixed):
-    """fn(**keys, **fixed); a key that is not fn's or that the caller fixes is unknown."""
+    """fn(**keys, **fixed); refuses a key fn lacks or the caller fixes, and a missing one."""
+    params = inspect.signature(fn).parameters
     for key in keys:
-        if key in fixed or key not in inspect.signature(fn).parameters:
+        if key in fixed or key not in params:
             raise TypeError(f"unknown {section} key {key!r}")
+    for name, param in params.items():
+        if param.default is param.empty and name not in keys and name not in fixed:
+            raise TypeError(f"missing {section} key {name!r}")
     return fn(**keys, **fixed)
 
 
 def resolve_data(data_section: dict, model: dict) -> tuple[str, GmmSpec, Dataset]:
     """Dataset and its spec: make_preset's keywords (preset, n for name, N) or
-    load_csv's (csv for path); presets pin K and p over model, CSV data p."""
+    load_csv's (csv for path); presets pin K and p, CSV data p; model may only repeat them."""
     sec = dict(data_section)
     if "preset" in sec:
         name, n = sec.pop("preset"), sec.pop("n", 500)
@@ -345,6 +351,9 @@ def resolve_data(data_section: dict, model: dict) -> tuple[str, GmmSpec, Dataset
         pinned = {"p": data.p}
     else:
         raise ValueError("data section needs either a preset name or a csv path")
+    for key, value in pinned.items():
+        if model.get(key, value) != value:
+            raise ValueError(f"model.{key} is {model[key]!r}, but {data.name} has {key}={value}")
     spec = _keywords(GmmSpec, "model", {**model, **pinned})
     if data.N < spec.K:
         raise ValueError(f"{data.name} has N={data.N} rows, fewer than K={spec.K} components")
@@ -353,15 +362,14 @@ def resolve_data(data_section: dict, model: dict) -> tuple[str, GmmSpec, Dataset
 
 def build_matrix(cfg: dict) -> tuple[ExperimentMatrix, dict]:
     """ExperimentMatrix and options (jobs, out) from load_config's sections.
-    Each experiment.methods entry is merged over run, temper one level deep,
-    and may not set seed (replicates seed from base_seed, else run.seed);
+    Each experiment.methods entry is merged over run, temper one level deep;
+    neither may set seed, since replicates seed from base_seed;
     its optional label names its cells and defaults to the method, so two
     entries of one method need two labels.  The rest of experiment is
     ExperimentMatrix's keywords."""
     name, spec, data = resolve_data(cfg["data"], cfg["model"])
     exp, run_sec = dict(cfg["experiment"]), dict(cfg["run"])
     temper = run_sec.pop("temper", None) or {}
-    exp.setdefault("base_seed", run_sec.pop("seed", 0))
     methods = []
     for entry in map(dict, exp.pop("methods", None) or [{}]):
         label = entry.pop("label", None)

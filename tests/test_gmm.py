@@ -373,11 +373,14 @@ def test_simulate_matches_mixture_at_scale():
 # CSV ingestion
 
 def test_load_csv_plain_numeric(tmp_path):
+    """A byte-order mark, as spreadsheet exports write, does not make the
+    first row a header."""
     f = tmp_path / "obs.csv"
-    f.write_text("1.0,2.0\n3.5,-4.0\n")
-    data = load_csv(f)
-    np.testing.assert_allclose(data.values, [[1.0, 2.0], [3.5, -4.0]])
-    assert data.name == "obs"
+    for bom in (b"", b"\xef\xbb\xbf"):
+        f.write_bytes(bom + b"1.0,2.0\n3.5,-4.0\n0.5,0.0\n")
+        data = load_csv(f)
+        np.testing.assert_allclose(data.values, [[1.0, 2.0], [3.5, -4.0], [0.5, 0.0]])
+        assert data.name == "obs"
 
 
 def test_load_csv_detects_header(tmp_path):
@@ -388,9 +391,11 @@ def test_load_csv_detects_header(tmp_path):
 
 def test_load_csv_drops_label_column(tmp_path):
     f = tmp_path / "lab.csv"
-    f.write_text("x,species,y\n1.0,setosa,2.0\n3.0,virginica,4.0\n")
-    data = load_csv(f, label_column="species")
-    np.testing.assert_allclose(data.values, [[1.0, 2.0], [3.0, 4.0]])
+    for text in (b"x,species,y\n1.0,setosa,2.0\n3.0,virginica,4.0\n",
+                 b"\xef\xbb\xbfspecies,x,y\nsetosa,1.0,2.0\nvirginica,3.0,4.0\n"):
+        f.write_bytes(text)
+        data = load_csv(f, label_column="species")
+        np.testing.assert_allclose(data.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_csv_label_without_header_fails(tmp_path):

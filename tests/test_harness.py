@@ -342,7 +342,6 @@ run:
   learning_rate: 1.0e-4
   max_iters: 77
   patience: 13
-  seed: 3
   kmeans_style_init: true
   temper:
     kind: linear
@@ -673,6 +672,18 @@ _BAD_CONFIGS = {
     "n-with-csv": ("'n'", {"run": _RUN, "data": {"csv": "pts.csv", "n": 2}}),
     "seed-in-an-entry": ("'seed'", {"run": _RUN,
                                     "experiment": {"methods": [{"samples": 10, "seed": 3}]}}),
+    "seed-in-run": ("unknown run key 'seed'", {"run": {**_RUN, "seed": 3}}),
+    "no-method": ("missing run key 'method'", {"run": {"max_iters": 3},
+                                               "experiment": {"methods": [{"samples": 10}]}}),
+    "csv-without-K": ("missing model key 'K'", {"run": _RUN, "data": {"csv": "pts.csv"}}),
+    "K-against-preset": ("model.K is 3, but sim-p2k2 has K=2", {"model": {"K": 3},
+                                                                "run": _RUN}),
+    "p-against-preset": ("model.p is 3, but sim-p2k2 has p=2", {"model": {"p": 3},
+                                                                "run": _RUN}),
+    "p-against-csv": ("model.p is 3, but pts has p=2", {
+        "model": {"K": 2, "p": 3}, "run": _RUN, "data": {"csv": "pts.csv"}}),
+    "label-only-csv": ("lab.csv: no data column besides label column 'species'", {
+        "model": {"K": 2}, "run": _RUN, "data": {"csv": "lab.csv", "label_column": "species"}}),
     "unknown-experiment-key": ("'replicate'", {"run": _RUN,
                                                "experiment": {"replicate": 3}}),
     "section-not-a-mapping": ("section run", {"run": "mcvi"}),
@@ -687,6 +698,8 @@ _BAD_CONFIGS = {
         "data": {"csv": "pts.csv"}}),
 }
 _BAD_FLAGS = {"bare-entry-with-method": ["--method", "mcvi"]}
+# the CSV files a case's data section may name
+_CSV_FILES = {"pts.csv": "0.1,0.2\n0.3,0.4\n1.0,1.1\n", "lab.csv": "species\n1\n2\n3\n"}
 
 
 @pytest.mark.parametrize("case", [*_BAD_CONFIGS, "malformed-yaml", "control-character",
@@ -702,8 +715,9 @@ def test_cli_config_error_is_one_line_and_exit_2(tmp_path, case):
         named, bad = _BAD_CONFIGS[case]
         bad = {"data": {"preset": "sim-p2k2", "n": 60}, **bad}
         if "csv" in bad["data"]:
-            (tmp_path / "pts.csv").write_text("0.1,0.2\n0.3,0.4\n1.0,1.1\n")
-            bad["data"] = {**bad["data"], "csv": str(tmp_path / "pts.csv")}
+            csv_path = tmp_path / bad["data"]["csv"]
+            csv_path.write_text(_CSV_FILES[csv_path.name])
+            bad["data"] = {**bad["data"], "csv": str(csv_path)}
         bad["experiment"] = {**bad.get("experiment", {}), "out": str(tmp_path / "res")}
         cfg.write_text(yaml.safe_dump(bad))
     elif case == "malformed-yaml":

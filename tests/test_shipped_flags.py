@@ -4,10 +4,12 @@ the README's "Command line" paragraph, and every argv
 in the README, scripts/run_sim_benchmarks.py and perfbench's matrix
 workload builds a matrix from each shipped config, with every flag it
 sets reaching every cell.  An unknown key in any section of a shipped
-config, or an unknown section, is refused by name.  The README's "Layout"
-block names every module in src/yoasovi/."""
+config, or an unknown section, is refused by name, and every key a shipped
+config sets takes effect.  The README's "Layout" block names every module
+in src/yoasovi/."""
 
 import argparse
+import copy
 import importlib.util
 import re
 import shlex
@@ -18,8 +20,10 @@ import pytest
 import yaml
 
 from yoasovi import cli
+from yoasovi.acceptance import SCHEDULES
 from yoasovi.cli import RUN_FLAGS, apply_overrides, build_parser
-from yoasovi.harness import build_matrix, load_config
+from yoasovi.driver import METHODS
+from yoasovi.harness import _PRESET_GEOMETRY, build_matrix, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -139,3 +143,61 @@ def test_unknown_key_in_a_shipped_config_is_refused_by_name(config, section, tmp
     assert cli.main(["run", "--config", str(path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and named in lines[0], lines
+
+
+def leaves(node, path=()):
+    """(path, value) of every scalar in a loaded config, list entries by index."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, dict | list):
+            yield from leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+def another(value):
+    """A different value of value's kind: a flipped bool, an int + 1, a
+    float x 2, the next method, schedule kind or preset, a suffixed string."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 2
+    for names in (list(METHODS), list(SCHEDULES), list(_PRESET_GEOMETRY)):
+        if value in names:
+            return names[(names.index(value) + 1) % len(names)]
+    return value + "-x"
+
+
+def resolved(cfg: dict):
+    """What build_matrix makes of cfg, comparable with ==, or None if it
+    refuses cfg."""
+    try:
+        matrix, options = build_matrix(copy.deepcopy(cfg))
+    except (ValueError, TypeError):
+        return None
+    datasets = [(name, spec, data.values.tobytes()) for name, spec, data in matrix.datasets]
+    return datasets, matrix.methods, matrix.replicates, matrix.base_seed, options
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+def test_every_key_a_shipped_config_sets_takes_effect(config):
+    """Another value at any leaf either resolves to another matrix or
+    options, or is refused: a key whose value changes nothing would say
+    more than the config does."""
+    cfg = load_config(config)
+    before = resolved(cfg)
+    assert before is not None
+    no_ops = []
+    for path, value in leaves(cfg):
+        assert another(value) != value, path
+        edited = copy.deepcopy(cfg)
+        *parents, key = path
+        target = edited
+        for step in parents:
+            target = target[step]
+        target[key] = another(value)
+        if resolved(edited) == before:
+            no_ops.append(".".join(map(str, path)))
+    assert not no_ops, f"keys that change nothing: {no_ops}"
