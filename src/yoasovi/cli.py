@@ -8,10 +8,11 @@ else the run section, else the RunConfig default; temper merges one level
 deep.  --method keeps the entries that run it (by their own method, else
 run.method); a single-draw one implies --samples 1.  --data and --preset
 replace only the source key of a source of their own kind, else the whole
-data section.  The run command exits 1 when every replicate of some
-dataset x method cell failed; either command exits 2 with one stderr line
-on input it cannot use, such as an unknown config section or key, or an
-output file it cannot write.
+data section, and drop the model keys their data pins (K and p for a
+preset, p for a CSV), as a flag beats the config.  The run command exits
+1 when every replicate of some dataset x method cell failed; either
+command exits 2 with one stderr line on input it cannot use, such as an
+unknown config section or key, or an output file it cannot write.
 """
 
 import argparse
@@ -78,6 +79,8 @@ def apply_overrides(cfg: dict, args) -> dict:
         kind, source = ("csv", args.data) if args.data else ("preset", args.preset)
         data = cfg.get("data") or {}
         cfg["data"] = {**data, kind: source} if kind in data else {kind: source}
+        for key in ("p",) if args.data else ("K", "p"):
+            (cfg.get("model") or {}).pop(key, None)
     for dest, (section, key, _) in RUN_FLAGS.items():
         if flags[dest] is None:
             continue

@@ -473,6 +473,21 @@ def test_preset_flag_on_a_preset_replaces_only_the_name():
     np.testing.assert_array_equal(data.values, make_preset("sim-p2k3", N=200, seed=7)[1].values)
 
 
+
+def test_data_flags_drop_the_model_keys_their_data_pins(tmp_path):
+    """A flag beats the config: --preset fits its own K and p over a model
+    that states others, and --data its own p, where the same model beside
+    that data in the file exits 2 (the K- and p-against cases below)."""
+    (tmp_path / "pts.csv").write_text("0.1,0.2,0.3\n0.3,0.4,0.5\n1.0,1.1,1.2\n")
+    cfg = {"model": {"K": 2, "p": 2}, "run": {"method": "mcvi"},
+           "data": {"preset": "sim-p2k2", "n": 60}, "experiment": {}}
+    for args, want in ((_ns(preset="sim-p3k4"), (4, 3)),
+                       (_ns(data=str(tmp_path / "pts.csv")), (2, 3))):
+        matrix, _ = build_matrix(apply_overrides(cfg, args))
+        [(_, spec, _)] = matrix.datasets
+        assert (spec.K, spec.p) == want
+    assert cfg["model"] == {"K": 2, "p": 2}
+
 # One precedence for run settings: flag, then the kept experiment.methods
 # entry, then the run section, then the RunConfig defaults.
 

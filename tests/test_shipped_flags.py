@@ -5,8 +5,8 @@ in the README, scripts/run_sim_benchmarks.py and perfbench's matrix
 workload builds a matrix from each shipped config, with every flag it
 sets reaching every cell.  An unknown key in any section of a shipped
 config, or an unknown section, is refused by name, and every key a shipped
-config sets takes effect.  The README's "Layout" block names every module
-in src/yoasovi/."""
+config sets takes effect, as it stands or under --data.  The README's
+"Layout" block names every module in src/yoasovi/."""
 
 import argparse
 import copy
@@ -16,6 +16,7 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -170,25 +171,40 @@ def another(value):
     return value + "-x"
 
 
-def resolved(cfg: dict):
-    """What build_matrix makes of cfg, comparable with ==, or None if it
-    refuses cfg."""
-    try:
-        matrix, options = build_matrix(copy.deepcopy(cfg))
-    except (ValueError, TypeError):
-        return None
-    datasets = [(name, spec, data.values.tobytes()) for name, spec, data in matrix.datasets]
-    return datasets, matrix.methods, matrix.replicates, matrix.base_seed, options
+def write_points(path: Path) -> Path:
+    """An 8-row, 2-column CSV of observations, enough rows for any shipped K + 1."""
+    rng = np.random.default_rng(0)
+    np.savetxt(path, rng.normal(size=(8, 2)), delimiter=",")
+    return path
+
+
+def resolved(cfg: dict, csv: Path):
+    """What build_matrix makes of cfg as it stands and under --data csv, each
+    comparable with == or None if build_matrix refuses it."""
+    views = []
+    for argv in ([], ["--data", str(csv)]):
+        args = build_parser().parse_args(["run", "--config", "unused.yaml", *argv])
+        try:
+            matrix, options = build_matrix(apply_overrides(cfg, args))
+        except (ValueError, TypeError):
+            views.append(None)
+            continue
+        datasets = [(name, spec, data.values.tobytes()) for name, spec, data in matrix.datasets]
+        views.append((datasets, matrix.methods, matrix.replicates, matrix.base_seed, options))
+    return views
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
-def test_every_key_a_shipped_config_sets_takes_effect(config):
+def test_every_key_a_shipped_config_sets_takes_effect(config, tmp_path):
     """Another value at any leaf either resolves to another matrix or
-    options, or is refused: a key whose value changes nothing would say
-    more than the config does."""
+    options, or is refused, with the config as it stands or under --data
+    (the README runs a shipped config on a CSV, where model.K sets K): a
+    key whose value changes nothing in either would say more than the
+    config does."""
+    csv = write_points(tmp_path / "pts.csv")
     cfg = load_config(config)
-    before = resolved(cfg)
-    assert before is not None
+    before = resolved(cfg, csv)
+    assert None not in before
     no_ops = []
     for path, value in leaves(cfg):
         assert another(value) != value, path
@@ -198,6 +214,24 @@ def test_every_key_a_shipped_config_sets_takes_effect(config):
         for step in parents:
             target = target[step]
         target[key] = another(value)
-        if resolved(edited) == before:
+        if resolved(edited, csv) == before:
             no_ops.append(".".join(map(str, path)))
     assert not no_ops, f"keys that change nothing: {no_ops}"
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+def test_data_flag_runs_a_shipped_config_on_a_csv(config, tmp_path, capsys):
+    """--data on a shipped config fits the CSV with the config's own model.K,
+    which matches its preset's; the CSV pins only p."""
+    cfg = load_config(config)
+    preset_k = len(_PRESET_GEOMETRY[cfg["data"]["preset"]]["means"])
+    csv = write_points(tmp_path / "pts.csv")
+    argv = ["run", "--config", str(config), "--data", str(csv), "--max-iters", "3",
+            "--replicates", "1", "--out", str(tmp_path / "res")]
+    args = build_parser().parse_args(argv)
+    matrix, _ = build_matrix(apply_overrides(cfg, args))
+    [(name, spec, data)] = matrix.datasets
+    assert (name, spec.K, spec.p, data.N) == ("pts", cfg["model"]["K"], 2, 8)
+    assert spec.K == preset_k
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert len(list((tmp_path / "res" / "traces").glob("pts__*__r0.csv"))) == len(matrix.methods)
