@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from yoasovi.errors import NumericError, ParseError
 from yoasovi.gmm import (_BLOCK, Dataset, GmmParams, GmmSpec, _logsumexp, dic,
                          log_joint, log_likelihood, log_prior, simulate,
                          unconstrained_log_joint)
-from yoasovi.harness import load_csv
+from yoasovi.harness import load_csv, make_preset
 from yoasovi.meanfield import constrain
 
 
@@ -196,6 +197,103 @@ def test_log_likelihood_over_two_leading_axes_matches_each_set():
     np.testing.assert_array_equal(got, want)
 
 
+def residual_log_likelihood(spec, data, params):
+    """The residual form the kernel expands, for one parameter set: squared
+    standardised residuals summed over p, then scipy's logsumexp over the
+    components."""
+    r = (data.values[:, None, :] - params.means) / params.sds  # (N, K, p)
+    comp = (np.log(params.weights) - np.log(params.sds).sum(axis=1)
+            - spec.p * 0.5 * math.log(2.0 * math.pi) - 0.5 * np.square(r).sum(axis=2))
+    return logsumexp(comp, axis=1).sum()
+
+
+def test_log_likelihood_is_unmoved_by_shifting_data_and_means_by_1e6():
+    """The kernel centres on the data's column means, so its expanded square
+    loses no digits to where the data sit.  Values on a grid of 2^-10 shift
+    by 1e6 without rounding, so what moves is the kernel's own rounding."""
+    rng = np.random.default_rng(99)
+    spec = GmmSpec(K=3, p=2)
+    grid = lambda a: np.round(a * 1024.0) / 1024.0
+    values = grid(rng.normal(0.0, 2.0, (200, 2)))
+    params = GmmParams(weights=np.array([0.2, 0.3, 0.5]), means=grid(rng.uniform(-3.0, 3.0, (3, 2))),
+                       sds=rng.uniform(0.5, 2.0, (3, 2)))
+    base = log_likelihood(spec, Dataset(values), params)
+    shifted = log_likelihood(spec, Dataset(values + 1e6),
+                             GmmParams(params.weights, params.means + 1e6, params.sds))
+    assert abs(shifted - base) <= 1e-12 * abs(base)
+
+
+def test_clusters_1e3_sds_apart_match_the_residual_form():
+    """The expanded square loses digits as the data's spread grows against
+    the sds; at clusters 1e3 sds apart it stays within 1e-9 relative of the
+    residual form (a few 1e-12 on this data)."""
+    spec = GmmSpec(K=2, p=2)
+    true = GmmParams(weights=np.array([0.4, 0.6]), means=np.array([[-500.0, -500.0], [500.0, 500.0]]),
+                     sds=np.ones((2, 2)))
+    data = simulate(spec, true, N=500, seed=7)
+    for params in (true, GmmParams(np.array([0.5, 0.5]), true.means + 0.3, np.full((2, 2), 1.3))):
+        want = residual_log_likelihood(spec, data, params)
+        assert abs(log_likelihood(spec, data, params) - want) <= 1e-9 * abs(want)
+
+
+def test_a_component_whose_sd_squared_underflows_drops_out():
+    """At log sd -360 the sd is positive but its square is subnormal and its
+    inverse inf, so inf * 0 could make nan: the component drops out instead,
+    quietly, as the residual form's inf square made it, and with every
+    component there the log likelihood is -inf and the target raises."""
+    spec = GmmSpec(K=2, p=1)
+    data = Dataset(np.array([[1.0], [2.0], [-0.5]]))
+    tiny = math.exp(-360.0)
+    assert tiny > 0.0 and 1.0 / tiny**2 == math.inf
+    mixed = GmmParams(weights=np.array([0.25, 0.75]), means=np.zeros((2, 1)),
+                      sds=np.array([[1.0], [tiny]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_likelihood(spec, data, mixed) == pytest.approx(
+            stats.norm.logpdf(data.values[:, 0]).sum() + 3 * math.log(0.25), rel=1e-14)
+        assert log_likelihood(spec, data, GmmParams(mixed.weights, mixed.means,
+                                                    np.full((2, 1), tiny))) == -math.inf
+        z = np.array([0.0, 0.0, 0.0, -360.0, -360.0])
+        for rows in (z, np.stack([z, z])):
+            with pytest.raises(NumericError, match=r"^log joint is non-finite \(.*-inf"):
+                unconstrained_log_joint(spec, data, rows)
+
+
+@pytest.mark.parametrize("K, p, N", [(1, 1, 1), (1, 3, 40), (2, 5, 1), (4, 3, 500),
+                                     (7, 5, 500)])
+def test_stacked_rows_have_the_bits_of_per_row_calls_at_every_shape(K, p, N):
+    """37 rows of z, two full kernel passes and a short one, score exactly
+    as 37 one-row calls, at shapes where BLAS would round one product over
+    all of a pass's rows otherwise: a lone component, a lone observation,
+    and many rows."""
+    rng = np.random.default_rng(K * 100 + p * 10 + N)
+    spec = GmmSpec(K=K, p=p)
+    data = Dataset(rng.normal(0.0, 2.0, (N, p)))
+    z = np.concatenate([rng.normal(0.0, 1.0, (37, K - 1)), rng.normal(0.0, 2.0, (37, K * p)),
+                        rng.normal(0.0, 0.3, (37, K * p))], axis=1)
+    assert 37 % _BLOCK != 0 and 37 > 2 * _BLOCK
+    got = unconstrained_log_joint(spec, data, z)
+    assert list(got) == [unconstrained_log_joint(spec, data, row) for row in z]
+
+
+def test_scoring_1000_stacked_sets_peaks_under_1_mib():
+    """The kernel's memory is its passes', not the stack's: 1000 sets at
+    sim-p3k4 (K=4, p=3, N=500) peak under 1 MiB of traced allocations."""
+    spec, data = make_preset("sim-p3k4")
+    rng = np.random.default_rng(3)
+    draws = GmmParams(weights=rng.dirichlet(np.ones(spec.K), size=1000),
+                      means=rng.normal(0.0, 2.0, (1000, spec.K, spec.p)),
+                      sds=rng.uniform(0.5, 2.0, (1000, spec.K, spec.p)))
+    log_likelihood(spec, data, draws)
+    tracemalloc.start()
+    try:
+        log_likelihood(spec, data, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def positive_draws(rng, spec, B):
     """B parameter sets for spec with every weight positive: finite priors."""
     return [GmmParams(weights=rng.dirichlet(np.ones(spec.K)),
@@ -331,6 +429,9 @@ def test_dataset_rejects_non_finite_and_wrong_rank():
         Dataset(np.array([[1.0], [np.nan]]))
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, 2.0]))
+    # finite values whose squared distance from the column means overflows
+    with pytest.raises(ValueError, match="spread too far"):
+        Dataset(np.array([[1e200], [-1e200]]))
 
 
 # ---------------------------------------------------------------------------

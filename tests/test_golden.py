@@ -25,7 +25,7 @@ from yoasovi.harness import build_matrix, load_config, run_matrix
 from test_shipped_flags import (CONFIGS, ROOT, perfbench_argv, readme_argvs,
                                 script_argvs, with_config)
 
-RUN_DIGEST = "bc553df14d12d8ab6b914b4198c53737ea55ed77c440a4b1ece09b06376cab2b"
+RUN_DIGEST = "07776aaf652c9f7745ff6b5ec7608437280c4ffc6b2d569ce694dd3f460cc84f"
 MATRIX_DIGEST = "8ea7877ab6e137c01f68d077feac68a37338300c5826a6348537b27969f192d9"
 
 
