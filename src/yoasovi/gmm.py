@@ -242,11 +242,11 @@ def _log_likelihood(spec: GmmSpec, data: Dataset, log_w, means, sds, log_sds) ->
     _components gives every set's coef and c at once, its temporaries gone
     before the passes start; then _BLOCK sets per pass go through one
     stacked matmul, (b, K, 2p) @ (2p, N), and a max-shifted log-sum-exp
-    over the components.  The stacked matmul makes
-    the same BLAS call per set as a lone set does, where one product over
-    b * K rows would let BLAS pick another kernel and round otherwise, so a
-    stacked set's result has the bits of its own call.  The caller sets the
-    errstate for overflowing terms."""
+    over the components.  The stacked matmul makes the same BLAS call per
+    set as a lone set does, where one product over b * K rows would let
+    BLAS pick another kernel and round otherwise, so a stacked set's result
+    has the bits of its own call.  The caller sets the errstate for
+    overflowing terms."""
     coef, c = _components(spec, data, log_w, means, sds, log_sds)
     B = c.shape[0]
     out = np.empty(B)

@@ -213,9 +213,9 @@ def test_log_likelihood_is_unmoved_by_shifting_data_and_means_by_1e6():
     by 1e6 without rounding, so what moves is the kernel's own rounding."""
     rng = np.random.default_rng(99)
     spec = GmmSpec(K=3, p=2)
-    grid = lambda a: np.round(a * 1024.0) / 1024.0
-    values = grid(rng.normal(0.0, 2.0, (200, 2)))
-    params = GmmParams(weights=np.array([0.2, 0.3, 0.5]), means=grid(rng.uniform(-3.0, 3.0, (3, 2))),
+    values, means = (np.round(a * 1024.0) / 1024.0 for a in (
+        rng.normal(0.0, 2.0, (200, 2)), rng.uniform(-3.0, 3.0, (3, 2))))
+    params = GmmParams(weights=np.array([0.2, 0.3, 0.5]), means=means,
                        sds=rng.uniform(0.5, 2.0, (3, 2)))
     base = log_likelihood(spec, Dataset(values), params)
     shifted = log_likelihood(spec, Dataset(values + 1e6),
@@ -228,8 +228,8 @@ def test_clusters_1e3_sds_apart_match_the_residual_form():
     the sds; at clusters 1e3 sds apart it stays within 1e-9 relative of the
     residual form (a few 1e-12 on this data)."""
     spec = GmmSpec(K=2, p=2)
-    true = GmmParams(weights=np.array([0.4, 0.6]), means=np.array([[-500.0, -500.0], [500.0, 500.0]]),
-                     sds=np.ones((2, 2)))
+    true = GmmParams(weights=np.array([0.4, 0.6]),
+                     means=np.array([[-500.0, -500.0], [500.0, 500.0]]), sds=np.ones((2, 2)))
     data = simulate(spec, true, N=500, seed=7)
     for params in (true, GmmParams(np.array([0.5, 0.5]), true.means + 0.3, np.full((2, 2), 1.3))):
         want = residual_log_likelihood(spec, data, params)
