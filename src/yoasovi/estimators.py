@@ -51,13 +51,14 @@ def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
     if S < 1:
         raise ValueError("S must be >= 1")
     z = sample(lam, src.next_point(S)).z
-    finite = np.isfinite(z).all(axis=-1)
-    lq = log_q(lam, z)
+    # a non-finite draw has a non-finite log_q, so only such a draw's z is
+    # looked at
+    lq = log_q(lam, z).tolist()
     ws = []
     for s in range(S):
-        if not finite[s]:
+        if not math.isfinite(lq[s]) and not np.isfinite(z[s]).all():
             raise NumericError(f"draw {s + 1} of {S} overflowed the sampling transform")
-        w = float(log_joint_z(z[s])) - float(lq[s])
+        w = float(log_joint_z(z[s])) - lq[s]
         if not math.isfinite(w):
             raise NumericError(f"non-finite integrand ({w}) at draw {s + 1} of {S}, z={z[s]}")
         ws.append(w)

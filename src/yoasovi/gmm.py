@@ -12,42 +12,77 @@ posterior draws stacked on one leading axis and scores them in a single
 call.  The likelihood kernel expands each squared standardised residual,
 (y - mu)^2 / sd^2 = y'^2 / sd^2 - 2 y' mu' / sd^2 + mu'^2 / sd^2 with
 y' = y - ybar and mu' = mu - ybar, so a set's K component log densities
-at all N points are one (K, 2p) @ (2p, N) matrix product against features
-the Dataset stores once, plus a constant per component, before a
-max-shifted numpy log-sum-exp over the components.  Centring on the data's
-column means ybar keeps the expansion exact to rounding however far the
-data sit from the origin.  What it cannot keep are the digits lost when a
-residual is small next to y' and mu': the relative error grows with the
-square of the data's spread measured in sds, to a few 1e-12 at clusters
-1e3 sds apart.
+at all N points are one (K, 2p + 1) @ (2p + 1, N) matrix product against
+features the Dataset stores once, whose last row of ones takes in each
+component's constant, before a max-shifted numpy log-sum-exp over the
+components.  Centring on the data's column means ybar keeps the expansion
+exact to rounding however far the data sit from the origin.  What it
+cannot keep are the digits lost when a residual is small next to y' and
+mu': the relative error grows with the square of the data's spread
+measured in sds, to a few 1e-12 at clusters 1e3 sds apart.
+
+The kernel works in log space: it takes log weights and log sds, never
+sds, and builds each precision as exp(-2 log sd).  The plain pass has no
+guard for non-finite values.  A set whose result it leaves inf or nan, and
+only such a set, is scored again with two guards: a component whose
+precision is inf (an sd whose square underflows) drops out where inf * 0
+would give nan, and the log-sum-exp leaves a non-finite maximum unshifted,
+so an all -inf point gives -inf and an inf or nan point scipy's inf or
+nan.  Whether a log sd's sd underflows to 0 or overflows to inf is read
+off the log sd against the two edges of exp, _LOG_UNDERFLOW and
+_LOG_OVERFLOW.
 
 A run optimises over unconstrained vectors z instead (split_unconstrained
-gives their layout), and unconstrained_log_joint scores them in z's own
-coordinates, Jacobian term included.  It and log_likelihood share one
-likelihood kernel, and it and log_prior one prior formula.
+gives their layout and a log-softmax for the log weights), and
+unconstrained_log_joint scores them in z's own coordinates, Jacobian term
+included.  It and log_likelihood share one likelihood kernel, and it and
+log_prior one prior formula, whose constant and scale factors GmmSpec
+works out once.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericError, require_number, require_positive
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# np.exp(x) is 0 for x at or below _LOG_UNDERFLOW, the log of half the
+# smallest subnormal, and inf above _LOG_OVERFLOW, the log of the largest
+# float: the log sds whose sds underflow or overflow
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
+_LOG_OVERFLOW = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class GmmSpec:
+    """The model's size and prior scales, and two terms of the prior in z's
+    coordinates worked out once here: prior_const, its additive constant,
+    and prior_quad, the factor 1 / (2 scale^2) on the square of each of z's
+    K*p means and then K*p log sds."""
+
     K: int
     p: int
     prior_mean_scale: float = 10.0
     prior_dirichlet_alpha: float = 1.0
     prior_logsd_scale: float = 1.0
+    prior_const: float = field(init=False, repr=False, compare=False)
+    prior_quad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("K", "p"):
             require_number(name, getattr(self, name), integral=True, minimum=1)
         for name in ("prior_mean_scale", "prior_dirichlet_alpha", "prior_logsd_scale"):
             require_positive(name, getattr(self, name))
+        a, s, t = self.prior_dirichlet_alpha, self.prior_mean_scale, self.prior_logsd_scale
+        Kp = self.K * self.p
+        object.__setattr__(self, "prior_const", math.lgamma(self.K * a) - self.K * math.lgamma(a)
+                           - Kp * (math.log(s * t) + 2.0 * _HALF_LOG_2PI))
+        object.__setattr__(self, "prior_quad", np.repeat([0.5 / s**2, 0.5 / t**2], Kp))
 
     @property
     def n_unconstrained(self) -> int:
@@ -70,9 +105,12 @@ class GmmParams:
             raise ValueError(f"weights shape {w.shape[-1:]}, expected ({spec.K},)")
         if not self.means.shape == sds.shape == w.shape[:-1] + (spec.K, spec.p):
             raise ValueError("means/sds must have shape (K, p)")
-        if (np.abs(w.sum(axis=-1) - 1.0) > 1e-12).any() or (w < 0).any():
+        # each test is written so that nan fails it
+        if not ((np.abs(w.sum(axis=-1) - 1.0) <= 1e-12).all() and (w >= 0).all()):
             raise ValueError("weights must be a simplex vector")
-        if (sds <= 0).any():
+        if np.isnan(self.means).any():
+            raise ValueError("means must not be nan")
+        if not (sds > 0).all():
             raise ValueError("sds must be strictly positive")
 
 
@@ -80,9 +118,10 @@ class GmmParams:
 class Dataset:
     """N observations of dimension p.  The likelihood kernel works on two
     fields stored once per dataset: center, the column means ybar, and
-    features, the contiguous (2p, N) stack [(y - ybar)^2; y - ybar].  Values
-    whose squared distance from center overflows are rejected, since no
-    likelihood over them is finite."""
+    features, the contiguous (2p + 1, N) stack
+    [-(y - ybar)^2 / 2; y - ybar; 1].  Values whose squared distance from
+    center overflows are rejected, since no likelihood over them is
+    finite."""
 
     values: np.ndarray
     name: str = "data"
@@ -98,7 +137,7 @@ class Dataset:
         with np.errstate(over="ignore", invalid="ignore"):
             center = v.mean(axis=0)
             d = (v - center).T
-            features = np.concatenate([np.square(d), d])
+            features = np.concatenate([-0.5 * np.square(d), d, np.ones((1, len(v)))])
         if not np.isfinite(features).all():
             raise ValueError("dataset values spread too far: a squared distance "
                              "from the column means overflows")
@@ -120,8 +159,6 @@ class Dataset:
 # its size take 512 kB, however many sets a caller stacks.
 _BLOCK = 16
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a))) along axis, shifted by the maximum along it.
@@ -142,29 +179,43 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _shifted_logsumexp(a: np.ndarray) -> np.ndarray:
+    """_logsumexp over axis 1 without its guard, in place of a: the plain
+    max-shifted pass, which is _logsumexp's result wherever it is finite
+    and nan or inf where a maximum is not finite."""
+    m = a.max(axis=1)
+    a -= m[:, None]
+    np.exp(a, out=a)
+    out = a.sum(axis=1)
+    np.log(out, out=out)
+    out += m
+    return out
+
+
 def split_unconstrained(spec: GmmSpec, z: np.ndarray):
     """The layout of unconstrained vectors z of shape (..., n_unconstrained):
     K-1 free weight logits, then the K*p means, then the K*p log sds.
 
-    Returns weights, a softmax over the logits with the last category pinned
-    at logit 0, and means, log sds and sds = exp(log sds), each with z's
-    leading axes; means and log sds are views of z.  An sd that underflows
-    to 0 raises NumericError; one that overflows is inf, with a warning
-    unless the caller's errstate ignores overflow.  z is taken to be finite:
-    each caller deals with a non-finite z its own way."""
+    Returns log weights, a log-softmax over the logits with the last
+    category pinned at logit 0, and means and log sds, each with z's
+    leading axes; means and log sds are views of z.  A log weight whose
+    weight underflows to 0 is -inf, so the target fails where log_joint of
+    the constrained parameters does, and a log sd whose sd underflows to 0
+    raises NumericError.  z is taken to be finite: each caller deals with a
+    non-finite z its own way."""
     if z.shape[-1:] != (spec.n_unconstrained,):
         raise ValueError(f"expected z of length {spec.n_unconstrained}, got {z.shape}")
     K, p = spec.K, spec.p
     lead = z.shape[:-1]
     a = np.zeros(lead + (K,))
     a[..., : K - 1] = z[..., : K - 1]
-    e = np.exp(a - a.max(axis=-1, keepdims=True))  # max-shifted softmax
-    weights = e / e.sum(axis=-1, keepdims=True)
+    log_w = a - np.logaddexp.reduce(a, axis=-1, keepdims=True)
+    if log_w.min() <= _LOG_UNDERFLOW:
+        log_w[log_w <= _LOG_UNDERFLOW] = -np.inf
     log_sds = z[..., K - 1 + K * p :].reshape(lead + (K, p))
-    sds = np.exp(log_sds)
-    if (sds == 0.0).any():
+    if log_sds.min() <= _LOG_UNDERFLOW:
         raise NumericError("an sd underflowed to 0")
-    return weights, z[..., K - 1 : K - 1 + K * p].reshape(lead + (K, p)), log_sds, sds
+    return log_w, z[..., K - 1 : K - 1 + K * p].reshape(lead + (K, p)), log_sds
 
 
 def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray):
@@ -173,18 +224,17 @@ def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray):
     z of shape (..., n_unconstrained) gives an array of the leading shape,
     and a float for one vector.
 
-    log w comes from the softmax, log sds straight from z.  No parameter
+    log w and log sds come straight from split_unconstrained.  No parameter
     check runs, since split_unconstrained builds valid parameters.  An sd
     that underflows to 0 or overflows to inf raises NumericError, and so
     does a non-finite result, which is what a non-finite z or a weight that
     underflows to 0 gives: every coordinate of z enters the prior."""
     z = np.asarray(z, dtype=float)
     with np.errstate(all="ignore"):
-        weights, means, log_sds, sds = split_unconstrained(spec, z)
-        log_w = np.log(weights)
-        out = _log_likelihood(spec, data, log_w, means, sds, log_sds) \
-            + _log_prior_z(spec, log_w, means, log_sds)
-    if sds.max() == np.inf:
+        log_w, means, log_sds = split_unconstrained(spec, z)
+        out = _log_likelihood(spec, data, log_w, means, log_sds) \
+            + _log_prior_z(spec, log_w, z[..., spec.K - 1 :])
+    if log_sds.max() > _LOG_OVERFLOW:
         raise NumericError("an sd overflowed to inf")
     # math.isfinite takes a hundredth of the time on the one-vector path
     if not (math.isfinite(out) if out.ndim == 0 else np.isfinite(out).all()):
@@ -203,75 +253,82 @@ def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarra
     # nan density, which log_joint rejects
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _log_likelihood(spec, data, np.log(params.weights), params.means,
-                               params.sds, np.log(params.sds))
+                               np.log(params.sds))
 
 
-def _components(spec: GmmSpec, data: Dataset, log_w, means, sds, log_sds):
+def _components(spec: GmmSpec, data: Dataset, log_w, means, log_sds):
     """The GEMM form of each parameter set's K component log densities: coef
-    of shape (B, K, 2p) and c of shape (B, K), so that a set's (K, N)
-    component log densities at the data are coef @ data.features + c.
+    of shape (B, K, 2p + 1), so that a set's (K, N) component log densities
+    at the data are coef @ data.features.
 
-    With iv = 1/sd^2 and mu' = mu - data.center, coef = [-iv/2, mu' iv] and
-    c = log w - sum_p log sd - (p/2) log 2 pi - sum_p mu' (mu' iv) / 2.  A
-    component whose coef holds an inf (its sd^2 underflows, say) gets coef 0
-    and c -inf, so it drops out where inf * 0 would give nan.  The caller
-    sets the errstate for overflowing terms."""
+    With iv = exp(-2 log sd), the precision, and mu' = mu - data.center,
+    coef = [iv, mu' iv, c] against features [-(y - ybar)^2 / 2; y - ybar; 1]
+    and c = log w - sum_p log sd - (p/2) log 2 pi - sum_p mu' (mu' iv) / 2.
+    A component whose iv is inf (its sd^2 underflows, say) meets the data
+    as inf * 0 = nan or inf - inf; _log_likelihood scores such a set again.
+    The caller sets the errstate for overflowing terms."""
     K, p = spec.K, spec.p
+    ls = log_sds.reshape(-1, K, p)
     mu = means.reshape(-1, K, p) - data.center
-    iv = 1.0 / np.square(sds.reshape(-1, K, p))
-    miv = mu * iv
+    coef = np.empty(mu.shape[:2] + (2 * p + 1,))
+    iv = np.exp(-2.0 * ls, out=coef[..., :p])
+    miv = np.multiply(mu, iv, out=coef[..., p : 2 * p])
     mu *= miv  # from here on log sd + mu' (mu' iv) / 2, summed over p into c
     mu *= 0.5
-    mu += log_sds.reshape(-1, K, p)
-    c = log_w.reshape(-1, K) - mu.sum(axis=2)
+    mu += ls
+    c = np.subtract(log_w.reshape(-1, K), mu.sum(axis=2), out=coef[..., 2 * p])
     c -= p * _HALF_LOG_2PI
-    iv *= -0.5
-    coef = np.concatenate([iv, miv], axis=2)
-    if np.isinf(coef).any():
-        bad = np.isinf(coef).any(axis=2)
-        coef[bad] = 0.0
-        c[bad] = -np.inf
-    return coef, c
+    return coef
 
 
-def _log_likelihood(spec: GmmSpec, data: Dataset, log_w, means, sds, log_sds) -> np.ndarray:
-    """The likelihood kernel: log likelihood of parameter sets that fit spec
-    and the data, given as log weights (..., K) and means, sds and log sds
-    (..., K, p).
-
-    _components gives every set's coef and c at once, its temporaries gone
-    before the passes start; then _BLOCK sets per pass go through one
-    stacked matmul, (b, K, 2p) @ (2p, N), and a max-shifted log-sum-exp
-    over the components.  The stacked matmul makes the same BLAS call per
-    set as a lone set does, where one product over b * K rows would let
-    BLAS pick another kernel and round otherwise, so a stacked set's result
-    has the bits of its own call.  The caller sets the errstate for
-    overflowing terms."""
-    coef, c = _components(spec, data, log_w, means, sds, log_sds)
-    B = c.shape[0]
+def _score_sets(data: Dataset, coef, lse) -> np.ndarray:
+    """Each set's log likelihood from its coef: _BLOCK sets per pass through
+    one stacked matmul, (b, K, 2p + 1) @ (2p + 1, N), and lse over the
+    components.  The stacked matmul makes the same BLAS call per set as a
+    lone set does, where one product over b * K rows would let BLAS pick
+    another kernel and round otherwise, so a stacked set's result has the
+    bits of its own call."""
+    B = coef.shape[0]
     out = np.empty(B)
     for lo in range(0, B, _BLOCK):
         b = slice(lo, lo + _BLOCK)
-        comp = coef[b] @ data.features  # (b, K, N)
-        comp += c[b, :, None]
-        out[b] = _logsumexp(comp, axis=1).sum(axis=1)
+        out[b] = lse(coef[b] @ data.features).sum(axis=1)
+    return out
+
+
+def _log_likelihood(spec: GmmSpec, data: Dataset, log_w, means, log_sds) -> np.ndarray:
+    """The likelihood kernel: log likelihood of parameter sets that fit spec
+    and the data, given as log weights (..., K) and means and log sds
+    (..., K, p).
+
+    _components gives every set's coef at once, and _score_sets takes them
+    through the plain max-shifted log-sum-exp.  The guards run only for a
+    set that this leaves non-finite: it is scored again with each component
+    whose iv or mu' iv is inf set to coef 0 and c -inf, so it drops out
+    where inf * 0 would give nan, and with _logsumexp, which gives an all
+    -inf point -inf and scipy's inf or nan elsewhere.  The caller sets the
+    errstate for overflowing terms."""
+    coef = _components(spec, data, log_w, means, log_sds)
+    out = _score_sets(data, coef, _shifted_logsumexp)
+    # math.isfinite takes a fifteenth of the time on the one-set path
+    if not (math.isfinite(out[0]) if len(out) == 1 else np.isfinite(out).all()):
+        bad = ~np.isfinite(out)
+        coef = coef[bad]
+        drop = np.isinf(coef[..., :-1]).any(axis=2)
+        coef[drop] = 0.0
+        coef[..., -1][drop] = -np.inf
+        out[bad] = _score_sets(data, coef, partial(_logsumexp, axis=1))
     return out.reshape(log_w.shape[:-1])[()]
 
 
-def _log_prior_z(spec: GmmSpec, log_w, means, log_sds):
-    """The prior in z's coordinates, row by row: the prior density of the
-    parameters plus the log |Jacobian| of constrain's map, sum log w +
+def _log_prior_z(spec: GmmSpec, log_w, tail):
+    """The prior in z's coordinates, row by row, from log weights (..., K)
+    and tail (..., 2Kp), z's means and then log sds: the prior density of
+    the parameters plus the log |Jacobian| of constrain's map, sum log w +
     sum log sd, which cancels the Dirichlet's -sum log w and the lognormal's
     -sum log sd.  So alpha sum log w, Normal means and Normal log sds."""
-    a = spec.prior_dirichlet_alpha
-    s = spec.prior_mean_scale
-    t = spec.prior_logsd_scale
-    Kp = spec.K * spec.p
-    return (a * log_w.sum(axis=-1)
-            - (0.5 / s**2) * np.square(means).sum(axis=(-2, -1))
-            - (0.5 / t**2) * np.square(log_sds).sum(axis=(-2, -1))
-            + (math.lgamma(spec.K * a) - spec.K * math.lgamma(a)
-               - Kp * (math.log(s * t) + 2.0 * _HALF_LOG_2PI)))
+    return (spec.prior_dirichlet_alpha * log_w.sum(axis=-1)
+            - (np.square(tail) * spec.prior_quad).sum(axis=-1) + spec.prior_const)
 
 
 def log_prior(spec: GmmSpec, params: GmmParams):
@@ -283,7 +340,10 @@ def log_prior(spec: GmmSpec, params: GmmParams):
     with np.errstate(all="ignore"):
         log_w = np.log(params.weights)
         log_sds = np.log(params.sds)
-        return (_log_prior_z(spec, log_w, params.means, log_sds)
+        lead = log_w.shape[:-1]
+        tail = np.concatenate([params.means.reshape(lead + (-1,)),
+                               log_sds.reshape(lead + (-1,))], axis=-1)
+        return (_log_prior_z(spec, log_w, tail)
                 - log_w.sum(axis=-1) - log_sds.sum(axis=(-2, -1)))
 
 

@@ -28,12 +28,14 @@ _LOG_NORM = -0.5 * np.log(2.0 * np.pi)
 class VariationalParams:
     """lambda = (m, log_s), plus the terms of log_s that sample, log_q and
     score read, computed once when lambda is built: s = exp(log_s),
-    two_var = 2 exp(2 log_s) and inv_var = exp(-2 log_s).  A log_s large
-    enough to overflow them gives inf or 0 without a warning."""
+    log_norm = -log(2 pi) / 2 - log_s, two_var = 2 exp(2 log_s) and
+    inv_var = exp(-2 log_s).  A log_s large enough to overflow them gives
+    inf or 0 without a warning."""
 
     m: np.ndarray
     log_s: np.ndarray
     s: np.ndarray = field(init=False, repr=False, compare=False)
+    log_norm: np.ndarray = field(init=False, repr=False, compare=False)
     two_var: np.ndarray = field(init=False, repr=False, compare=False)
     inv_var: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -49,6 +51,7 @@ class VariationalParams:
         set_(self, "log_s", log_s)
         with np.errstate(over="ignore"):
             set_(self, "s", np.exp(log_s))
+            set_(self, "log_norm", _LOG_NORM - log_s)
             set_(self, "two_var", 2.0 * np.exp(2.0 * log_s))
             set_(self, "inv_var", np.exp(-2.0 * log_s))
 
@@ -76,8 +79,8 @@ def constrain(z: np.ndarray, spec: GmmSpec) -> GmmParams:
         raise NumericError("non-finite unconstrained vector")
     # an sd that overflows is inf; log_joint rejects it as non-finite
     with np.errstate(over="ignore"):
-        weights, means, _, sds = split_unconstrained(spec, z)
-    return GmmParams(weights=weights, means=means.copy(), sds=sds)
+        log_w, means, log_sds = split_unconstrained(spec, z)
+        return GmmParams(weights=np.exp(log_w), means=means.copy(), sds=np.exp(log_sds))
 
 
 def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
@@ -94,10 +97,11 @@ def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
 def log_q(lam: VariationalParams, z: np.ndarray):
     """log q(z | lam), row by row: z of shape (..., dim) gives an array of
     the leading shape, and a float for one draw.  A far draw gives inf or
-    nan without a warning; estimate rejects a non-finite integrand."""
+    nan without a warning, and a non-finite draw always gives a non-finite
+    value, which is where estimate looks for one."""
     z = np.asarray(z, dtype=float)
     with np.errstate(all="ignore"):
-        return (_LOG_NORM - lam.log_s - (z - lam.m) ** 2 / lam.two_var).sum(axis=-1)
+        return (lam.log_norm - (z - lam.m) ** 2 / lam.two_var).sum(axis=-1)
 
 
 def score(lam: VariationalParams, z: np.ndarray) -> np.ndarray:

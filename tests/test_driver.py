@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -376,29 +377,38 @@ def test_the_target_is_the_checked_log_joint_plus_ldj():
     """The unchecked target, scored in z's coordinates, agrees with the
     public, checked gmm.log_joint plus the Jacobian term to 1e-12 relative
     at single draws and at rows of a stacked sample (a dropped prior or
-    Jacobian term misses by at least a nat), and fails where log_joint
-    fails."""
+    Jacobian term misses by at least a nat), also at an sd just short of
+    overflowing, and fails where log_joint fails, for one row and for a row
+    inside a 37-row stack."""
     spec, data = small_gmm()
     target = build_gmm_problem(spec, data).target
     rng = np.random.default_rng(8)
     lam = VariationalParams(m=rng.normal(0.0, 2.0, spec.n_unconstrained),
                             log_s=rng.normal(-1.0, 0.5, spec.n_unconstrained))
     rows = sample(lam, rng.random((6, lam.dim))).z
-    for z in [lam.m, sample(lam, rng.random(lam.dim)).z, *rows]:
+    big = lam.m.copy()
+    big[-1] = 709.78  # exp(709.78) is finite, its square is not
+    for z in [lam.m, sample(lam, rng.random(lam.dim)).z, *rows, big]:
         params = constrain(z, spec)
         ldj = np.log(params.weights).sum() + np.log(params.sds).sum()
         want = gmm.log_joint(spec, data, params) + ldj
         assert abs(target(z) - want) <= 1e-12 * abs(want)
-    far = lam.m.copy()
-    far[: spec.K - 1] = 800.0  # the pinned weight underflows to 0
-    with pytest.raises(NumericError, match="non-finite"):
-        gmm.log_joint(spec, data, constrain(far, spec))
-    with pytest.raises(NumericError, match="non-finite"):
-        target(far)
-    tiny = lam.m.copy()
-    tiny[-1] = -800.0  # exp(-800) is 0: an sd underflows
-    with pytest.raises(NumericError, match="underflowed"):
-        target(tiny)
+    stacked = sample(lam, rng.random((37, lam.dim))).z
+    for edit, message in [
+        ((slice(0, spec.K - 1), 800.0), r"(?s)non-finite \(.*-inf"),  # the pinned weight underflows to 0
+        ((-1, -745.2), "^an sd underflowed to 0$"),  # exp(-745.2) is 0
+        ((-1, 709.8), "^an sd overflowed to inf$"),  # exp(709.8) is inf
+    ]:
+        far = lam.m.copy()
+        far[edit[0]] = edit[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (far, np.concatenate([stacked[:20], far[None], stacked[21:]])):
+                with pytest.raises(NumericError, match=message):
+                    target(z)
+        if message.startswith("(?s)"):
+            with pytest.raises(NumericError, match="non-finite"):
+                gmm.log_joint(spec, data, constrain(far, spec))
 
 
 def test_a_gmm_problem_needs_data_of_the_specs_dimension():
@@ -486,6 +496,23 @@ def test_a_numeric_error_in_the_problems_dic_reports_none():
         raise NumericError("synthetic DIC overflow")
 
     trace = run_problem(DIC_CONFIG, quadratic_problem(dic))
+    assert trace.summary.error is None
+    assert trace.summary.dic is None
+
+
+def test_dic_draws_with_an_overflowed_sd_report_none():
+    """A final lambda far enough out that some of DIC's draws carry an sd of
+    inf: those draws pass the parameter check, gmm.dic raises NumericError
+    at its plug-in point, and the run ends with no DIC and no error."""
+    spec, data = small_gmm()
+    m = np.zeros(spec.n_unconstrained)
+    m[-1] = 709.0  # a draw of this log sd above 709.78 overflows
+    far = VariationalParams(m=m, log_s=np.zeros(spec.n_unconstrained))
+    problem = Problem(target=lambda z: 0.0, init=lambda rng: far,
+                      dic=build_gmm_problem(spec, data).dic)
+    draws = posterior_draw_set(far, 1000, spec, np.random.default_rng(0))
+    assert np.isinf(draws.sds).any() and not np.isnan(draws.sds).any()
+    trace = run_problem(dataclasses.replace(DIC_CONFIG, learning_rate=1e-12), problem)
     assert trace.summary.error is None
     assert trace.summary.dic is None
 

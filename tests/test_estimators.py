@@ -185,6 +185,23 @@ def test_overflowing_draw_raises_after_the_draws_before_it(k, S):
     assert calls == k - 1
 
 
+def test_a_finite_draw_with_a_non_finite_log_q_is_a_non_finite_integrand():
+    # estimate looks at a draw only when its log_q is non-finite, and here
+    # the draw is finite: 2 exp(2 log_s) underflows to 0, so log_q is nan
+    # (0 / 0) at a draw that sits at m
+    lam = VariationalParams(m=np.array([0.2, -0.1]), log_s=np.full(2, -400.0))
+    calls = 0
+
+    def counted(z):
+        nonlocal calls
+        calls += 1
+        return -1.0
+
+    with pytest.raises(NumericError, match=r"^non-finite integrand \(nan\) at draw 1 of 3"):
+        estimate(lam, counted, FrozenSource([[0.5, 0.5]] * 3), 3)
+    assert calls == 1
+
+
 def test_estimate_rejects_bad_sample_count():
     lam = VariationalParams(m=np.zeros(1), log_s=np.zeros(1))
     with pytest.raises(ValueError):

@@ -11,8 +11,8 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from yoasovi.errors import NumericError, ParseError
-from yoasovi.gmm import (_BLOCK, Dataset, GmmParams, GmmSpec, _logsumexp, dic,
-                         log_joint, log_likelihood, log_prior, simulate,
+from yoasovi.gmm import (_BLOCK, _LOG_OVERFLOW, _LOG_UNDERFLOW, Dataset, GmmParams, GmmSpec,
+                         _logsumexp, dic, log_joint, log_likelihood, log_prior, simulate,
                          unconstrained_log_joint)
 from yoasovi.harness import load_csv, make_preset
 from yoasovi.meanfield import constrain
@@ -236,27 +236,118 @@ def test_clusters_1e3_sds_apart_match_the_residual_form():
         assert abs(log_likelihood(spec, data, params) - want) <= 1e-9 * abs(want)
 
 
+def ordinary_rows(rng, spec, n):
+    """n rows of z for spec where every term of the target is finite."""
+    K, p = spec.K, spec.p
+    return np.concatenate([rng.normal(0.0, 1.0, (n, K - 1)), rng.normal(0.0, 2.0, (n, K * p)),
+                           rng.normal(0.0, 0.3, (n, K * p))], axis=1)
+
+
+# a 37-row stack puts its special row in the second of three kernel passes
+SPECIAL_ROW = 20
+
+
+def with_row(rows, row):
+    """rows with row put in at SPECIAL_ROW."""
+    out = rows.copy()
+    out[SPECIAL_ROW] = row
+    return out
+
+
 def test_a_component_whose_sd_squared_underflows_drops_out():
     """At log sd -360 the sd is positive but its square is subnormal and its
     inverse inf, so inf * 0 could make nan: the component drops out instead,
     quietly, as the residual form's inf square made it, and with every
-    component there the log likelihood is -inf and the target raises."""
-    spec = GmmSpec(K=2, p=1)
-    data = Dataset(np.array([[1.0], [2.0], [-0.5]]))
+    component there the log likelihood is -inf and the target raises.  The
+    features a dropped component meets are 0 on N=1 data and in a constant
+    data column, where inf * 0 is nan.  Each case holds for one set or row
+    and inside a 37-row stack, through log_likelihood and through the run's
+    target, whose value is the checked log_joint plus the Jacobian term."""
+    rng = np.random.default_rng(360)
+    datasets = [Dataset(np.array([[1.0], [2.0], [-0.5]])), Dataset(np.array([[0.7]])),
+                Dataset(np.array([[1.0, 3.0], [2.0, 3.0], [-0.5, 3.0]]))]
     tiny = math.exp(-360.0)
     assert tiny > 0.0 and 1.0 / tiny**2 == math.inf
-    mixed = GmmParams(weights=np.array([0.25, 0.75]), means=np.zeros((2, 1)),
-                      sds=np.array([[1.0], [tiny]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert log_likelihood(spec, data, mixed) == pytest.approx(
-            stats.norm.logpdf(data.values[:, 0]).sum() + 3 * math.log(0.25), rel=1e-14)
-        assert log_likelihood(spec, data, GmmParams(mixed.weights, mixed.means,
-                                                    np.full((2, 1), tiny))) == -math.inf
-        z = np.array([0.0, 0.0, 0.0, -360.0, -360.0])
-        for rows in (z, np.stack([z, z])):
-            with pytest.raises(NumericError, match=r"^log joint is non-finite \(.*-inf"):
-                unconstrained_log_joint(spec, data, rows)
+        for data in datasets:
+            spec = GmmSpec(K=2, p=data.p)
+            stats_ll = stats.norm.logpdf(data.values).sum()
+            # the smallest positive sd drops out too: its square is 0
+            for small in (tiny, 5e-324):
+                sds = np.ones((2, data.p))
+                sds[1] = small
+                mixed = GmmParams(weights=np.array([0.25, 0.75]),
+                                  means=np.zeros((2, data.p)), sds=sds)
+                want = stats_ll + data.N * math.log(0.25)
+                assert log_likelihood(spec, data, mixed) == pytest.approx(want, rel=1e-14)
+                all_tiny = GmmParams(mixed.weights, mixed.means, np.full((2, data.p), small))
+                assert log_likelihood(spec, data, all_tiny) == -math.inf
+                for th in (mixed, all_tiny):
+                    sets = random_draws(rng, spec, 37)
+                    sets[SPECIAL_ROW] = th
+                    got = log_likelihood(spec, data, stack(sets))
+                    assert list(got) == [log_likelihood(spec, data, s) for s in sets]
+            z = np.zeros(spec.n_unconstrained)
+            z[-data.p:] = -360.0
+            params = constrain(z, spec)
+            ldj = np.log(params.weights).sum() + np.log(params.sds).sum()
+            want = log_joint(spec, data, params) + ldj
+            rows = with_row(ordinary_rows(rng, spec, 37), z)
+            got = unconstrained_log_joint(spec, data, rows)
+            assert list(got) == [unconstrained_log_joint(spec, data, row) for row in rows]
+            assert abs(got[SPECIAL_ROW] - want) <= 1e-12 * abs(want)
+            z[spec.K - 1 + spec.K * spec.p:] = -360.0
+            for rows in (z, with_row(ordinary_rows(rng, spec, 37), z)):
+                with pytest.raises(NumericError, match=r"(?s)^log joint is non-finite \(.*-inf"):
+                    unconstrained_log_joint(spec, data, rows)
+
+
+def test_the_sd_edges_are_where_exp_gives_0_and_inf():
+    """The target compares log sds with two constants instead of taking
+    their exp: at _LOG_UNDERFLOW exp gives 0 and one step up it does not;
+    at _LOG_OVERFLOW exp is finite and one step up it is inf.  So the
+    target raises on exactly the log sds whose sds underflow or overflow."""
+    up = np.nextafter(_LOG_UNDERFLOW, 0.0)
+    over = np.nextafter(_LOG_OVERFLOW, np.inf)
+    with np.errstate(over="ignore"):
+        assert np.exp(_LOG_UNDERFLOW) == 0.0 < np.exp(up)
+        assert np.exp(_LOG_OVERFLOW) < np.inf == np.exp(over)
+    spec = GmmSpec(K=2, p=1)
+    data = Dataset(np.array([[1.0], [2.0]]))
+    z = np.zeros(spec.n_unconstrained)
+    for log_sd, message in [(_LOG_UNDERFLOW, "underflowed"), (up, None),
+                            (_LOG_OVERFLOW, None), (over, "overflowed")]:
+        z[-1] = log_sd
+        if message is None:
+            assert math.isfinite(unconstrained_log_joint(spec, data, z))
+        else:
+            with pytest.raises(NumericError, match=message):
+                unconstrained_log_joint(spec, data, z)
+
+
+def test_sds_at_the_overflow_edge_score_as_scipy_does():
+    """An sd of exp(709.78) is finite but its square is not, so its
+    precision is 0 and its density the normaliser alone; an sd of inf drops
+    its component out, and with every component there the log likelihood is
+    -inf, as scipy's is.  Alone and inside a 37-set stack."""
+    rng = np.random.default_rng(709)
+    spec = GmmSpec(K=2, p=2)
+    data = Dataset(np.array([[1.0, 3.0], [2.0, -3.0], [-0.5, 0.0]]))
+    big = math.exp(709.78)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sd in (big, math.inf):
+            want = stats.norm.logpdf(data.values, 0.0, sd).sum()
+            assert math.isfinite(want) == (sd == big)
+            th = GmmParams(weights=np.array([0.25, 0.75]), means=np.zeros((2, 2)),
+                           sds=np.full((2, 2), sd))
+            got = log_likelihood(spec, data, th)
+            assert got == pytest.approx(want, rel=1e-14) if sd == big else got == want
+            sets = random_draws(rng, spec, 37)
+            sets[SPECIAL_ROW] = th
+            got = log_likelihood(spec, data, stack(sets))
+            assert list(got) == [log_likelihood(spec, data, s) for s in sets]
 
 
 @pytest.mark.parametrize("K, p, N", [(1, 1, 1), (1, 3, 40), (2, 5, 1), (4, 3, 500),
@@ -369,6 +460,13 @@ def test_block_kernel_keeps_the_validation_messages():
         ("sds", np.array([[[1.0], [1.0]], [[1.0], [0.0]], [[1.0], [1.0]]]),
          "^sds must be strictly positive$"),
         ("sds", np.ones((2, 2, 1)), "means/sds must have shape"),
+        # nan compares False with everything, so each check is written to fail on it
+        ("weights", np.array([[0.5, 0.5], [0.5, np.nan], [0.5, 0.5]]),
+         "^weights must be a simplex vector$"),
+        ("means", np.array([[[0.0], [0.0]], [[np.nan], [0.0]], [[0.0], [0.0]]]),
+         "^means must not be nan$"),
+        ("sds", np.array([[[1.0], [1.0]], [[1.0], [np.nan]], [[1.0], [1.0]]]),
+         "^sds must be strictly positive$"),
     ]:
         bad = GmmParams(**{**good, field: value})
         for density in (log_likelihood, dic):
@@ -376,7 +474,10 @@ def test_block_kernel_keeps_the_validation_messages():
                 density(spec, data, bad)
     one = {name: value[0] for name, value in good.items()}
     for field, value, message in [("weights", np.array([0.7, 0.7]), "simplex"),
-                                  ("sds", np.array([[1.0], [0.0]]), "strictly positive")]:
+                                  ("sds", np.array([[1.0], [0.0]]), "strictly positive"),
+                                  ("weights", np.array([np.nan, 0.5]), "simplex"),
+                                  ("means", np.array([[0.0], [np.nan]]), "nan"),
+                                  ("sds", np.array([[np.nan], [1.0]]), "strictly positive")]:
         with pytest.raises(ValueError, match=message):
             log_joint(spec, data, GmmParams(**{**one, field: value}))
     for density, params in ((log_likelihood, good), (dic, good), (log_joint, one)):
@@ -418,10 +519,18 @@ def test_spec_and_params_validation():
                             means=np.zeros((2, 1)), sds=np.ones((2, 1)))
     with pytest.raises(ValueError):
         bad_simplex.validate(spec)
-    bad_sd = GmmParams(weights=np.array([0.5, 0.5]),
-                       means=np.zeros((2, 1)), sds=np.array([[1.0], [0.0]]))
-    with pytest.raises(ValueError):
-        bad_sd.validate(spec)
+    for weights, means, sds in [
+        ([0.5, 0.5], [[0.0], [0.0]], [[1.0], [0.0]]),
+        ([0.5, np.nan], [[0.0], [0.0]], [[1.0], [1.0]]),
+        ([0.5, 0.5], [[np.nan], [0.0]], [[1.0], [1.0]]),
+        ([0.5, 0.5], [[0.0], [0.0]], [[1.0], [np.nan]]),
+    ]:
+        with pytest.raises(ValueError):
+            GmmParams(*map(np.array, (weights, means, sds))).validate(spec)
+    # an inf sd is a point the kernel scores (its component drops out), and a
+    # run's DIC draws can carry one
+    GmmParams(weights=np.array([0.5, 0.5]), means=np.zeros((2, 1)),
+              sds=np.array([[1.0], [np.inf]])).validate(spec)
 
 
 def test_dataset_rejects_non_finite_and_wrong_rank():

@@ -25,7 +25,7 @@ from yoasovi.harness import build_matrix, load_config, run_matrix
 from test_shipped_flags import (CONFIGS, ROOT, perfbench_argv, readme_argvs,
                                 script_argvs, with_config)
 
-RUN_DIGEST = "07776aaf652c9f7745ff6b5ec7608437280c4ffc6b2d569ce694dd3f460cc84f"
+RUN_DIGEST = "8fc2e58a20864fcb35842721baab2950f2f5b7bfc9555cbc9ce7c3a0e3590811"
 MATRIX_DIGEST = "8ea7877ab6e137c01f68d077feac68a37338300c5826a6348537b27969f192d9"
 
 

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from validation import ConjugateOracle, closed_form_elbo, finite_diff
+from validation import ConjugateOracle, GaussianTarget, closed_form_elbo, finite_diff
+from yoasovi.driver import RunConfig, run_problem
+from yoasovi.estimators import estimate
+from yoasovi.meanfield import VariationalParams
+from yoasovi.sequences import make_source
 
 
 def oracle_fixture():
@@ -131,3 +135,58 @@ def test_elbo_rejects_nonpositive_scale():
         closed_form_elbo(oracle, 0.0, 0.0)
     with pytest.raises(ValueError):
         closed_form_elbo(oracle, 0.0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the d-dimensional Gaussian target
+
+def gaussian_target(c=0.0):
+    return GaussianTarget.equicorrelated(9, 0.5, np.random.default_rng(14), c=c)
+
+
+def test_gaussian_target_elbo_matches_a_1e5_draw_estimate():
+    """The closed-form ELBO at a lambda away from the optimum agrees with
+    the library's own 1e5-draw estimate within 3 standard errors."""
+    target = gaussian_target(c=-3.0)
+    rng = np.random.default_rng(5)
+    lam = VariationalParams(m=rng.normal(0.0, 1.0, target.dim),
+                            log_s=rng.normal(-1.0, 0.3, target.dim))
+    est = estimate(lam, target.log_joint, make_source("pseudo-random", target.dim, seed=3),
+                   100_000)
+    se = est.w.std(ddof=1) / math.sqrt(len(est.w))
+    assert abs(est.elbo - target.elbo(lam)) < 3.0 * se
+    assert target.elbo(lam) < target.elbo(target.optimum()) - 1.0
+
+
+def test_gaussian_target_elbo_is_flat_at_its_optimum():
+    """A central-difference gradient of the closed-form ELBO in (m, log_s)
+    is 0 at optimum() to rounding, and not 0 a step away from it."""
+    target = gaussian_target()
+    d = target.dim
+
+    def elbo(x):
+        return target.elbo(VariationalParams(m=x[:d], log_s=x[d:]))
+
+    best = target.optimum()
+    x = np.concatenate([best.m, best.log_s])
+    np.testing.assert_allclose(finite_diff(elbo, x, step=1e-5), 0.0, atol=1e-7)
+    x[0] += 0.1
+    x[-1] -= 0.1
+    assert np.abs(finite_diff(elbo, x, step=1e-5)).max() > 1e-2
+
+
+def test_gaussian_target_log_joint_is_row_wise_and_runs():
+    """log_joint scores stacked rows as one call per row, a run goes
+    through its Problem, and the closed form scores the run's lambda."""
+    target = gaussian_target()
+    z = np.random.default_rng(2).normal(0.0, 1.0, (4, target.dim))
+    got = target.log_joint(z)
+    assert got.shape == (4,)
+    np.testing.assert_allclose(got, [target.log_joint(row) for row in z], rtol=1e-15)
+    assert target.log_joint(target.mu) == target.c
+    cfg = RunConfig(method="mcvi", samples=10, learning_rate=1e-3, max_iters=50, seed=1)
+    trace = run_problem(cfg, target.problem())
+    assert trace.summary.error is None and trace.summary.dic is None
+    assert target.elbo(trace.final_lambda) < target.elbo(target.optimum())
+    with pytest.raises(ValueError):
+        GaussianTarget(mu=np.zeros(2), prec=np.array([[1.0, 2.0], [2.0, 1.0]]))

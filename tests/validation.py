@@ -8,6 +8,12 @@ The posterior is Gaussian, the marginal likelihood has a closed form, and
 the ELBO of a Gaussian q(theta) = N(m, s^2) is an explicit function of
 (m, s) with an explicit gradient.  Monte Carlo estimates can therefore be
 tested against exact numbers instead of against themselves.
+
+GaussianTarget is the d-dimensional counterpart for whole runs: a Gaussian
+log density log p(z) = c - (z - mu)' Lambda (z - mu) / 2, whose mean-field
+optimum under KL(q || p) is known (m = mu, s_i^2 = 1 / Lambda_ii) and whose
+ELBO has a closed form at any lambda, so the gap of a run's lambda to the
+optimum is exact, with no draws.
 """
 
 import math
@@ -15,6 +21,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from yoasovi.driver import Problem
+from yoasovi.meanfield import VariationalParams
 
 
 def finite_diff(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -104,3 +113,65 @@ def closed_form_elbo(oracle: ConjugateOracle, m: float, s: float) -> tuple[float
     d_m = (oracle.sum_y - n * m) / s2 - m / t2
     d_s = -n * s / s2 - s / t2 + 1.0 / s
     return value, np.array([d_m, d_s])
+
+
+@dataclass(frozen=True)
+class GaussianTarget:
+    """log p(z) = c - (z - mu)' prec (z - mu) / 2 for a symmetric positive
+    definite precision prec, with no normaliser: c is the additive constant
+    a run sees, which changes nothing about the posterior."""
+
+    mu: np.ndarray
+    prec: np.ndarray
+    c: float = 0.0
+
+    def __post_init__(self):
+        mu = np.asarray(self.mu, dtype=float)
+        prec = np.asarray(self.prec, dtype=float)
+        if mu.ndim != 1 or prec.shape != (mu.size, mu.size):
+            raise ValueError("mu must be 1-d and prec square of its length")
+        if not np.allclose(prec, prec.T) or np.linalg.eigvalsh(prec).min() <= 0:
+            raise ValueError("prec must be symmetric positive definite")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "prec", prec)
+
+    @property
+    def dim(self) -> int:
+        return self.mu.size
+
+    def log_joint(self, z):
+        """log p(z), row by row: z of shape (..., dim) gives the leading
+        shape, a numpy scalar for one vector."""
+        d = np.asarray(z, dtype=float) - self.mu
+        return self.c - 0.5 * np.einsum("...i,ij,...j->...", d, self.prec, d)
+
+    def elbo(self, lam: VariationalParams) -> float:
+        """The ELBO of q = N(m, diag(s^2)) in closed form: E_q log p is
+        c - ((m - mu)' prec (m - mu) + sum_i prec_ii s_i^2) / 2, and q's
+        entropy is sum_i log s_i + (d / 2)(1 + log 2 pi)."""
+        d = lam.m - self.mu
+        quad = d @ self.prec @ d + np.diag(self.prec) @ np.exp(2.0 * lam.log_s)
+        return float(self.c - 0.5 * quad + lam.log_s.sum()
+                     + 0.5 * self.dim * (1.0 + math.log(2.0 * math.pi)))
+
+    def optimum(self) -> VariationalParams:
+        """The mean-field optimum: m = mu, s_i^2 = 1 / prec_ii."""
+        return VariationalParams(m=self.mu.copy(), log_s=-0.5 * np.log(np.diag(self.prec)))
+
+    def problem(self, log_s: float = -1.0) -> Problem:
+        """A Problem for run_problem: this target, no DIC, and a start at
+        m ~ N(0, 1) per coordinate from the run's init stream, with every
+        log s at log_s."""
+        return Problem(target=self.log_joint,
+                       init=lambda rng: VariationalParams(m=rng.normal(0.0, 1.0, self.dim),
+                                                          log_s=np.full(self.dim, log_s)))
+
+    @classmethod
+    def equicorrelated(cls, d: int, rho: float, rng: np.random.Generator,
+                       c: float = 0.0) -> "GaussianTarget":
+        """A target whose covariance has correlation rho between every pair
+        of coordinates, sds from lognormal(0, 0.5) and mu ~ N(0, 4)."""
+        sds = rng.lognormal(0.0, 0.5, d)
+        corr = np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
+        prec = np.linalg.inv(corr * np.outer(sds, sds))
+        return cls(mu=rng.normal(0.0, 2.0, d), prec=0.5 * (prec + prec.T), c=c)
