@@ -43,7 +43,6 @@ works out once.
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -160,22 +159,20 @@ class Dataset:
 _BLOCK = 16
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along axis, shifted by the maximum along it.
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over axis 1, shifted by the maximum along it.
 
     Where that maximum is not finite the values are left unshifted, so the
     result is the same inf or nan as scipy.special.logsumexp gives, and no
     inf - inf is ever formed.  An all -inf slice sums to 0: the caller's
     errstate ignores the log's divide."""
-    m = a.max(axis=axis, keepdims=True)
-    finite = np.isfinite(m)
-    if not finite.all():
-        m[~finite] = 0.0
+    m = a.max(axis=1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
     e = a - m
     np.exp(e, out=e)
-    out = e.sum(axis=axis)
+    out = e.sum(axis=1)
     np.log(out, out=out)
-    out += m.squeeze(axis)
+    out += m[:, 0]
     return out
 
 
@@ -317,7 +314,7 @@ def _log_likelihood(spec: GmmSpec, data: Dataset, log_w, means, log_sds) -> np.n
         drop = np.isinf(coef[..., :-1]).any(axis=2)
         coef[drop] = 0.0
         coef[..., -1][drop] = -np.inf
-        out[bad] = _score_sets(data, coef, partial(_logsumexp, axis=1))
+        out[bad] = _score_sets(data, coef, _logsumexp)
     return out.reshape(log_w.shape[:-1])[()]
 
 

@@ -148,7 +148,7 @@ def test_logsumexp_non_finite_rows_match_scipy():
     # both callers ignore the log's divide on an all -inf row
     with warnings.catch_warnings(), np.errstate(divide="ignore"):
         warnings.simplefilter("error")
-        got = _logsumexp(a, axis=1)
+        got = _logsumexp(a)
     want = logsumexp(a, axis=1)
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     ok = ~np.isnan(want)
@@ -360,8 +360,7 @@ def test_stacked_rows_have_the_bits_of_per_row_calls_at_every_shape(K, p, N):
     rng = np.random.default_rng(K * 100 + p * 10 + N)
     spec = GmmSpec(K=K, p=p)
     data = Dataset(rng.normal(0.0, 2.0, (N, p)))
-    z = np.concatenate([rng.normal(0.0, 1.0, (37, K - 1)), rng.normal(0.0, 2.0, (37, K * p)),
-                        rng.normal(0.0, 0.3, (37, K * p))], axis=1)
+    z = ordinary_rows(rng, spec, 37)
     assert 37 % _BLOCK != 0 and 37 > 2 * _BLOCK
     got = unconstrained_log_joint(spec, data, z)
     assert list(got) == [unconstrained_log_joint(spec, data, row) for row in z]

@@ -158,13 +158,13 @@ class GaussianTarget:
         """The mean-field optimum: m = mu, s_i^2 = 1 / prec_ii."""
         return VariationalParams(m=self.mu.copy(), log_s=-0.5 * np.log(np.diag(self.prec)))
 
-    def problem(self, log_s: float = -1.0) -> Problem:
+    def problem(self) -> Problem:
         """A Problem for run_problem: this target, no DIC, and a start at
         m ~ N(0, 1) per coordinate from the run's init stream, with every
-        log s at log_s."""
+        log s at -1."""
         return Problem(target=self.log_joint,
                        init=lambda rng: VariationalParams(m=rng.normal(0.0, 1.0, self.dim),
-                                                          log_s=np.full(self.dim, log_s)))
+                                                          log_s=np.full(self.dim, -1.0)))
 
     @classmethod
     def equicorrelated(cls, d: int, rho: float, rng: np.random.Generator,
