@@ -6,7 +6,7 @@ from .acceptance import TemperatureSchedule, accept_probability, decide, tempera
 from .driver import (METHODS, Problem, RunConfig, RunTrace, build_gmm_problem,
                      final_elbo, posterior_draw_set, run, run_problem)
 from .errors import NumericError, ParseError
-from .estimators import GradientSample, estimate, update_step
+from .estimators import DrawStream, GradientSample, estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec, dic, log_joint, simulate
 from .harness import ExperimentMatrix, SummaryRow, load_csv, make_preset, run_matrix
 from .meanfield import (ParamDraw, VariationalParams, constrain, initial_params,

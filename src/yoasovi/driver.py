@@ -25,7 +25,7 @@ import numpy as np
 from . import gmm
 from .acceptance import TemperatureSchedule, decide, temperature
 from .errors import NumericError, require_number, require_positive
-from .estimators import estimate, update_step
+from .estimators import DrawStream, estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec
 from .meanfield import VariationalParams, constrain, initial_params, sample
 from .sequences import clamp, make_source
@@ -135,8 +135,8 @@ def run_problem(config: RunConfig, problem: Problem,
 
     method = METHODS[config.method]
     lam = problem.init(np.random.default_rng(init_ss))
-    src = make_source(method.source, lam.dim,
-                      seed=int(src_ss.generate_state(1, dtype=np.uint64)[0]))
+    draws = DrawStream(make_source(method.source, lam.dim,
+                                   seed=int(src_ss.generate_state(1, dtype=np.uint64)[0])))
     dec_rng = np.random.default_rng(dec_ss)
 
     evals = 0
@@ -155,7 +155,7 @@ def run_problem(config: RunConfig, problem: Problem,
     t0 = clock()
     for t in range(1, config.max_iters + 1):
         try:
-            est = estimate(lam, counted, src, config.samples)
+            est = estimate(lam, counted, draws, config.samples)
             M = temperature(config.schedule, t) if method.rule else None
             accepted = M is None or decide(method.rule, M, est.elbo, L_prev,
                                            u=float(dec_rng.random()))

@@ -1,5 +1,21 @@
 """Score-function gradient and ELBO estimates, computed jointly from the
-same draws, plus the constant-rate parameter update."""
+same draws, plus the constant-rate parameter update.
+
+A run's draws come from one DrawStream over its point source.  The stream
+serves points in stream order and keeps the z and log_q rows it has
+computed ahead for the last lambda it served.  It can tell only one thing
+about the run: whether lambda is the same object as on its last call,
+which in run_problem it is exactly after a rejected step (so a lambda's
+arrays must not be changed in place between calls).  For a new lambda it computes just the S rows it serves, so the
+Monte Carlo methods, which move every step, do the same work as a
+per-call pass.  For an unchanged lambda it computes max(S, LOOKAHEAD) rows
+in one row-wise sample and log_q pass and serves the rest on the calls
+after, so a run of rejected single-draw steps costs little beyond its
+target calls.  Points computed for a lambda that has since changed stay in
+the stream and are scored again, in order, under the new one.  Row-wise
+sample and log_q give each row the bits of its own call, so every served
+draw and log_q is what a per-call pass over the same stream would give.
+"""
 
 import math
 from dataclasses import dataclass, field
@@ -37,25 +53,68 @@ class GradientSample:
             return (sc * self.w[:, None]).sum(axis=0) / len(self.w)
 
 
+# Rows a DrawStream computes ahead for an unchanged lambda.  At the shipped
+# sim-p2k2 settings the single-draw methods reject 71-79% of their steps
+# and compute 2.1-2.6 rows per iteration with 16; 64 timed the same, 4 a
+# little slower (scripts/iteration_cost.py).
+LOOKAHEAD = 16
+
+
+class DrawStream:
+    """The draws of one run: points taken from src and not yet served, in
+    stream order, and the z and log_q rows computed for the first of them
+    under the lambda last served.  Like its source, single-owner mutable
+    state: one stream per run."""
+
+    def __init__(self, src: SequenceSource):
+        self._src = src
+        self._lam = None
+        self._pts = np.empty((0, 0))
+        self._z = self._pts
+        self._lq = []
+
+    def take(self, lam: VariationalParams, S: int) -> tuple[np.ndarray, list]:
+        """The next S draws from q(.|lam) and their log_q, as (S, dim) z
+        rows and a list of S floats.  Non-finite rows are served as they
+        are; the caller checks each row as it uses it."""
+        if lam is not self._lam:
+            self._lam, done, n = lam, 0, S
+        else:
+            done = len(self._lq)
+            n = 0 if done >= S else max(S, LOOKAHEAD)
+        if n:
+            short = done + n - len(self._pts)
+            if short > 0:
+                new = self._src.next_point(short)
+                self._pts = np.concatenate([self._pts, new]) if len(self._pts) else new
+            z = sample(lam, self._pts[done:done + n]).z
+            lq = log_q(lam, z).tolist()
+            if done:
+                z, lq = np.concatenate([self._z, z]), self._lq + lq
+            self._z, self._lq = z, lq
+        z, lq = self._z[:S], self._lq[:S]
+        self._pts, self._z, self._lq = self._pts[S:], self._z[S:], self._lq[S:]
+        return z, lq
+
+
 def estimate(lam: VariationalParams, log_joint_z: LogJointFn,
-             src: SequenceSource, S: int) -> GradientSample:
+             draws: DrawStream, S: int) -> GradientSample:
     """Average S single-draw score-function estimates.
 
     log_joint_z must return log p(y, constrain(z)) plus the transform's log
     Jacobian term, so that w = log_joint_z(z) - log_q(z) is the ELBO
-    integrand on the unconstrained space.  The S points, draws and log_q
-    come from one row-wise pass; each draw then costs exactly one
+    integrand on the unconstrained space.  The S draws and their log_q
+    come from draws, the run's stream; each draw then costs exactly one
     log_joint_z evaluation, made in draw order.  S=1 is the single-draw
     acceptance-sampling path.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    z = sample(lam, src.next_point(S)).z
-    # a non-finite draw has a non-finite log_q, so only such a draw's z is
-    # looked at
-    lq = log_q(lam, z).tolist()
+    z, lq = draws.take(lam, S)
     ws = []
     for s in range(S):
+        # a non-finite draw has a non-finite log_q, so only such a draw's z
+        # is looked at
         if not math.isfinite(lq[s]) and not np.isfinite(z[s]).all():
             raise NumericError(f"draw {s + 1} of {S} overflowed the sampling transform")
         w = float(log_joint_z(z[s])) - lq[s]

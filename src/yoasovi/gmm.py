@@ -331,7 +331,14 @@ def _log_prior_z(spec: GmmSpec, log_w, tail):
 def log_prior(spec: GmmSpec, params: GmmParams):
     """Log prior density of each parameter set in params: an array of the
     leading shape of its fields (a scalar for one set).  It is the prior in
-    z's coordinates less the log |Jacobian| of constrain's map."""
+    z's coordinates less the log |Jacobian| of constrain's map.  Checks
+    params against spec first."""
+    params.validate(spec)
+    return _log_prior(spec, params)
+
+
+def _log_prior(spec: GmmSpec, params: GmmParams):
+    """log_prior of params that fit spec."""
     # a zero weight or an overflowing square gives a non-finite prior, which
     # log_joint rejects
     with np.errstate(all="ignore"):
@@ -347,7 +354,7 @@ def log_prior(spec: GmmSpec, params: GmmParams):
 def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
     """Log joint density of one parameter set, which log_likelihood checks;
     a NumericError if it is non-finite."""
-    out = float(log_likelihood(spec, data, params)) + float(log_prior(spec, params))
+    out = float(log_likelihood(spec, data, params)) + float(_log_prior(spec, params))
     if not math.isfinite(out):
         raise NumericError(f"log joint is non-finite ({out}) for {params}")
     return out

@@ -16,7 +16,7 @@ from scipy.special import ndtri
 from yoasovi.acceptance import TemperatureSchedule, accept_probability, temperature
 from yoasovi.driver import (Problem, RunConfig, final_elbo, run, run_problem)
 from yoasovi.errors import NumericError
-from yoasovi.estimators import estimate
+from yoasovi.estimators import DrawStream, estimate
 from yoasovi.gmm import Dataset, GmmParams, GmmSpec, dic
 from yoasovi.harness import ExperimentMatrix, make_preset, run_matrix
 from yoasovi.meanfield import VariationalParams, initial_params, log_q, sample, score
@@ -125,7 +125,8 @@ def test_criterion_05_conjugate_recovery():
     lam = VariationalParams(m=np.array([m]), log_s=np.array([math.log(s)]))
     exact_val, exact_grad = closed_form_elbo(oracle, m, s)
     S = 100_000
-    est = estimate(lam, oracle.log_joint, make_source("pseudo-random", 1, seed=55), S=S)
+    est = estimate(lam, oracle.log_joint, DrawStream(make_source("pseudo-random", 1, seed=55)),
+                   S=S)
     rng = np.random.default_rng(56)
     z = m + s * ndtri(rng.random((S, 1)))
     w = np.array([oracle.log_joint(zi) - log_q(lam, zi) for zi in z])
@@ -164,7 +165,7 @@ def test_criterion_06_scrambled_sequence_variance():
     lam = initial_params(spec, data, np.random.default_rng(5), kmeans_style=True)
 
     def spread(kind, base):
-        vals = [estimate(lam, prob.target, make_source(kind, lam.dim, base + i),
+        vals = [estimate(lam, prob.target, DrawStream(make_source(kind, lam.dim, base + i)),
                          S=10).elbo for i in range(200)]
         return float(np.var(vals))
 

@@ -14,7 +14,7 @@ from yoasovi.driver import (Problem, RunConfig, build_gmm_problem, final_elbo,
                             posterior_draw_set, run, run_problem)
 from yoasovi.driver import IterationRecord
 from yoasovi.errors import NumericError
-from yoasovi.estimators import estimate
+from yoasovi.estimators import DrawStream, estimate
 from yoasovi import gmm
 from yoasovi.gmm import Dataset, GmmParams
 from yoasovi.harness import make_preset
@@ -366,7 +366,8 @@ def test_the_target_path_never_validates(monkeypatch):
     trace = run_problem(cfg, dataclasses.replace(problem, dic=None))
     assert trace.summary.iterations == 20 and trace.summary.error is None
     lam = problem.init(np.random.default_rng(0))
-    est = estimate(lam, problem.target, make_source("sobol-scrambled", lam.dim, 1), 10)
+    est = estimate(lam, problem.target, DrawStream(make_source("sobol-scrambled", lam.dim, 1)),
+                   10)
     assert math.isfinite(est.elbo)
     assert calls == []
     assert run(cfg, data).summary.dic is not None

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from yoasovi import estimators
 from yoasovi.driver import RunConfig, build_gmm_problem, run_problem
 from yoasovi.errors import NumericError
-from yoasovi.estimators import GradientSample, estimate, update_step
+from yoasovi.estimators import LOOKAHEAD, DrawStream, GradientSample, estimate, update_step
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.harness import make_preset
 from yoasovi.meanfield import VariationalParams, log_q, sample, score
@@ -37,7 +39,7 @@ def test_single_draw_arithmetic_is_exact():
     lam = VariationalParams(m=np.array([0.3]), log_s=np.array([-0.5]))
     oracle = make_oracle()
     src = FrozenSource([[0.7]])
-    out = estimate(lam, oracle.log_joint, src, S=1)
+    out = estimate(lam, oracle.log_joint, DrawStream(src), S=1)
 
     z = lam.m + np.exp(lam.log_s) * ndtri(0.7)
     w = oracle.log_joint(z) - log_q(lam, z)
@@ -50,8 +52,9 @@ def test_estimate_averages_over_draws():
     lam = VariationalParams(m=np.array([0.0]), log_s=np.array([0.0]))
     oracle = make_oracle()
     pts = [[0.2], [0.5], [0.8]]
-    batched = estimate(lam, oracle.log_joint, FrozenSource(pts), S=3)
-    singles = [estimate(lam, oracle.log_joint, FrozenSource([p]), S=1) for p in pts]
+    batched = estimate(lam, oracle.log_joint, DrawStream(FrozenSource(pts)), S=3)
+    singles = [estimate(lam, oracle.log_joint, DrawStream(FrozenSource([p])), S=1)
+               for p in pts]
     assert batched.elbo == pytest.approx(np.mean([s.elbo for s in singles]), abs=1e-12)
     np.testing.assert_allclose(batched.grad,
                                np.mean([s.grad for s in singles], axis=0), atol=1e-12)
@@ -68,7 +71,7 @@ def test_one_density_evaluation_per_draw():
         return oracle.log_joint(z)
 
     src = FrozenSource(np.random.default_rng(3).random((17, 1)))
-    estimate(lam, counted, src, S=17)
+    estimate(lam, counted, DrawStream(src), S=17)
     assert calls == 17
     assert src.counter == 17
 
@@ -83,7 +86,7 @@ def test_estimate_tracks_closed_form_elbo_and_gradient():
 
     src = make_source("pseudo-random", 1, seed=123)
     S = 40_000
-    est = estimate(lam, oracle.log_joint, src, S=S)
+    est = estimate(lam, oracle.log_joint, DrawStream(src), S=S)
 
     # spread measured from an independent vectorized replay of the estimator
     rng = np.random.default_rng(9)
@@ -123,7 +126,7 @@ def test_estimate_is_bit_identical_to_the_per_draw_loop(kind, S):
     spread = VariationalParams(m=init.m, log_s=np.linspace(-3.0, 0.5, init.dim))
     for lam in (init, spread):
         for seed in (0, 1):
-            got = estimate(lam, prob.target, make_source(kind, lam.dim, seed), S)
+            got = estimate(lam, prob.target, DrawStream(make_source(kind, lam.dim, seed)), S)
             grad, elbo = per_draw_estimate(lam, prob.target, make_source(kind, lam.dim, seed), S)
             assert got.elbo == elbo
             assert np.array_equal(got.grad, grad)
@@ -136,7 +139,7 @@ def test_grad_read_later_is_the_eager_sum(S):
     spec, data = make_preset("sim-p2k2", N=60)
     prob = build_gmm_problem(spec, data, kmeans_style_init=True)
     lam = prob.init(np.random.default_rng(5))
-    est = estimate(lam, prob.target, make_source("sobol-scrambled", lam.dim, 2), S)
+    est = estimate(lam, prob.target, DrawStream(make_source("sobol-scrambled", lam.dim, 2)), S)
 
     z = sample(lam, make_source("sobol-scrambled", lam.dim, 2).next_point(S)).z
     lq = log_q(lam, z)
@@ -181,7 +184,7 @@ def test_overflowing_draw_raises_after_the_draws_before_it(k, S):
     points = [[0.5, 0.5]] * S
     points[k - 1] = [0.5, 1.0 - EPS]
     with pytest.raises(NumericError, match=rf"^draw {k} of {S} overflowed"):
-        estimate(lam, counted, FrozenSource(points), S)
+        estimate(lam, counted, DrawStream(FrozenSource(points)), S)
     assert calls == k - 1
 
 
@@ -198,14 +201,14 @@ def test_a_finite_draw_with_a_non_finite_log_q_is_a_non_finite_integrand():
         return -1.0
 
     with pytest.raises(NumericError, match=r"^non-finite integrand \(nan\) at draw 1 of 3"):
-        estimate(lam, counted, FrozenSource([[0.5, 0.5]] * 3), 3)
+        estimate(lam, counted, DrawStream(FrozenSource([[0.5, 0.5]] * 3)), 3)
     assert calls == 1
 
 
 def test_estimate_rejects_bad_sample_count():
     lam = VariationalParams(m=np.zeros(1), log_s=np.zeros(1))
     with pytest.raises(ValueError):
-        estimate(lam, lambda z: 0.0, FrozenSource([[0.5]]), S=0)
+        estimate(lam, lambda z: 0.0, DrawStream(FrozenSource([[0.5]])), S=0)
 
 
 def test_non_finite_integrand_raises_with_draw_index():
@@ -213,7 +216,101 @@ def test_non_finite_integrand_raises_with_draw_index():
     vals = iter([-1.0, -2.0, np.nan])
     src = make_source("pseudo-random", 1, seed=0)
     with pytest.raises(NumericError, match="draw 3"):
-        estimate(lam, lambda z: next(vals), src, S=5)
+        estimate(lam, lambda z: next(vals), DrawStream(src), S=5)
+
+
+class CountingSource:
+    """A source that counts the points taken from it."""
+
+    def __init__(self, src):
+        self.src = src
+        self.taken = 0
+
+    def next_point(self, n):
+        self.taken += n
+        return self.src.next_point(n)
+
+
+def count_rows(monkeypatch):
+    """The number of rows each estimators.sample call computes, in order."""
+    rows = []
+    real = estimators.sample
+    monkeypatch.setattr(estimators, "sample",
+                        lambda lam, u: rows.append(len(u)) or real(lam, u))
+    return rows
+
+
+P2K2 = build_gmm_problem(*make_preset("sim-p2k2", N=60), kmeans_style_init=True)
+P2K2_INIT = P2K2.init(np.random.default_rng(7))
+
+
+@given(kind=st.sampled_from(["pseudo-random", "sobol-scrambled"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       script=st.lists(st.tuples(st.sampled_from(["same", "equal", "moved"]),
+                                 st.sampled_from([1, 3])), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_the_stream_serves_what_a_per_call_pass_would(kind, seed, script):
+    """Whatever the order of unchanged, rebuilt and moved lambdas, every
+    served z, integrand, elbo and grad has the bits of one sample and
+    log_q call over the same stream positions, and the served points are
+    the stream's prefix: the reference takes them from its own copy of the
+    source, in order."""
+    src = CountingSource(make_source(kind, P2K2_INIT.dim, seed))
+    ref_src = make_source(kind, P2K2_INIT.dim, seed)
+    draws = DrawStream(src)
+    lam, served = P2K2_INIT, 0
+    for i, (step, S) in enumerate(script):
+        if step == "equal":
+            lam = VariationalParams(m=lam.m, log_s=lam.log_s)
+        elif step == "moved":
+            lam = VariationalParams(m=lam.m + 0.01 * (i + 1), log_s=lam.log_s - 0.02)
+        got = estimate(lam, P2K2.target, draws, S)
+
+        z = sample(lam, ref_src.next_point(S)).z
+        lq = log_q(lam, z)
+        w = np.array([float(P2K2.target(z[s])) - lq[s] for s in range(S)])
+        assert np.array_equal(got.z, z)
+        assert np.array_equal(got.w, w)
+        assert got.elbo == sum(w.tolist()) / S
+        assert np.array_equal(got.grad, (score(lam, z) * w[:, None]).sum(axis=0) / S)
+        served += S
+        assert served <= src.taken <= served + LOOKAHEAD
+
+
+@pytest.mark.parametrize("k,S", [(5, 1), (8, 3), (17, 3)])
+def test_an_overflowing_row_ahead_raises_only_when_served(monkeypatch, k, S):
+    """Point k (1-based in the stream) overflows; with lambda unchanged the
+    stream computes it ahead, yet the error comes at the call that serves
+    it, as draw ((k - 1) % S + 1) of S, after the target calls before it."""
+    rows = count_rows(monkeypatch)
+    lam = VariationalParams(m=np.array([0.2, -0.1]), log_s=np.full(2, 709.0))
+    points = [[0.5, 0.5]] * 40
+    points[k - 1] = [0.5, 1.0 - EPS]
+    calls = 0
+
+    def counted(z):
+        nonlocal calls
+        calls += 1
+        return -1.0
+
+    draws = DrawStream(FrozenSource(points))
+    for _ in range((k - 1) // S):
+        estimate(lam, counted, draws, S)
+    assert sum(rows) >= k  # the overflowing row was computed ahead
+    with pytest.raises(NumericError, match=rf"^draw {(k - 1) % S + 1} of {S} overflowed"):
+        estimate(lam, counted, draws, S)
+    assert calls == k - 1
+
+
+@pytest.mark.parametrize("S", [1, 3, 10])
+def test_a_new_lambda_on_every_call_computes_exactly_s_rows(monkeypatch, S):
+    rows = count_rows(monkeypatch)
+    draws = DrawStream(make_source("sobol-scrambled", P2K2_INIT.dim, 4))
+    lam = P2K2_INIT
+    for i in range(12):
+        lam = VariationalParams(m=lam.m + 1e-3, log_s=lam.log_s)
+        estimate(lam, P2K2.target, draws, S)
+    assert rows == [S] * 12
 
 
 def test_update_step_unit_gradient():
@@ -245,7 +342,7 @@ def test_scrambled_sequence_reduces_estimator_variance():
 
     def spread(kind, base):
         vals = [estimate(lam, oracle.log_joint,
-                         make_source(kind, 1, seed=base + i), S=10).elbo
+                         DrawStream(make_source(kind, 1, seed=base + i)), S=10).elbo
                 for i in range(150)]
         return np.var(vals)
 

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -445,8 +446,8 @@ def test_unconstrained_log_joint_rows_are_per_row_calls_and_the_constrained_path
 
 
 def test_block_kernel_keeps_the_validation_messages():
-    """log_likelihood, log_joint and dic check their input; only the run's
-    target, whose params constrain builds, skips the checks."""
+    """log_likelihood, log_prior, log_joint and dic check their input; only
+    the run's target, whose params constrain builds, skips the checks."""
     spec = GmmSpec(K=2, p=1)
     data = Dataset(np.array([[0.0]]))
     good = dict(weights=np.full((3, 2), 0.5), means=np.zeros((3, 2, 1)),
@@ -457,6 +458,8 @@ def test_block_kernel_keeps_the_validation_messages():
         ("weights", np.array([[0.5, 0.5], [0.7, 0.7], [0.5, 0.5]]),
          "^weights must be a simplex vector$"),
         ("sds", np.array([[[1.0], [1.0]], [[1.0], [0.0]], [[1.0], [1.0]]]),
+         "^sds must be strictly positive$"),
+        ("sds", np.array([[[1.0], [1.0]], [[1.0], [-1.0]], [[1.0], [1.0]]]),
          "^sds must be strictly positive$"),
         ("sds", np.ones((2, 2, 1)), "means/sds must have shape"),
         # nan compares False with everything, so each check is written to fail on it
@@ -471,14 +474,19 @@ def test_block_kernel_keeps_the_validation_messages():
         for density in (log_likelihood, dic):
             with pytest.raises(ValueError, match=message):
                 density(spec, data, bad)
+        with pytest.raises(ValueError, match=message):
+            log_prior(spec, bad)
     one = {name: value[0] for name, value in good.items()}
-    for field, value, message in [("weights", np.array([0.7, 0.7]), "simplex"),
+    for field, value, message in [("weights", np.ones(3) / 3, r"weights shape \(3,\)"),
+                                  ("weights", np.array([0.7, 0.7]), "simplex"),
                                   ("sds", np.array([[1.0], [0.0]]), "strictly positive"),
+                                  ("sds", np.array([[1.0], [-1.0]]), "strictly positive"),
                                   ("weights", np.array([np.nan, 0.5]), "simplex"),
                                   ("means", np.array([[0.0], [np.nan]]), "nan"),
                                   ("sds", np.array([[np.nan], [1.0]]), "strictly positive")]:
-        with pytest.raises(ValueError, match=message):
-            log_joint(spec, data, GmmParams(**{**one, field: value}))
+        for density in (partial(log_joint, spec, data), partial(log_prior, spec)):
+            with pytest.raises(ValueError, match=message):
+                density(GmmParams(**{**one, field: value}))
     for density, params in ((log_likelihood, good), (dic, good), (log_joint, one)):
         with pytest.raises(ValueError, match="data dimension"):
             density(spec, Dataset(np.zeros((1, 2))), GmmParams(**params))

@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 from validation import ConjugateOracle, GaussianTarget, closed_form_elbo, finite_diff
 from yoasovi.driver import RunConfig, run_problem
-from yoasovi.estimators import estimate
+from yoasovi.estimators import DrawStream, estimate
 from yoasovi.meanfield import VariationalParams
 from yoasovi.sequences import make_source
 
@@ -151,8 +151,8 @@ def test_gaussian_target_elbo_matches_a_1e5_draw_estimate():
     rng = np.random.default_rng(5)
     lam = VariationalParams(m=rng.normal(0.0, 1.0, target.dim),
                             log_s=rng.normal(-1.0, 0.3, target.dim))
-    est = estimate(lam, target.log_joint, make_source("pseudo-random", target.dim, seed=3),
-                   100_000)
+    est = estimate(lam, target.log_joint,
+                   DrawStream(make_source("pseudo-random", target.dim, seed=3)), 100_000)
     se = est.w.std(ddof=1) / math.sqrt(len(est.w))
     assert abs(est.elbo - target.elbo(lam)) < 3.0 * se
     assert target.elbo(lam) < target.elbo(target.optimum()) - 1.0
