@@ -6,15 +6,16 @@ serves points in stream order and keeps the z and log_q rows it has
 computed ahead for the last lambda it served.  It can tell only one thing
 about the run: whether lambda is the same object as on its last call,
 which in run_problem it is exactly after a rejected step (so a lambda's
-arrays must not be changed in place between calls).  For a new lambda it computes just the S rows it serves, so the
-Monte Carlo methods, which move every step, do the same work as a
-per-call pass.  For an unchanged lambda it computes max(S, LOOKAHEAD) rows
-in one row-wise sample and log_q pass and serves the rest on the calls
-after, so a run of rejected single-draw steps costs little beyond its
-target calls.  Points computed for a lambda that has since changed stay in
-the stream and are scored again, in order, under the new one.  Row-wise
-sample and log_q give each row the bits of its own call, so every served
-draw and log_q is what a per-call pass over the same stream would give.
+arrays must not be changed in place between calls).  For a new lambda it
+computes just the S rows it serves, so the Monte Carlo methods, which
+move every step, do the same work as a per-call pass.  For an unchanged
+lambda it computes max(S, LOOKAHEAD) rows in one row-wise sample and
+log_q pass and serves the rest on the calls after, so a run of rejected
+single-draw steps costs little beyond its target calls.  Points computed
+for a lambda that has since changed stay in the stream and are scored
+again, in order, under the new one.  Row-wise sample and log_q give each
+row the bits of its own call, so every served draw and log_q is what a
+per-call pass over the same stream would give.
 """
 
 import math
@@ -70,7 +71,7 @@ class DrawStream:
         self._src = src
         self._lam = None
         self._pts = np.empty((0, 0))
-        self._z = self._pts
+        self._z = None
         self._lq = []
 
     def take(self, lam: VariationalParams, S: int) -> tuple[np.ndarray, list]:
