@@ -8,7 +8,9 @@ prints per round the µs per iteration (the run's loop time over its
 iterations), the µs per target call and their ratio, then the median of
 each over the rounds.  DIC is left out: it runs after the loop and the
 loop time does not include it.  The timer's own cost, two perf_counter
-calls per target call, counts towards the iteration.
+calls per target call, counts towards the iteration.  After the timed
+rounds, one more untimed round under tracemalloc gives the bytes its
+finished traces hold per iteration.
 
     PYTHONPATH=src python3 scripts/iteration_cost.py [--rounds 5] [--quick]
 
@@ -17,8 +19,10 @@ calls per target call, counts towards the iteration.
 
 import argparse
 import dataclasses
+import gc
 import statistics
 import time
+import tracemalloc
 from pathlib import Path
 
 from yoasovi.driver import build_gmm_problem, run_problem
@@ -51,6 +55,22 @@ def one_round(template, problem, seeds) -> tuple[float, float]:
     return 1e6 * loop_s / iterations, 1e6 * target_s / target_calls
 
 
+def trace_bytes(template, problem, seeds) -> float:
+    """Bytes the finished traces of one run per seed retain, per iteration."""
+    problem = dataclasses.replace(problem, dic=None)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traces = [run_problem(dataclasses.replace(template, seed=seed), problem)
+                  for seed in seeds]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / sum(trace.summary.iterations for trace in traces)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=5, help="rounds over all seeds")
@@ -79,6 +99,7 @@ def main(argv=None) -> int:
         print(f"{r + 1:5d}  {it_us:12.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}")
     it_us, tg_us = statistics.median(per_iter), statistics.median(per_target)
     print(f"median {it_us:11.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}")
+    print(f"trace  {trace_bytes(template, problem, seeds):.1f} bytes retained per iteration")
     return 0
 
 

@@ -18,6 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat, starmap
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -78,6 +79,42 @@ class IterationRecord:
     M: float | None = None
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class TraceColumns:
+    """A run's per-iteration values, one float64 (accepted: bool) array per
+    column, converted once from any sequences; iteration t is row t - 1.  M
+    is None for a method with no temperature.  Iterating gives one
+    IterationRecord per row, built as it is read."""
+
+    elapsed_s: np.ndarray
+    elbo: np.ndarray
+    accepted: np.ndarray
+    M: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "elapsed_s", np.asarray(self.elapsed_s, dtype=float))
+        object.__setattr__(self, "elbo", np.asarray(self.elbo, dtype=float))
+        object.__setattr__(self, "accepted", np.asarray(self.accepted, dtype=bool))
+        if self.M is not None:
+            object.__setattr__(self, "M", np.asarray(self.M, dtype=float))
+        shape = self.elbo.shape
+        if len(shape) != 1 or any(c is not None and c.shape != shape
+                                  for c in (self.elapsed_s, self.accepted, self.M)):
+            raise ValueError("trace columns must be 1-D and of one length")
+
+    def __len__(self) -> int:
+        return len(self.elbo)
+
+    def rows(self):
+        """(t, elapsed_s, elbo, accepted, M) per iteration, as Python values."""
+        n = len(self)
+        return zip(range(1, n + 1), self.elapsed_s.tolist(), self.elbo.tolist(),
+                   self.accepted.tolist(), repeat(None, n) if self.M is None else self.M.tolist())
+
+    def __iter__(self):
+        return starmap(IterationRecord, self.rows())
+
+
 @dataclass(frozen=True)
 class RunSummary:
     iterations: int
@@ -91,9 +128,14 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RunTrace:
-    records: tuple[IterationRecord, ...]
+    columns: TraceColumns
     summary: RunSummary
     final_lambda: VariationalParams | None = None
+
+    @property
+    def records(self) -> tuple[IterationRecord, ...]:
+        """One row per iteration, built from the columns on each read."""
+        return tuple(self.columns)
 
 
 @dataclass(frozen=True)
@@ -148,7 +190,7 @@ def run_problem(config: RunConfig, problem: Problem,
 
     nu = 0
     L_prev = -math.inf
-    records: list[IterationRecord] = []
+    elapsed, elbos, flags, temps = [], [], [], []
     converged = False
     error = None
 
@@ -165,17 +207,18 @@ def run_problem(config: RunConfig, problem: Problem,
         except NumericError as exc:
             error = f"aborted at iteration {t}: {exc}"
             break
-        records.append(IterationRecord(t=t, elapsed_s=clock() - t0,
-                                       elbo=est.elbo, accepted=accepted, M=M))
+        elapsed.append(clock() - t0)
+        elbos.append(est.elbo)
+        flags.append(accepted)
+        temps.append(M)
         nu = 0 if accepted else nu + 1
         if nu >= config.patience:
             converged = True
             break
     wall = clock() - t0
 
-    fe = None
-    if any(r.accepted for r in records):
-        fe = final_elbo(records)
+    columns = TraceColumns(elapsed, elbos, flags, temps if method.rule else None)
+    fe = final_elbo(columns) if columns.accepted.any() else None
 
     dic_value = None
     if problem.dic is not None and error is None:
@@ -184,23 +227,22 @@ def run_problem(config: RunConfig, problem: Problem,
         except NumericError:
             pass
 
-    summary = RunSummary(iterations=len(records), wall_seconds=wall,
+    summary = RunSummary(iterations=len(columns), wall_seconds=wall,
                          final_elbo=fe, dic=dic_value, converged=converged,
                          density_evals=evals, error=error)
-    return RunTrace(records=tuple(records), summary=summary, final_lambda=lam)
+    return RunTrace(columns=columns, summary=summary, final_lambda=lam)
 
 
-def final_elbo(records: list[IterationRecord]) -> float:
+def final_elbo(columns: TraceColumns) -> float:
     """Ending ELBO: mean of the last accepted estimates, up to ten of them.
 
-    Rejected iterations left lambda untouched, so only accepted records
+    Rejected iterations left lambda untouched, so only accepted iterations
     describe the state the run ended in.
     """
-    accepted = [r.elbo for r in records if r.accepted]
-    if not accepted:
+    accepted = columns.elbo[columns.accepted]
+    if not accepted.size:
         raise ValueError("trace holds no accepted iterations; ending ELBO undefined")
-    tail = accepted[-min(ENDING_ELBO_WINDOW, len(accepted)):]
-    return float(np.mean(tail))
+    return float(np.mean(accepted[-ENDING_ELBO_WINDOW:]))
 
 
 def posterior_draw_set(lam: VariationalParams, n_draws: int, spec: GmmSpec,

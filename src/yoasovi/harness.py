@@ -10,7 +10,7 @@ import concurrent.futures
 import csv
 import inspect
 import math
-import operator
+import os
 from dataclasses import dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
@@ -18,17 +18,16 @@ import numpy as np
 import yaml
 
 from .acceptance import TemperatureSchedule
-from .driver import IterationRecord, RunConfig, RunSummary, RunTrace, run
+from .driver import RunConfig, RunSummary, RunTrace, TraceColumns, run
 from .errors import ParseError, require_number
 from .gmm import Dataset, GmmParams, GmmSpec, simulate
 
 # Trace column -> cell parser, in IterationRecord field order: write_trace
-# writes a record's fields under these names and read_trace parses them back.
+# writes TraceColumns.rows() under these names and read_trace parses them back.
 TRACE_COLUMNS = {"iter": int, "elapsed_s": float, "elbo": float,
                  "accepted": lambda cell: bool(int(cell)),
                  "M": lambda cell: float(cell) if cell else None}
 TRACE_FIELDS = list(TRACE_COLUMNS)
-_record_cells = operator.attrgetter(*(f.name for f in fields(IterationRecord)))
 
 # Cluster geometry for the simulated benchmarks.  Component means sit at
 # hypercube corners distance 4 apart with unit sds, so the clusters overlap
@@ -178,13 +177,20 @@ def _fmt(x) -> str:
 
 def _write_csv(path, header: list[str], rows) -> None:
     """header and one line per row of values, each value through _fmt and
-    quoted where the csv module reads it back only so."""
+    quoted where the csv module reads it back only so.  The lines go to a
+    temporary file next to path that then replaces it, so a write that
+    fails leaves path as it was and no temporary file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(map(_fmt, row) for row in rows)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(map(_fmt, row) for row in rows)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
@@ -242,15 +248,25 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 
 
 def write_trace(trace: RunTrace, path) -> None:
-    _write_csv(path, TRACE_FIELDS, map(_record_cells, trace.records))
+    _write_csv(path, TRACE_FIELDS, trace.columns.rows())
 
 
-def read_trace(path) -> list[IterationRecord]:
+def read_trace(path) -> TraceColumns:
+    """The columns of a file write_trace wrote: iter counts rows from 1, and
+    M is empty in every row or in none."""
     rows = _read_rows(path)
     if not rows or rows[0][1] != TRACE_FIELDS:
         raise ParseError(f"{path}: expected header {','.join(TRACE_FIELDS)}")
-    return [IterationRecord(*values)
-            for values in _parse_rows(path, rows[1:], TRACE_COLUMNS.values())]
+    values = _parse_rows(path, rows[1:], TRACE_COLUMNS.values())
+    has_M = bool(values) and values[0][-1] is not None
+    for i, ((line, _), (t, *_, M)) in enumerate(zip(rows[1:], values), 1):
+        if t != i:
+            raise ParseError(f"{path}: row {line} has iter {t}, expected {i}")
+        if (M is not None) != has_M:
+            raise ParseError(f"{path}: row {line} has {'no' if has_M else 'an'} M value, "
+                             f"unlike row {rows[1][0]}")
+    _, elapsed_s, elbo, accepted, M = zip(*values) if values else ((),) * len(TRACE_FIELDS)
+    return TraceColumns(elapsed_s, elbo, accepted, M if has_M else None)
 
 
 def write_summary(rows: list[SummaryRow], path) -> None:
@@ -276,12 +292,13 @@ def format_table(rows: list[SummaryRow]) -> str:
     return "\n".join(out)
 
 
-def emit_trajectory(records: list[IterationRecord],
+def emit_trajectory(columns: TraceColumns,
                     horizon_seconds: float) -> list[tuple[float, float]]:
-    """(elapsed_s, elbo) pairs for records inside the horizon."""
+    """(elapsed_s, elbo) pairs of the iterations inside the horizon."""
     if not horizon_seconds >= 0:  # nan too
         raise ValueError(f"horizon must be >= 0, got {horizon_seconds!r}")
-    return [(r.elapsed_s, r.elbo) for r in records if r.elapsed_s <= horizon_seconds]
+    inside = columns.elapsed_s <= horizon_seconds
+    return list(zip(columns.elapsed_s[inside].tolist(), columns.elbo[inside].tolist()))
 
 
 def write_trajectory(series: list[tuple[str, list[tuple[float, float]]]], path) -> None:

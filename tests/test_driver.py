@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.driver import (Problem, RunConfig, build_gmm_problem, final_elbo,
                             posterior_draw_set, run, run_problem)
-from yoasovi.driver import IterationRecord
+from yoasovi.driver import IterationRecord, TraceColumns
 from yoasovi.errors import NumericError
 from yoasovi.estimators import DrawStream, estimate
 from yoasovi import gmm
@@ -271,26 +273,31 @@ def rec(t, elbo, accepted):
     return IterationRecord(t=t, elapsed_s=0.1 * t, elbo=elbo, accepted=accepted)
 
 
+def as_columns(records):
+    return TraceColumns(elapsed_s=[r.elapsed_s for r in records],
+                        elbo=[r.elbo for r in records], accepted=[r.accepted for r in records])
+
+
 def test_final_elbo_takes_tail_of_accepted_records():
     records = [rec(t, float(-t), True) for t in range(1, 16)]
-    assert final_elbo(records) == pytest.approx(np.mean(range(6, 16)) * -1.0)
+    assert final_elbo(as_columns(records)) == pytest.approx(np.mean(range(6, 16)) * -1.0)
 
 
 def test_final_elbo_short_history():
     records = [rec(1, -5.0, True), rec(2, -3.0, True), rec(3, -4.0, True)]
-    assert final_elbo(records) == pytest.approx(-4.0)
+    assert final_elbo(as_columns(records)) == pytest.approx(-4.0)
 
 
 def test_final_elbo_skips_rejections():
     records = [rec(1, -5.0, True)] + [rec(t, -1000.0, False) for t in range(2, 30)]
-    assert final_elbo(records) == pytest.approx(-5.0)
+    assert final_elbo(as_columns(records)) == pytest.approx(-5.0)
 
 
 def test_final_elbo_empty_trace_is_an_error():
     with pytest.raises(ValueError):
-        final_elbo([])
+        final_elbo(as_columns([]))
     with pytest.raises(ValueError):
-        final_elbo([rec(1, -2.0, False)])
+        final_elbo(as_columns([rec(1, -2.0, False)]))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +325,28 @@ def test_wall_time_excludes_setup():
     np.testing.assert_allclose([r.elapsed_s for r in trace.records],
                                [0.25, 0.5, 0.75, 1.0])
     assert trace.summary.wall_seconds == pytest.approx(1.25)
+
+
+def test_a_finished_trace_holds_no_object_per_iteration():
+    """A single-draw run of 1000 iterations keeps its trace as columns:
+    under 48 B per iteration retained (a record object per iteration, with
+    its floats, took about 170 B)."""
+    n = 1000
+    cfg = RunConfig(method="yoasovi-naive", learning_rate=1e-3, max_iters=n, patience=n + 1,
+                    schedule=TemperatureSchedule("linear", 0.1), seed=3)
+    prob = Problem(target=lambda z: -0.5 * float(z @ z), init=flat_init(2))
+    run_problem(cfg, prob)  # imports and caches settle outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_problem(cfg, prob)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.summary.iterations == len(trace.records) == n
+    assert retained / n < 48, f"{retained / n:.1f} B per iteration"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import yaml
 from yoasovi import harness
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.cli import apply_overrides, build_parser, main
-from yoasovi.driver import IterationRecord, RunConfig, RunSummary, RunTrace, run
+from yoasovi.driver import RunConfig, RunSummary, RunTrace, TraceColumns, run
 from yoasovi.errors import ParseError
 from yoasovi.harness import (ExperimentMatrix, any_cell_failed, build_matrix,
                              emit_trajectory, format_table, load_config,
@@ -274,7 +274,7 @@ def test_trace_round_trip(tmp_path):
     trace = run(quick_template(seed=0, model=spec), data, clock=FakeClock())
     write_trace(trace, tmp_path / "t.csv")
     back = read_trace(tmp_path / "t.csv")
-    assert back == list(trace.records)
+    assert list(back) == list(trace.records)
     header = (tmp_path / "t.csv").read_text().splitlines()[0]
     assert header == "iter,elapsed_s,elbo,accepted,M"
 
@@ -288,13 +288,40 @@ def test_trace_round_trip_without_temperature(tmp_path):
                 make_preset("sim-p2k2", N=60)[1], clock=FakeClock())
     write_trace(trace, tmp_path / "m.csv")
     back = read_trace(tmp_path / "m.csv")
-    assert back == list(trace.records) and all(r.M is None for r in back)
-    records = (IterationRecord(t=1, elapsed_s=0.25, elbo=-7.5, accepted=False, M=None),
-               IterationRecord(t=2, elapsed_s=0.5, elbo=-6.0, accepted=True, M=1.5))
-    write_trace(RunTrace(records=records, summary=None), tmp_path / "h.csv")
+    assert list(back) == list(trace.records) and all(r.M is None for r in back)
+    columns = TraceColumns(elapsed_s=[0.25, 0.5], elbo=[-7.5, -6.0], accepted=[False, True])
+    write_trace(RunTrace(columns=columns, summary=None), tmp_path / "h.csv")
     assert (tmp_path / "h.csv").read_text() == (
-        "iter,elapsed_s,elbo,accepted,M\n1,0.25,-7.5,0,\n2,0.5,-6.0,1,1.5\n")
-    assert read_trace(tmp_path / "h.csv") == list(records)
+        "iter,elapsed_s,elbo,accepted,M\n1,0.25,-7.5,0,\n2,0.5,-6.0,1,\n")
+    assert list(read_trace(tmp_path / "h.csv")) == list(columns)
+
+
+# floats a careless format would change: exponent forms, the smallest
+# subnormal, a signed zero, and a sum and a quotient that need 17 digits
+AWKWARD = [1e-05, 1e+16, 5e-324, -0.0, 0.1 + 0.2, 1 / 3]
+
+
+@pytest.mark.parametrize("with_M", [True, False], ids=["M", "no-M"])
+def test_trace_cells_are_str_of_each_float_and_read_back_bit_for_bit(tmp_path, with_M):
+    n = len(AWKWARD)
+    accepted = [t % 2 == 0 for t in range(n)]
+    M = AWKWARD[2:] + AWKWARD[:2] if with_M else None
+    columns = TraceColumns(elapsed_s=AWKWARD, elbo=AWKWARD[::-1], accepted=accepted, M=M)
+    write_trace(RunTrace(columns=columns, summary=None), tmp_path / "t.csv")
+    want = ["iter,elapsed_s,elbo,accepted,M"] + [
+        ",".join([str(t), str(e), str(elbo), "1" if a else "0", "" if m is None else str(m)])
+        for t, e, elbo, a, m in zip(range(1, n + 1), AWKWARD, AWKWARD[::-1], accepted,
+                                    M or [None] * n)]
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+    back = read_trace(tmp_path / "t.csv")
+    for name in ("elapsed_s", "elbo", "accepted"):
+        got, sent = getattr(back, name), getattr(columns, name)
+        assert got.dtype == sent.dtype and got.tobytes() == sent.tobytes(), name
+    if with_M:
+        assert back.M.tobytes() == columns.M.tobytes()
+    else:
+        assert back.M is None
+    assert list(back) == list(columns)
 
 
 def test_read_trace_rejects_foreign_header(tmp_path):
@@ -304,12 +331,41 @@ def test_read_trace_rejects_foreign_header(tmp_path):
         read_trace(f)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1,0.5,-1.0,1,\n3,1.0,-2.0,1,\n", "row 3 has iter 3, expected 2"),
+    ("1,0.5,-1.0,1,1.5\n2,1.0,-2.0,1,\n", "row 3 has no M value, unlike row 2"),
+    ("1,0.5,-1.0,1,\n2,1.0,-2.0,1,1.5\n", "row 3 has an M value, unlike row 2"),
+])
+def test_read_trace_names_a_row_no_run_writes(tmp_path, rows, message):
+    f = tmp_path / "t.csv"
+    f.write_text("iter,elapsed_s,elbo,accepted,M\n" + rows)
+    with pytest.raises(ParseError, match=re.escape(f"{f}: {message}")):
+        read_trace(f)
+
+
+def test_a_write_that_fails_leaves_the_previous_file_and_no_temporary_file(tmp_path):
+    path = tmp_path / "summary.csv"
+    path.write_text("previous\n")
+
+    def rows():
+        yield ["a", 1.5]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        harness._write_csv(path, ["name", "value"], rows())
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+    harness._write_csv(path, ["name", "value"], [["a", 1.5]])
+    assert path.read_text() == "name,value\na,1.5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
 def test_emit_trajectory_filters_by_horizon():
-    recs = [IterationRecord(t=i, elapsed_s=0.5 * i, elbo=-float(i), accepted=True)
-            for i in range(1, 11)]
+    recs = TraceColumns(elapsed_s=[0.5 * i for i in range(1, 11)],
+                        elbo=[-float(i) for i in range(1, 11)], accepted=[True] * 10)
     rows = emit_trajectory(recs, horizon_seconds=2.0)
     assert rows == [(0.5, -1.0), (1.0, -2.0), (1.5, -3.0), (2.0, -4.0)]
     assert emit_trajectory(recs, horizon_seconds=0.0) == []
