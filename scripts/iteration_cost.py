@@ -10,11 +10,15 @@ each over the rounds.  DIC is left out: it runs after the loop and the
 loop time does not include it.  The timer's own cost, two perf_counter
 calls per target call, counts towards the iteration.  After the timed
 rounds, one more untimed round under tracemalloc gives the bytes its
-finished traces hold per iteration.
+finished traces hold per iteration.  Last, it prints the µs per one-z
+target call at sim-p2k2, sim-p2k3 and sim-p3k4, the presets of perfbench's
+three workloads: the minimum of repeated timings of one call per row over
+64 fixed draws from q at the preset's k-means++ starting λ.
 
     PYTHONPATH=src python3 scripts/iteration_cost.py [--rounds 5] [--quick]
 
---quick runs one round of seeds 0-1 at 50 iterations, as a smoke test.
+--quick runs one round of seeds 0-1 at 50 iterations, and times each
+preset's target twice, as a smoke test.
 """
 
 import argparse
@@ -22,14 +26,20 @@ import dataclasses
 import gc
 import statistics
 import time
+import timeit
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 from yoasovi.driver import build_gmm_problem, run_problem
-from yoasovi.harness import build_matrix, load_config
+from yoasovi.harness import build_matrix, load_config, make_preset
+from yoasovi.meanfield import sample
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "sim_p2k2.yaml"
 METHOD = "yoasovi-naive"
+PRESETS = ("sim-p2k2", "sim-p2k3", "sim-p3k4")
+DRAWS = 64
 
 
 def one_round(template, problem, seeds) -> tuple[float, float]:
@@ -71,6 +81,19 @@ def trace_bytes(template, problem, seeds) -> float:
     return held / sum(trace.summary.iterations for trace in traces)
 
 
+def target_us(preset: str, repeat: int, number: int) -> float:
+    """µs per one-z target call at preset: the fastest of repeat timings,
+    each of number passes of one call per row over DRAWS fixed draws from q
+    at the preset's k-means++ starting λ."""
+    spec, data = make_preset(preset)
+    problem = build_gmm_problem(spec, data, kmeans_style_init=True)
+    lam = problem.init(np.random.default_rng(0))
+    z = sample(lam, np.random.default_rng(1).uniform(size=(DRAWS, lam.dim))).z
+    target = problem.target
+    timings = timeit.repeat(lambda: [target(row) for row in z], number=number, repeat=repeat)
+    return 1e6 * min(timings) / (number * DRAWS)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=5, help="rounds over all seeds")
@@ -82,10 +105,10 @@ def main(argv=None) -> int:
     (_, spec, data), = matrix.datasets
     template = dict(matrix.methods)[METHOD]
     seeds = range(10)
-    rounds = args.rounds
+    rounds, repeat, number = args.rounds, 7, 20
     if args.quick:
         template = dataclasses.replace(template, max_iters=50)
-        seeds, rounds = range(2), 1
+        seeds, rounds, repeat, number = range(2), 1, 2, 1
     problem = build_gmm_problem(spec, data, template.kmeans_style_init)
 
     print(f"{METHOD} on {CONFIG.name}, seeds {seeds.start}-{seeds.stop - 1}, "
@@ -100,6 +123,8 @@ def main(argv=None) -> int:
     it_us, tg_us = statistics.median(per_iter), statistics.median(per_target)
     print(f"median {it_us:11.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}")
     print(f"trace  {trace_bytes(template, problem, seeds):.1f} bytes retained per iteration")
+    for preset in PRESETS:
+        print(f"target {preset} {target_us(preset, repeat, number):.2f} us per z")
     return 0
 
 

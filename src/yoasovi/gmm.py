@@ -12,10 +12,11 @@ posterior draws stacked on one leading axis and scores them in a single
 call.  The likelihood kernel expands each squared standardised residual,
 (y - mu)^2 / sd^2 = y'^2 / sd^2 - 2 y' mu' / sd^2 + mu'^2 / sd^2 with
 y' = y - ybar and mu' = mu - ybar, so a set's K component log densities
-at all N points are one (K, 2p + 1) @ (2p + 1, N) matrix product against
-features the Dataset stores once, whose last row of ones takes in each
-component's constant, before a max-shifted numpy log-sum-exp over the
-components.  Centring on the data's column means ybar keeps the expansion
+at all N points are one (K, 4p + 1) @ (4p + 1, N) matrix product against
+features the Dataset stores once, before a max-shifted numpy log-sum-exp
+over the components.  The last 2p + 1 feature rows are constants, so the
+product also sums each component's constant terms over p: mu'^2 / sd^2 / 2,
+log sd, and log w - (p/2) log 2 pi.  Centring on the data's column means ybar keeps the expansion
 exact to rounding however far the data sit from the origin.  What it
 cannot keep are the digits lost when a residual is small next to y' and
 mu': the relative error grows with the square of the data's spread
@@ -30,14 +31,15 @@ would give nan, and the log-sum-exp leaves a non-finite maximum unshifted,
 so an all -inf point gives -inf and an inf or nan point scipy's inf or
 nan.  Whether a log sd's sd underflows to 0 or overflows to inf is read
 off the log sd against the two edges of exp, _LOG_UNDERFLOW and
-_LOG_OVERFLOW.
+_LOG_OVERFLOW.  A log sd at or below the first always leaves the plain pass
+nan, so that check runs only on a set scored again.
 
 A run optimises over unconstrained vectors z instead (split_unconstrained
 gives their layout and a log-softmax for the log weights), and
 unconstrained_log_joint scores them in z's own coordinates, Jacobian term
 included.  It and log_likelihood share one likelihood kernel, and it and
-log_prior one prior formula, whose constant and scale factors GmmSpec
-works out once.
+log_prior one prior formula, a small matrix product whose factors and
+constant GmmSpec works out once.
 """
 
 import math
@@ -61,8 +63,9 @@ _LOG_OVERFLOW = math.log(sys.float_info.max)
 class GmmSpec:
     """The model's size and prior scales, and two terms of the prior in z's
     coordinates worked out once here: prior_const, its additive constant,
-    and prior_quad, the factor 1 / (2 scale^2) on the square of each of z's
-    K*p means and then K*p log sds."""
+    and prior_coef, a column of its factor on each of K log weights (alpha)
+    and then on the square of each of z's K*p means and K*p log sds
+    (-1 / (2 scale^2))."""
 
     K: int
     p: int
@@ -70,7 +73,7 @@ class GmmSpec:
     prior_dirichlet_alpha: float = 1.0
     prior_logsd_scale: float = 1.0
     prior_const: float = field(init=False, repr=False, compare=False)
-    prior_quad: np.ndarray = field(init=False, repr=False, compare=False)
+    prior_coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("K", "p"):
@@ -81,7 +84,8 @@ class GmmSpec:
         Kp = self.K * self.p
         object.__setattr__(self, "prior_const", math.lgamma(self.K * a) - self.K * math.lgamma(a)
                            - Kp * (math.log(s * t) + 2.0 * _HALF_LOG_2PI))
-        object.__setattr__(self, "prior_quad", np.repeat([0.5 / s**2, 0.5 / t**2], Kp))
+        object.__setattr__(self, "prior_coef", np.repeat([[a], [-0.5 / s**2], [-0.5 / t**2]],
+                                                         [self.K, Kp, Kp], axis=0))
 
     @property
     def n_unconstrained(self) -> int:
@@ -117,10 +121,14 @@ class GmmParams:
 class Dataset:
     """N observations of dimension p.  The likelihood kernel works on two
     fields stored once per dataset: center, the column means ybar, and
-    features, the contiguous (2p + 1, N) stack
-    [-(y - ybar)^2 / 2; y - ybar; 1].  Values whose squared distance from
-    center overflows are rejected, since no likelihood over them is
-    finite."""
+    features, the contiguous (4p + 1, N) stack
+    [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2; 1], 52 kB at p=3 and N=500.
+    ybar is clipped into each column's range, which moves it only where
+    rounding puts a mean outside, as it can for a constant column: so each
+    column of y - ybar holds a zero or both signs, and a component whose
+    precision is inf meets some point as inf * 0 or inf - inf.  Values whose squared
+    distance from center overflows are rejected, since no likelihood over
+    them is finite."""
 
     values: np.ndarray
     name: str = "data"
@@ -134,9 +142,11 @@ class Dataset:
         if not np.isfinite(v).all():
             raise ValueError("dataset contains non-finite entries")
         with np.errstate(over="ignore", invalid="ignore"):
-            center = v.mean(axis=0)
+            center = np.clip(v.mean(axis=0), v.min(axis=0), v.max(axis=0))
             d = (v - center).T
-            features = np.concatenate([-0.5 * np.square(d), d, np.ones((1, len(v)))])
+            half = np.full((v.shape[1], len(v)), 0.5)
+            features = np.concatenate([-0.5 * np.square(d), d, -half, half,
+                                       np.ones((1, len(v)))])
         if not np.isfinite(features).all():
             raise ValueError("dataset values spread too far: a squared distance "
                              "from the column means overflows")
@@ -154,8 +164,11 @@ class Dataset:
 
 
 # Parameter sets per pass of the likelihood kernel: at N=500 and K=4 a
-# pass's (b, K, N) component buffer and the log-sum-exp's one temporary of
-# its size take 512 kB, however many sets a caller stacks.
+# pass's (b, K, N) component buffer and the guarded log-sum-exp's one
+# temporary of its size take 512 kB, however many sets a caller stacks.
+# The coef of all B sets, (B, K, 4p + 1), is built before the first pass:
+# DIC's 1000 sets at sim-p3k4 take 416 kB of it and peak at 939 KiB of
+# traced allocations in all (729 KiB with a (B, K, 2p + 1) coef).
 _BLOCK = 16
 
 
@@ -197,9 +210,9 @@ def split_unconstrained(spec: GmmSpec, z: np.ndarray):
     category pinned at logit 0, and means and log sds, each with z's
     leading axes; means and log sds are views of z.  A log weight whose
     weight underflows to 0 is -inf, so the target fails where log_joint of
-    the constrained parameters does, and a log sd whose sd underflows to 0
-    raises NumericError.  z is taken to be finite: each caller deals with a
-    non-finite z its own way."""
+    the constrained parameters does.  z is taken to be finite, and log sds
+    are not checked: each caller deals with a non-finite z, and with a log
+    sd whose sd underflows to 0, its own way."""
     if z.shape[-1:] != (spec.n_unconstrained,):
         raise ValueError(f"expected z of length {spec.n_unconstrained}, got {z.shape}")
     K, p = spec.K, spec.p
@@ -207,12 +220,10 @@ def split_unconstrained(spec: GmmSpec, z: np.ndarray):
     a = np.zeros(lead + (K,))
     a[..., : K - 1] = z[..., : K - 1]
     log_w = a - np.logaddexp.reduce(a, axis=-1, keepdims=True)
-    if log_w.min() <= _LOG_UNDERFLOW:
+    if log_w.min(initial=0.0) <= _LOG_UNDERFLOW:
         log_w[log_w <= _LOG_UNDERFLOW] = -np.inf
-    log_sds = z[..., K - 1 + K * p :].reshape(lead + (K, p))
-    if log_sds.min() <= _LOG_UNDERFLOW:
-        raise NumericError("an sd underflowed to 0")
-    return log_w, z[..., K - 1 : K - 1 + K * p].reshape(lead + (K, p)), log_sds
+    return (log_w, z[..., K - 1 : K - 1 + K * p].reshape(lead + (K, p)),
+            z[..., K - 1 + K * p :].reshape(lead + (K, p)))
 
 
 def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray):
@@ -229,9 +240,9 @@ def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray):
     z = np.asarray(z, dtype=float)
     with np.errstate(all="ignore"):
         log_w, means, log_sds = split_unconstrained(spec, z)
-        out = _log_likelihood(spec, data, log_w, means, log_sds) \
+        out = _log_likelihood(data, log_w, means, log_sds) \
             + _log_prior_z(spec, log_w, z[..., spec.K - 1 :])
-    if log_sds.max() > _LOG_OVERFLOW:
+    if log_sds.max(initial=0.0) > _LOG_OVERFLOW:
         raise NumericError("an sd overflowed to inf")
     # math.isfinite takes a hundredth of the time on the one-vector path
     if not (math.isfinite(out) if out.ndim == 0 else np.isfinite(out).all()):
@@ -249,43 +260,42 @@ def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarra
     # zero weights drop out (log 0 = -inf); an sd of inf gives a -inf or
     # nan density, which log_joint rejects
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _log_likelihood(spec, data, np.log(params.weights), params.means,
+        return _log_likelihood(data, np.log(params.weights), params.means,
                                np.log(params.sds))
 
 
-def _components(spec: GmmSpec, data: Dataset, log_w, means, log_sds):
+def _components(data: Dataset, log_w, means, log_sds):
     """The GEMM form of each parameter set's K component log densities: coef
-    of shape (B, K, 2p + 1), so that a set's (K, N) component log densities
+    of shape (B, K, 4p + 1), so that a set's (K, N) component log densities
     at the data are coef @ data.features.
 
     With iv = exp(-2 log sd), the precision, and mu' = mu - data.center,
-    coef = [iv, mu' iv, c] against features [-(y - ybar)^2 / 2; y - ybar; 1]
-    and c = log w - sum_p log sd - (p/2) log 2 pi - sum_p mu' (mu' iv) / 2.
-    A component whose iv is inf (its sd^2 underflows, say) meets the data
-    as inf * 0 = nan or inf - inf; _log_likelihood scores such a set again.
-    The caller sets the errstate for overflowing terms."""
-    K, p = spec.K, spec.p
-    ls = log_sds.reshape(-1, K, p)
-    mu = means.reshape(-1, K, p) - data.center
-    coef = np.empty(mu.shape[:2] + (2 * p + 1,))
-    iv = np.exp(-2.0 * ls, out=coef[..., :p])
-    miv = np.multiply(mu, iv, out=coef[..., p : 2 * p])
-    mu *= miv  # from here on log sd + mu' (mu' iv) / 2, summed over p into c
-    mu *= 0.5
-    mu += ls
-    c = np.subtract(log_w.reshape(-1, K), mu.sum(axis=2), out=coef[..., 2 * p])
-    c -= p * _HALF_LOG_2PI
-    return coef
+    coef = [iv, mu' iv, mu' (mu' iv), -2 log sd, log w - (p/2) log 2 pi]
+    against features [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2; 1], so the
+    matrix product sums each component's constant over p too.  A component
+    whose iv is inf (its sd^2 underflows, say) meets the data as inf * 0 =
+    nan or inf - inf; _log_likelihood scores such a set again.  The caller
+    sets the errstate for overflowing terms."""
+    m2ls = -2.0 * log_sds
+    iv = np.exp(m2ls)
+    mu = means - data.center
+    miv = mu * iv
+    mu *= miv
+    coef = np.concatenate([iv, miv, mu, m2ls, (log_w - data.p * _HALF_LOG_2PI)[..., None]],
+                          axis=-1)
+    return coef.reshape((-1,) + coef.shape[-2:])
 
 
 def _score_sets(data: Dataset, coef, lse) -> np.ndarray:
     """Each set's log likelihood from its coef: _BLOCK sets per pass through
-    one stacked matmul, (b, K, 2p + 1) @ (2p + 1, N), and lse over the
+    one stacked matmul, (b, K, 4p + 1) @ (4p + 1, N), and lse over the
     components.  The stacked matmul makes the same BLAS call per set as a
     lone set does, where one product over b * K rows would let BLAS pick
     another kernel and round otherwise, so a stacked set's result has the
     bits of its own call."""
-    B = coef.shape[0]
+    B = len(coef)
+    if B <= _BLOCK:
+        return lse(coef @ data.features).sum(axis=1)
     out = np.empty(B)
     for lo in range(0, B, _BLOCK):
         b = slice(lo, lo + _BLOCK)
@@ -293,25 +303,29 @@ def _score_sets(data: Dataset, coef, lse) -> np.ndarray:
     return out
 
 
-def _log_likelihood(spec: GmmSpec, data: Dataset, log_w, means, log_sds) -> np.ndarray:
-    """The likelihood kernel: log likelihood of parameter sets that fit spec
-    and the data, given as log weights (..., K) and means and log sds
-    (..., K, p).
+def _log_likelihood(data: Dataset, log_w, means, log_sds) -> np.ndarray:
+    """The likelihood kernel: log likelihood of parameter sets that fit the
+    data, given as log weights (..., K) and means and log sds (..., K, p).
 
     _components gives every set's coef at once, and _score_sets takes them
     through the plain max-shifted log-sum-exp.  The guards run only for a
-    set that this leaves non-finite: it is scored again with each component
-    whose iv or mu' iv is inf set to coef 0 and c -inf, so it drops out
-    where inf * 0 would give nan, and with _logsumexp, which gives an all
-    -inf point -inf and scipy's inf or nan elsewhere.  The caller sets the
+    set that this leaves non-finite.  Every set with a log sd at or below
+    _LOG_UNDERFLOW is one of them, since its iv is inf and Dataset's centre
+    makes it meet some point as inf * 0 or inf - inf: NumericError.  Any
+    other such set is scored again with each component whose iv, mu' iv or
+    mu' (mu' iv) is inf set to coef 0 and log w -inf, so it drops out where
+    inf * 0 would give nan, and with _logsumexp, which gives an all -inf
+    point -inf and scipy's inf or nan elsewhere.  The caller sets the
     errstate for overflowing terms."""
-    coef = _components(spec, data, log_w, means, log_sds)
+    coef = _components(data, log_w, means, log_sds)
     out = _score_sets(data, coef, _shifted_logsumexp)
     # math.isfinite takes a fifteenth of the time on the one-set path
     if not (math.isfinite(out[0]) if len(out) == 1 else np.isfinite(out).all()):
         bad = ~np.isfinite(out)
+        if log_sds.reshape(len(out), -1)[bad].min() <= _LOG_UNDERFLOW:
+            raise NumericError("an sd underflowed to 0")
         coef = coef[bad]
-        drop = np.isinf(coef[..., :-1]).any(axis=2)
+        drop = np.isinf(coef[..., : 3 * data.p]).any(axis=2)
         coef[drop] = 0.0
         coef[..., -1][drop] = -np.inf
         out[bad] = _score_sets(data, coef, _logsumexp)
@@ -323,9 +337,14 @@ def _log_prior_z(spec: GmmSpec, log_w, tail):
     and tail (..., 2Kp), z's means and then log sds: the prior density of
     the parameters plus the log |Jacobian| of constrain's map, sum log w +
     sum log sd, which cancels the Dirichlet's -sum log w and the lognormal's
-    -sum log sd.  So alpha sum log w, Normal means and Normal log sds."""
-    return (spec.prior_dirichlet_alpha * log_w.sum(axis=-1)
-            - (np.square(tail) * spec.prior_quad).sum(axis=-1) + spec.prior_const)
+    -sum log sd.  So alpha sum log w, Normal means and Normal log sds: one
+    (1, K + 2Kp) @ (K + 2Kp, 1) product per row of [log w, tail^2] with
+    spec.prior_coef, the same dot product for a row in a stack as alone."""
+    K = spec.K
+    terms = np.empty(log_w.shape[:-1] + (1, len(spec.prior_coef)))
+    terms[..., 0, :K] = log_w
+    np.square(tail, out=terms[..., 0, K:])
+    return (terms @ spec.prior_coef)[..., 0, 0] + spec.prior_const
 
 
 def log_prior(spec: GmmSpec, params: GmmParams):

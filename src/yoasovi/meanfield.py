@@ -80,7 +80,10 @@ def constrain(z: np.ndarray, spec: GmmSpec) -> GmmParams:
     # an sd that overflows is inf; log_joint rejects it as non-finite
     with np.errstate(over="ignore"):
         log_w, means, log_sds = split_unconstrained(spec, z)
-        return GmmParams(weights=np.exp(log_w), means=means.copy(), sds=np.exp(log_sds))
+        sds = np.exp(log_sds)
+    if not (sds > 0.0).all():
+        raise NumericError("an sd underflowed to 0")
+    return GmmParams(weights=np.exp(log_w), means=means.copy(), sds=sds)
 
 
 def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:

@@ -327,6 +327,51 @@ def test_the_sd_edges_are_where_exp_gives_0_and_inf():
                 unconstrained_log_joint(spec, data, z)
 
 
+@pytest.mark.parametrize("K, values", [(2, [[1.0], [2.0]]), (3, [[0.7, -2.0]]),
+                                       (2, [[1.0, 3.0], [2.0, 3.0], [-0.5, 3.0]]),
+                                       (2, [[0.1], [0.1], [0.1]])])
+def test_the_sd_edges_hold_inside_a_stack(K, values):
+    """A row with a log sd at either edge inside a 37-row stack raises the
+    same NumericError as that row alone, and the rows one step inside score
+    finite with the bits of their one-row calls.  The special row's mean
+    sits above the data in that coordinate; the data have two points, one
+    point, a constant column and a constant column whose mean rounds off its
+    value (0.1 * 3 / 3 > 0.1)."""
+    data = Dataset(np.array(values))
+    spec = GmmSpec(K=K, p=data.p)
+    rows = ordinary_rows(np.random.default_rng(K * 37 + data.N), spec, 37)
+    z = rows[SPECIAL_ROW].copy()
+    z[K - 1 + K * spec.p - 1] = data.values[:, -1].max() + 1.0
+    up = np.nextafter(_LOG_UNDERFLOW, 0.0)
+    over = np.nextafter(_LOG_OVERFLOW, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for log_sd, message in [(_LOG_UNDERFLOW, "underflowed"), (up, None),
+                                (_LOG_OVERFLOW, None), (over, "overflowed")]:
+            z[-1] = log_sd
+            stacked = with_row(rows, z)
+            if message is None:
+                got = unconstrained_log_joint(spec, data, stacked)
+                assert np.isfinite(got).all()
+                assert list(got) == [unconstrained_log_joint(spec, data, row) for row in stacked]
+                continue
+            for zs in (z, stacked):
+                with pytest.raises(NumericError, match=f"^an sd {message}"):
+                    unconstrained_log_joint(spec, data, zs)
+
+
+def test_an_empty_stack_scores_to_an_empty_array():
+    """No rows of z give no values, of the stack's leading shape, as
+    log_likelihood gives for no parameter sets."""
+    spec = GmmSpec(K=3, p=2)
+    data = Dataset(np.random.default_rng(0).normal(0.0, 1.0, (5, 2)))
+    for lead in [(0,), (2, 0)]:
+        got = unconstrained_log_joint(spec, data, np.empty(lead + (spec.n_unconstrained,)))
+        assert got.shape == lead and got.dtype == float
+    none = GmmParams(np.empty((0, 3)), np.empty((0, 3, 2)), np.empty((0, 3, 2)))
+    assert log_likelihood(spec, data, none).shape == (0,)
+
+
 def test_sds_at_the_overflow_edge_score_as_scipy_does():
     """An sd of exp(709.78) is finite but its square is not, so its
     precision is 0 and its density the normaliser alone; an sd of inf drops

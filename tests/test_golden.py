@@ -14,6 +14,7 @@ updates the digest in the same commit and says why in CHANGES.md; never
 update it to make a failure go away."""
 
 import hashlib
+import os
 
 import numpy as np
 import scipy
@@ -25,7 +26,7 @@ from yoasovi.harness import build_matrix, load_config, run_matrix
 from test_shipped_flags import (CONFIGS, ROOT, perfbench_argv, readme_argvs,
                                 script_argvs, with_config)
 
-RUN_DIGEST = "8fc2e58a20864fcb35842721baab2950f2f5b7bfc9555cbc9ce7c3a0e3590811"
+RUN_DIGEST = "98fc52be4095a5d078bb1f41ca9328f04e4f372372796d8832a9b255cfcf7d6a"
 MATRIX_DIGEST = "8ea7877ab6e137c01f68d077feac68a37338300c5826a6348537b27969f192d9"
 
 
@@ -44,7 +45,14 @@ def resolve(argv: list[str]):
 
 
 def versions() -> str:
-    return f"numpy {np.__version__}, scipy {scipy.__version__}"
+    """The numpy and scipy versions and the BLAS build numpy links, with
+    OPENBLAS_CORETYPE when it is set: RUN_DIGEST pins the rounding of the
+    BLAS kernel the host dispatches to, so a host mismatch reads as one."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    out = (f"numpy {np.__version__}, scipy {scipy.__version__}, BLAS {blas['name']} "
+           f"{blas['version']} ({blas.get('openblas configuration', 'no openblas configuration')})")
+    coretype = os.environ.get("OPENBLAS_CORETYPE")
+    return out if coretype is None else f"{out}, OPENBLAS_CORETYPE={coretype}"
 
 
 def test_sim_p2k2_run_matches_its_golden_digest(tmp_path, monkeypatch):

@@ -140,6 +140,17 @@ def test_constrain_rejects_an_sd_that_underflows():
         constrain(z[0], SPEC22)
 
 
+def test_constrain_of_no_rows_is_empty_params():
+    """No rows of z give parameters with no sets, as log_q gives no values."""
+    lam = lam_fixture(9)
+    for lead in [(0,), (2, 0)]:
+        z = np.empty(lead + (9,))
+        params = constrain(z, SPEC22)
+        assert params.weights.shape == lead + (2,)
+        assert params.means.shape == params.sds.shape == lead + (2, 2)
+        assert log_q(lam, z).shape == lead
+
+
 def test_constrain_rows_match_per_row_calls():
     rng = np.random.default_rng(17)
     for spec in (SPEC22, GmmSpec(K=4, p=3), GmmSpec(K=9, p=2)):
