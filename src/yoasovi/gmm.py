@@ -16,11 +16,11 @@ at all N points are one (K, 4p + 1) @ (4p + 1, N) matrix product against
 features the Dataset stores once, before a max-shifted numpy log-sum-exp
 over the components.  The last 2p + 1 feature rows are constants, so the
 product also sums each component's constant terms over p: mu'^2 / sd^2 / 2,
-log sd, and log w - (p/2) log 2 pi.  Centring on the data's column means ybar keeps the expansion
-exact to rounding however far the data sit from the origin.  What it
-cannot keep are the digits lost when a residual is small next to y' and
-mu': the relative error grows with the square of the data's spread
-measured in sds, to a few 1e-12 at clusters 1e3 sds apart.
+log sd, and log w - (p/2) log 2 pi.  Centring on the data's column means
+ybar keeps the expansion exact to rounding however far the data sit from
+the origin.  What it cannot keep are the digits lost when a residual is
+small next to y' and mu': the relative error grows with the square of the
+data's spread measured in sds, to a few 1e-12 at clusters 1e3 sds apart.
 
 The kernel works in log space: it takes log weights and log sds, never
 sds, and builds each precision as exp(-2 log sd).  The plain pass has no
@@ -126,9 +126,9 @@ class Dataset:
     ybar is clipped into each column's range, which moves it only where
     rounding puts a mean outside, as it can for a constant column: so each
     column of y - ybar holds a zero or both signs, and a component whose
-    precision is inf meets some point as inf * 0 or inf - inf.  Values whose squared
-    distance from center overflows are rejected, since no likelihood over
-    them is finite."""
+    precision is inf meets some point as inf * 0 or inf - inf.  Values whose
+    squared distance from center overflows are rejected, since no likelihood
+    over them is finite."""
 
     values: np.ndarray
     name: str = "data"
@@ -166,9 +166,8 @@ class Dataset:
 # Parameter sets per pass of the likelihood kernel: at N=500 and K=4 a
 # pass's (b, K, N) component buffer and the guarded log-sum-exp's one
 # temporary of its size take 512 kB, however many sets a caller stacks.
-# The coef of all B sets, (B, K, 4p + 1), is built before the first pass:
-# DIC's 1000 sets at sim-p3k4 take 416 kB of it and peak at 939 KiB of
-# traced allocations in all (729 KiB with a (B, K, 2p + 1) coef).
+# The (B, K, 4p + 1) coef of all B sets is built first: 416 kB for DIC's
+# 1000 sets at sim-p3k4, which peak at 939 KiB of traced allocations.
 _BLOCK = 16
 
 
@@ -340,10 +339,7 @@ def _log_prior_z(spec: GmmSpec, log_w, tail):
     -sum log sd.  So alpha sum log w, Normal means and Normal log sds: one
     (1, K + 2Kp) @ (K + 2Kp, 1) product per row of [log w, tail^2] with
     spec.prior_coef, the same dot product for a row in a stack as alone."""
-    K = spec.K
-    terms = np.empty(log_w.shape[:-1] + (1, len(spec.prior_coef)))
-    terms[..., 0, :K] = log_w
-    np.square(tail, out=terms[..., 0, K:])
+    terms = np.concatenate([log_w, np.square(tail)], axis=-1)[..., None, :]
     return (terms @ spec.prior_coef)[..., 0, 0] + spec.prior_const
 
 

@@ -49,8 +49,9 @@ def versions() -> str:
     OPENBLAS_CORETYPE when it is set: RUN_DIGEST pins the rounding of the
     BLAS kernel the host dispatches to, so a host mismatch reads as one."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    out = (f"numpy {np.__version__}, scipy {scipy.__version__}, BLAS {blas['name']} "
-           f"{blas['version']} ({blas.get('openblas configuration', 'no openblas configuration')})")
+    config = blas.get("openblas configuration", "no openblas configuration")
+    out = (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+           f"BLAS {blas['name']} {blas['version']} ({config})")
     coretype = os.environ.get("OPENBLAS_CORETYPE")
     return out if coretype is None else f"{out}, OPENBLAS_CORETYPE={coretype}"
 
