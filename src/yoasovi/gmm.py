@@ -12,27 +12,32 @@ posterior draws stacked on one leading axis and scores them in a single
 call.  The likelihood kernel expands each squared standardised residual,
 (y - mu)^2 / sd^2 = y'^2 / sd^2 - 2 y' mu' / sd^2 + mu'^2 / sd^2 with
 y' = y - ybar and mu' = mu - ybar, so a set's K component log densities
-at all N points are one (K, 4p + 1) @ (4p + 1, N) matrix product against
-features the Dataset stores once, before a max-shifted numpy log-sum-exp
-over the components.  The last 2p + 1 feature rows are constants, so the
-product also sums each component's constant terms over p: mu'^2 / sd^2 / 2,
-log sd, and log w - (p/2) log 2 pi.  Centring on the data's column means
-ybar keeps the expansion exact to rounding however far the data sit from
-the origin.  What it cannot keep are the digits lost when a residual is
-small next to y' and mu': the relative error grows with the square of the
-data's spread measured in sds, to a few 1e-12 at clusters 1e3 sds apart.
+at all N points, less (p/2) log 2 pi, are one (K, 4p + 1) @ (4p + 1, N)
+matrix product against features the Dataset stores once.  The last 2p + 1
+feature rows are constants, so the product also sums each component's
+constant terms over p: mu'^2 / sd^2 / 2, log sd and log w.  What every
+component leaves out, (N p / 2) log 2 pi over the data, is the Dataset's
+log_norm, added once per set.  Centring on the data's column means ybar
+keeps the expansion exact to rounding however far the data sit from the
+origin.  What it cannot keep are the digits lost when a residual is small
+next to y' and mu': the relative error grows with the square of the data's
+spread measured in sds, to a few 1e-12 at clusters 1e3 sds apart.
 
 The kernel works in log space: it takes log weights and log sds, never
-sds, and builds each precision as exp(-2 log sd).  The plain pass has no
-guard for non-finite values.  A set whose result it leaves inf or nan, and
-only such a set, is scored again with two guards: a component whose
-precision is inf (an sd whose square underflows) drops out where inf * 0
-would give nan, and the log-sum-exp leaves a non-finite maximum unshifted,
-so an all -inf point gives -inf and an inf or nan point scipy's inf or
-nan.  Whether a log sd's sd underflows to 0 or overflows to inf is read
-off the log sd against the two edges of exp, _LOG_UNDERFLOW and
-_LOG_OVERFLOW.  A log sd at or below the first always leaves the plain pass
-nan, so that check runs only on a set scored again.
+sds, and builds each precision as exp(-2 log sd).  Its plain pass is only
+the arithmetic: exp of the product with no shift, a sum over the
+components, a log and a sum over the points.  A per-point sum that is not
+a normal float (0, subnormal or nan) would lose digits or give a
+non-finite log, so it makes its set's result nan.  A set whose result is
+nan or inf, and only such a set, is scored again with two guards: a
+component whose precision is inf (an sd whose square underflows) drops out
+where inf * 0 would give nan, and the log-sum-exp is shifted by each
+point's maximum and leaves a non-finite maximum unshifted, so a point far
+from every component keeps its digits, an all -inf point gives -inf and an
+inf or nan point scipy's inf or nan.  Whether a log sd's sd underflows to
+0 or overflows to inf is read off the log sd against the two edges of exp,
+_LOG_UNDERFLOW and _LOG_OVERFLOW.  A log sd at or below the first always
+leaves the plain pass nan, so that check runs only on a set scored again.
 
 A run optimises over unconstrained vectors z instead (split_unconstrained
 gives their layout and a log-softmax for the log weights), and
@@ -57,6 +62,10 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # float: the log sds whose sds underflow or overflow
 _LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 _LOG_OVERFLOW = math.log(sys.float_info.max)
+
+# the smallest normal float: a per-point sum of exps below it has lost
+# digits to subnormal rounding, or is 0
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -119,10 +128,12 @@ class GmmParams:
 
 @dataclass(frozen=True)
 class Dataset:
-    """N observations of dimension p.  The likelihood kernel works on two
-    fields stored once per dataset: center, the column means ybar, and
+    """N observations of dimension p.  The likelihood kernel works on three
+    fields stored once per dataset: center, the column means ybar,
     features, the contiguous (4p + 1, N) stack
-    [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2; 1], 52 kB at p=3 and N=500.
+    [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2; 1], 52 kB at p=3 and N=500,
+    and log_norm, -(N p / 2) log 2 pi, the Gaussian normaliser's share of
+    every set's log likelihood.
     ybar is clipped into each column's range, which moves it only where
     rounding puts a mean outside, as it can for a constant column: so each
     column of y - ybar holds a zero or both signs, and a component whose
@@ -134,6 +145,7 @@ class Dataset:
     name: str = "data"
     center: np.ndarray = field(init=False, repr=False, compare=False)
     features: np.ndarray = field(init=False, repr=False, compare=False)
+    log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -153,6 +165,7 @@ class Dataset:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "features", features)
+        object.__setattr__(self, "log_norm", -v.size * _HALF_LOG_2PI)
 
     @property
     def N(self) -> int:
@@ -164,10 +177,11 @@ class Dataset:
 
 
 # Parameter sets per pass of the likelihood kernel: at N=500 and K=4 a
-# pass's (b, K, N) component buffer and the guarded log-sum-exp's one
-# temporary of its size take 512 kB, however many sets a caller stacks.
-# The (B, K, 4p + 1) coef of all B sets is built first: 416 kB for DIC's
-# 1000 sets at sim-p3k4, which peak at 939 KiB of traced allocations.
+# pass's (b, K, N) component buffer takes 256 kB, and the guarded
+# log-sum-exp's one temporary of its size as much again, however many sets
+# a caller stacks.  The (B, K, 4p + 1) coef of all B sets is built first,
+# 416 kB for DIC's 1000 sets at sim-p3k4: their peak of 908 KiB of traced
+# allocations is while _components builds it.
 _BLOCK = 16
 
 
@@ -181,24 +195,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     m = a.max(axis=1, keepdims=True)
     m[~np.isfinite(m)] = 0.0
     e = a - m
-    np.exp(e, out=e)
-    out = e.sum(axis=1)
-    np.log(out, out=out)
-    out += m[:, 0]
-    return out
-
-
-def _shifted_logsumexp(a: np.ndarray) -> np.ndarray:
-    """_logsumexp over axis 1 without its guard, in place of a: the plain
-    max-shifted pass, which is _logsumexp's result wherever it is finite
-    and nan or inf where a maximum is not finite."""
-    m = a.max(axis=1)
-    a -= m[:, None]
-    np.exp(a, out=a)
-    out = a.sum(axis=1)
-    np.log(out, out=out)
-    out += m
-    return out
+    return np.log(np.exp(e, out=e).sum(axis=1)) + m[:, 0]
 
 
 def split_unconstrained(spec: GmmSpec, z: np.ndarray):
@@ -232,15 +229,16 @@ def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray):
     and a float for one vector.
 
     log w and log sds come straight from split_unconstrained.  No parameter
-    check runs, since split_unconstrained builds valid parameters.  An sd
-    that underflows to 0 or overflows to inf raises NumericError, and so
-    does a non-finite result, which is what a non-finite z or a weight that
+    check runs, since split_unconstrained builds valid parameters.  The
+    data's constant log_norm is added with the prior's.  An sd that
+    underflows to 0 or overflows to inf raises NumericError, and so does a
+    non-finite result, which is what a non-finite z or a weight that
     underflows to 0 gives: every coordinate of z enters the prior."""
     z = np.asarray(z, dtype=float)
     with np.errstate(all="ignore"):
         log_w, means, log_sds = split_unconstrained(spec, z)
-        out = _log_likelihood(data, log_w, means, log_sds) \
-            + _log_prior_z(spec, log_w, z[..., spec.K - 1 :])
+        out = _log_likelihood(data, log_w, means, log_sds) + _log_prior_z(
+            spec, log_w, z[..., spec.K - 1 :], spec.prior_const + data.log_norm)
     if log_sds.max(initial=0.0) > _LOG_OVERFLOW:
         raise NumericError("an sd overflowed to inf")
     # math.isfinite takes a hundredth of the time on the one-vector path
@@ -260,87 +258,107 @@ def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarra
     # nan density, which log_joint rejects
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _log_likelihood(data, np.log(params.weights), params.means,
-                               np.log(params.sds))
+                               np.log(params.sds)) + data.log_norm
 
 
 def _components(data: Dataset, log_w, means, log_sds):
-    """The GEMM form of each parameter set's K component log densities: coef
-    of shape (B, K, 4p + 1), so that a set's (K, N) component log densities
-    at the data are coef @ data.features.
+    """The GEMM form of each parameter set's K component log densities less
+    (p/2) log 2 pi: coef of shape (..., K, 4p + 1), so that a set's (K, N)
+    component terms at the data are coef @ data.features.
 
     With iv = exp(-2 log sd), the precision, and mu' = mu - data.center,
-    coef = [iv, mu' iv, mu' (mu' iv), -2 log sd, log w - (p/2) log 2 pi]
-    against features [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2; 1], so the
-    matrix product sums each component's constant over p too.  A component
-    whose iv is inf (its sd^2 underflows, say) meets the data as inf * 0 =
-    nan or inf - inf; _log_likelihood scores such a set again.  The caller
-    sets the errstate for overflowing terms."""
+    coef = [iv, mu' iv, mu' (mu' iv), -2 log sd, log w] against features
+    [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2; 1], so the matrix product sums
+    each component's constant over p too.  A component whose iv is inf (its
+    sd^2 underflows, say) meets the data as inf * 0 = nan or inf - inf;
+    _log_likelihood scores such a set again.  The caller sets the errstate
+    for overflowing terms."""
     m2ls = -2.0 * log_sds
     iv = np.exp(m2ls)
     mu = means - data.center
     miv = mu * iv
     mu *= miv
-    coef = np.concatenate([iv, miv, mu, m2ls, (log_w - data.p * _HALF_LOG_2PI)[..., None]],
-                          axis=-1)
-    return coef.reshape((-1,) + coef.shape[-2:])
+    return np.concatenate([iv, miv, mu, m2ls, log_w[..., None]], axis=-1)
+
+
+def _plain_logsumexp(comp: np.ndarray) -> np.ndarray:
+    """log(sum(exp(comp))) over axis -2 with no shift, in place of comp of
+    shape (..., K, N): the plain pass.  A point whose sum is not a normal
+    float (0, subnormal or nan) gives nan, since its log has lost digits or
+    is not finite."""
+    np.exp(comp, out=comp)
+    s = comp.sum(axis=-2)
+    if not s.min(initial=np.inf) >= _TINY:
+        s[~(s >= _TINY)] = np.nan
+    return np.log(s, out=s)
 
 
 def _score_sets(data: Dataset, coef, lse) -> np.ndarray:
-    """Each set's log likelihood from its coef: _BLOCK sets per pass through
-    one stacked matmul, (b, K, 4p + 1) @ (4p + 1, N), and lse over the
-    components.  The stacked matmul makes the same BLAS call per set as a
+    """Each set's log likelihood less data.log_norm from its coef: lse over
+    the components of coef @ data.features, summed over the points, through
+    one matmul for one set and _BLOCK sets per pass of one stacked matmul
+    for more.  The stacked matmul makes the same BLAS call per set as a
     lone set does, where one product over b * K rows would let BLAS pick
     another kernel and round otherwise, so a stacked set's result has the
     bits of its own call."""
-    B = len(coef)
-    if B <= _BLOCK:
-        return lse(coef @ data.features).sum(axis=1)
-    out = np.empty(B)
-    for lo in range(0, B, _BLOCK):
+    if coef.ndim == 2 or coef.ndim == 3 and len(coef) <= _BLOCK:
+        return lse(coef @ data.features).sum(axis=-1)
+    flat = coef.reshape((-1,) + coef.shape[-2:])
+    out = np.empty(len(flat))
+    for lo in range(0, len(flat), _BLOCK):
         b = slice(lo, lo + _BLOCK)
-        out[b] = lse(coef[b] @ data.features).sum(axis=1)
-    return out
+        out[b] = lse(flat[b] @ data.features).sum(axis=1)
+    return out.reshape(coef.shape[:-2])
 
 
 def _log_likelihood(data: Dataset, log_w, means, log_sds) -> np.ndarray:
-    """The likelihood kernel: log likelihood of parameter sets that fit the
-    data, given as log weights (..., K) and means and log sds (..., K, p).
+    """The likelihood kernel: log likelihood less data.log_norm of parameter
+    sets that fit the data, given as log weights (..., K) and means and log
+    sds (..., K, p), as an array of the leading shape (a numpy float for one
+    set).
 
     _components gives every set's coef at once, and _score_sets takes them
-    through the plain max-shifted log-sum-exp.  The guards run only for a
-    set that this leaves non-finite.  Every set with a log sd at or below
-    _LOG_UNDERFLOW is one of them, since its iv is inf and Dataset's centre
-    makes it meet some point as inf * 0 or inf - inf: NumericError.  Any
-    other such set is scored again with each component whose iv, mu' iv or
-    mu' (mu' iv) is inf set to coef 0 and log w -inf, so it drops out where
-    inf * 0 would give nan, and with _logsumexp, which gives an all -inf
-    point -inf and scipy's inf or nan elsewhere.  The caller sets the
-    errstate for overflowing terms."""
+    through the plain pass.  The guards run only for a set that this leaves
+    nan or infinite: one with a point whose sum overflows, underflows or
+    loses digits as a subnormal, or whose coef makes nan.  Every set with a
+    log sd at or below _LOG_UNDERFLOW is one of them, since its iv is inf
+    and Dataset's centre makes it meet some point as inf * 0 or inf - inf:
+    NumericError.  Any other such set is scored again with each component
+    whose iv, mu' iv or mu' (mu' iv) is inf set to coef 0 and log w -inf, so
+    it drops out where inf * 0 would give nan, and with the max-shifted
+    _logsumexp, which keeps the digits of a point far from every component
+    and of one whose density overflows, gives an all -inf point -inf and
+    gives scipy's inf or nan elsewhere.  The caller sets the errstate for
+    overflowing terms."""
     coef = _components(data, log_w, means, log_sds)
-    out = _score_sets(data, coef, _shifted_logsumexp)
+    out = _score_sets(data, coef, _plain_logsumexp)
     # math.isfinite takes a fifteenth of the time on the one-set path
-    if not (math.isfinite(out[0]) if len(out) == 1 else np.isfinite(out).all()):
-        bad = ~np.isfinite(out)
-        if log_sds.reshape(len(out), -1)[bad].min() <= _LOG_UNDERFLOW:
-            raise NumericError("an sd underflowed to 0")
-        coef = coef[bad]
-        drop = np.isinf(coef[..., : 3 * data.p]).any(axis=2)
-        coef[drop] = 0.0
-        coef[..., -1][drop] = -np.inf
-        out[bad] = _score_sets(data, coef, _logsumexp)
+    if math.isfinite(out) if out.ndim == 0 else np.isfinite(out).all():
+        return out
+    out = np.array(out).reshape(-1)
+    bad = ~np.isfinite(out)
+    if log_sds.reshape(len(out), -1)[bad].min() <= _LOG_UNDERFLOW:
+        raise NumericError("an sd underflowed to 0")
+    coef = coef.reshape((-1,) + coef.shape[-2:])[bad]
+    drop = np.isinf(coef[..., : 3 * data.p]).any(axis=2)
+    coef[drop] = 0.0
+    coef[..., -1][drop] = -np.inf
+    out[bad] = _score_sets(data, coef, _logsumexp)
     return out.reshape(log_w.shape[:-1])[()]
 
 
-def _log_prior_z(spec: GmmSpec, log_w, tail):
+def _log_prior_z(spec: GmmSpec, log_w, tail, const: float):
     """The prior in z's coordinates, row by row, from log weights (..., K)
     and tail (..., 2Kp), z's means and then log sds: the prior density of
     the parameters plus the log |Jacobian| of constrain's map, sum log w +
     sum log sd, which cancels the Dirichlet's -sum log w and the lognormal's
     -sum log sd.  So alpha sum log w, Normal means and Normal log sds: one
     (1, K + 2Kp) @ (K + 2Kp, 1) product per row of [log w, tail^2] with
-    spec.prior_coef, the same dot product for a row in a stack as alone."""
+    spec.prior_coef, the same dot product for a row in a stack as alone,
+    plus const: spec.prior_const, and on the run's target also the data's
+    log_norm, so one addition serves both constants."""
     terms = np.concatenate([log_w, np.square(tail)], axis=-1)[..., None, :]
-    return (terms @ spec.prior_coef)[..., 0, 0] + spec.prior_const
+    return (terms @ spec.prior_coef)[..., 0, 0] + const
 
 
 def log_prior(spec: GmmSpec, params: GmmParams):
@@ -362,7 +380,7 @@ def _log_prior(spec: GmmSpec, params: GmmParams):
         lead = log_w.shape[:-1]
         tail = np.concatenate([params.means.reshape(lead + (-1,)),
                                log_sds.reshape(lead + (-1,))], axis=-1)
-        return (_log_prior_z(spec, log_w, tail)
+        return (_log_prior_z(spec, log_w, tail, spec.prior_const)
                 - log_w.sum(axis=-1) - log_sds.sum(axis=(-2, -1)))
 
 
