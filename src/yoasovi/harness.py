@@ -115,7 +115,8 @@ def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
 
     Aborted runs are kept: they count in the errors column and are simply
     left out of the mean/sd statistics.  jobs > 1 runs cells in worker
-    processes (incompatible with an injected clock).
+    processes (incompatible with an injected clock), one per run at most:
+    a fork pool starts all of its workers up front.
     """
     if jobs > 1 and clock is not None:
         raise ValueError("an injected clock cannot cross process boundaries")
@@ -130,8 +131,8 @@ def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
             for ds_name, spec, data, label, template in cells
             for r in range(matrix.replicates)]
 
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1 and work:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             summaries = list(pool.map(_run_one, *zip(*work)))
     else:
         summaries = [_run_one(*item, clock=clock) for item in work]

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import pickle
 import re
@@ -212,6 +213,30 @@ def test_parallel_jobs_agree_with_serial(tmp_path):
         [r.elbo_mean for r in parallel], abs=1e-12)
     with pytest.raises(ValueError):
         run_matrix(matrix, tmp_path / "x", jobs=2, clock=FakeClock())
+
+
+def test_the_pool_starts_at_most_one_worker_per_run(tmp_path, monkeypatch):
+    """A fork pool starts every worker it may use up front, so run_matrix
+    asks for min(jobs, runs) of them: 2 for 2 runs at jobs=8, and jobs when
+    there are more runs.  A matrix with no runs starts no pool."""
+    asked = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    spec, data = make_preset("sim-p2k2", N=60)
+    for replicates, jobs in [(2, 8), (3, 2)]:
+        matrix = ExperimentMatrix(datasets=(("sim-p2k2", spec, data),),
+                                  methods=(("yoasovi-naive", quick_template()),),
+                                  replicates=replicates, base_seed=0)
+        rows = run_matrix(matrix, tmp_path / f"r{replicates}", jobs=jobs)
+        assert [row.errors for row in rows] == [0]
+    empty = ExperimentMatrix(datasets=(("sim-p2k2", spec, data),), methods=())
+    assert run_matrix(empty, tmp_path / "none", jobs=4) == []
+    assert asked == [2, 2]
 
 
 def test_format_table_mentions_every_cell(tmp_path):
