@@ -5,20 +5,26 @@ Runs yoasovi-naive at the shipped sim-p2k2 settings (configs/sim_p2k2.yaml:
 its data, model, step size, schedule, patience and iteration cap) on seeds
 0-9 through run_problem, with the run's target wrapped in a timer, and
 prints per round the µs per iteration (the run's loop time over its
-iterations), the µs per target call and their ratio, then the median of
-each over the rounds.  DIC is left out: it runs after the loop and the
-loop time does not include it.  The timer's own cost, two perf_counter
-calls per target call, counts towards the iteration.  After the timed
-rounds, one more untimed round under tracemalloc gives the bytes its
-finished traces hold per iteration.  Last, it prints the µs per one-z
-target call at sim-p2k2, sim-p2k3 and sim-p3k4, the presets of perfbench's
-three workloads: the minimum of repeated timings of one call per row over
-64 fixed draws from q at the preset's k-means++ starting λ.
+iterations), the µs per target call, their ratio and the µs per iteration
+spent outside the target call (loop time less target time, over the
+iterations), then the median of each over the rounds.  A faster target
+raises the ratio while the µs outside stay put, so those µs are what
+tracks the loop around the target.  DIC is left out: it runs after the
+loop and the loop time does not include it.  The timer's own cost, two
+perf_counter calls per target call, counts towards the iteration.  After
+the timed rounds, one more untimed round under tracemalloc gives the bytes
+its finished traces hold per iteration.  Last, at sim-p2k2, sim-p2k3 and
+sim-p3k4, the presets of perfbench's three workloads, it prints the µs per
+one-z target call, the minimum of repeated timings of one call per row
+over 64 fixed draws from q at the preset's k-means++ starting λ, and then
+the ms per 1000 stacked parameter sets through gmm.log_likelihood, the
+DIC phase's half of the likelihood kernel: the minimum of repeated
+timings over 1000 other draws from the same q, constrained.
 
     PYTHONPATH=src python3 scripts/iteration_cost.py [--rounds 5] [--quick]
 
 --quick runs one round of seeds 0-1 at 50 iterations, and times each
-preset's target twice, as a smoke test.
+preset's target and stacked sets twice, as a smoke test.
 """
 
 import argparse
@@ -33,17 +39,20 @@ from pathlib import Path
 import numpy as np
 
 from yoasovi.driver import build_gmm_problem, run_problem
+from yoasovi.gmm import log_likelihood
 from yoasovi.harness import build_matrix, load_config, make_preset
-from yoasovi.meanfield import sample
+from yoasovi.meanfield import constrain, sample
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "sim_p2k2.yaml"
 METHOD = "yoasovi-naive"
 PRESETS = ("sim-p2k2", "sim-p2k3", "sim-p3k4")
 DRAWS = 64
+SETS = 1000
 
 
-def one_round(template, problem, seeds) -> tuple[float, float]:
-    """(µs per iteration, µs per target call) over one run per seed."""
+def one_round(template, problem, seeds) -> tuple[float, float, float]:
+    """(µs per iteration, µs per target call, µs per iteration outside the
+    target) over one run per seed."""
     target_s, target_calls = 0.0, 0
 
     def timed(z):
@@ -62,7 +71,8 @@ def one_round(template, problem, seeds) -> tuple[float, float]:
             raise SystemExit(f"seed {seed}: {trace.summary.error}")
         loop_s += trace.summary.wall_seconds
         iterations += trace.summary.iterations
-    return 1e6 * loop_s / iterations, 1e6 * target_s / target_calls
+    return (1e6 * loop_s / iterations, 1e6 * target_s / target_calls,
+            1e6 * (loop_s - target_s) / iterations)
 
 
 def trace_bytes(template, problem, seeds) -> float:
@@ -81,17 +91,22 @@ def trace_bytes(template, problem, seeds) -> float:
     return held / sum(trace.summary.iterations for trace in traces)
 
 
-def target_us(preset: str, repeat: int, number: int) -> float:
-    """µs per one-z target call at preset: the fastest of repeat timings,
-    each of number passes of one call per row over DRAWS fixed draws from q
-    at the preset's k-means++ starting λ."""
+def preset_cost(preset: str, repeat: int, number: int) -> tuple[float, float]:
+    """(µs per one-z target call, ms per SETS stacked sets through
+    log_likelihood) at preset: the fastest of repeat timings, each of number
+    passes, at the preset's k-means++ starting λ.  A target pass is one call
+    per row over DRAWS fixed draws from q; a stacked pass is one call over
+    SETS other draws from q, constrained."""
     spec, data = make_preset(preset)
     problem = build_gmm_problem(spec, data, kmeans_style_init=True)
     lam = problem.init(np.random.default_rng(0))
     z = sample(lam, np.random.default_rng(1).uniform(size=(DRAWS, lam.dim))).z
     target = problem.target
     timings = timeit.repeat(lambda: [target(row) for row in z], number=number, repeat=repeat)
-    return 1e6 * min(timings) / (number * DRAWS)
+    sets = constrain(sample(lam, np.random.default_rng(2).uniform(size=(SETS, lam.dim))).z, spec)
+    stacked = timeit.repeat(lambda: log_likelihood(spec, data, sets), number=number,
+                            repeat=repeat)
+    return 1e6 * min(timings) / (number * DRAWS), 1e3 * min(stacked) / number
 
 
 def main(argv=None) -> int:
@@ -113,18 +128,20 @@ def main(argv=None) -> int:
 
     print(f"{METHOD} on {CONFIG.name}, seeds {seeds.start}-{seeds.stop - 1}, "
           f"{template.max_iters} iterations at most")
-    print("round  us/iteration  us/target  ratio")
-    per_iter, per_target = [], []
+    print("round  us/iteration  us/target  ratio  us/outside")
+    per_round = []
     for r in range(rounds):
-        it_us, tg_us = one_round(template, problem, seeds)
-        per_iter.append(it_us)
-        per_target.append(tg_us)
-        print(f"{r + 1:5d}  {it_us:12.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}")
-    it_us, tg_us = statistics.median(per_iter), statistics.median(per_target)
-    print(f"median {it_us:11.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}")
+        it_us, tg_us, out_us = one_round(template, problem, seeds)
+        per_round.append((it_us, tg_us, out_us))
+        print(f"{r + 1:5d}  {it_us:12.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}  {out_us:10.2f}")
+    it_us, tg_us, out_us = map(statistics.median, zip(*per_round))
+    print(f"median {it_us:11.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}  {out_us:10.2f}")
     print(f"trace  {trace_bytes(template, problem, seeds):.1f} bytes retained per iteration")
-    for preset in PRESETS:
-        print(f"target {preset} {target_us(preset, repeat, number):.2f} us per z")
+    costs = {preset: preset_cost(preset, repeat, number) for preset in PRESETS}
+    for preset, (z_us, _) in costs.items():
+        print(f"target {preset} {z_us:.2f} us per z")
+    for preset, (_, sets_ms) in costs.items():
+        print(f"sets   {preset} {sets_ms:.3f} ms per {SETS} sets")
     return 0
 
 

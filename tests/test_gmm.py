@@ -1,9 +1,11 @@
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -394,6 +396,64 @@ def test_sds_at_the_overflow_edge_score_as_scipy_does():
             sets[SPECIAL_ROW] = th
             got = log_likelihood(spec, data, stack(sets))
             assert list(got) == [log_likelihood(spec, data, s) for s in sets]
+
+
+def mpmath_log_likelihood(data, params):
+    """The mixture log likelihood in 50-digit mpmath arithmetic, where no
+    density underflows or overflows, with no code shared with the module:
+    each point's weighted normal densities summed, logs summed over the
+    points.  Also gives each point's mixture density."""
+    with mpmath.workdps(50):
+        dens = [sum(mpmath.mpf(w) * mpmath.fprod(mpmath.npdf(yj, mj, sj)
+                                                  for yj, mj, sj in zip(y, mu, sd))
+                    for w, mu, sd in zip(params.weights, params.means, params.sds))
+                for y in data.values]
+        return float(mpmath.fsum(mpmath.log(d) for d in dens)), dens
+
+
+# p=3 points whose column means are 0 exactly, so the origin is the centre
+EDGE_DATA = Dataset(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0],
+                              [38.4, 0.0, 0.0], [-38.4, 0.0, 0.0]]))
+EDGE_SETS = {
+    # the points at +-38.4 are 38.4 sds from the nearer component: their
+    # sums are subnormal, near 2e-322, whose unshifted exps keep 2-3 digits
+    "subnormal": GmmParams(np.array([0.5, 0.5]), np.array([[0.0] * 3, [0.0, 5.0, 5.0]]),
+                           np.ones((2, 3))),
+    # at sd 0.9 they are 43 sds from both components: their sums are 0
+    "zero": GmmParams(np.array([0.3, 0.7]), np.zeros((2, 3)), np.full((2, 3), 0.9)),
+    # three sds of exp(-240) put the origin's log density near 717, so its
+    # sum overflows; a wide component keeps the other points ordinary
+    "overflow": GmmParams(np.array([0.5, 0.5]), np.zeros((2, 3)),
+                          np.array([[math.exp(-240.0)] * 3, [10.0] * 3])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_SETS))
+def test_a_point_whose_sum_is_not_a_normal_float_is_scored_again(case):
+    """The plain pass takes exps with no shift, so a point whose mixture
+    density is subnormal, 0 or inf goes to the guarded, max-shifted
+    re-score: each case matches a 50-digit oracle to 1e-12 relative, alone
+    and inside a 37-set stack of ordinary sets, whose rows keep the bits of
+    their one-set calls."""
+    spec = GmmSpec(K=2, p=3)
+    th = EDGE_SETS[case]
+    want, dens = mpmath_log_likelihood(EDGE_DATA, th)
+    if case == "subnormal":
+        assert 0.0 < float(dens[3]) < sys.float_info.min
+    elif case == "zero":
+        assert float(dens[3]) == 0.0 < dens[3]
+    else:
+        assert mpmath.log(dens[0]) > math.log(sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(log_likelihood(spec, EDGE_DATA, th) - want) <= 1e-12 * abs(want)
+        rng = np.random.default_rng(38)
+        sets = [GmmParams(rng.dirichlet(np.ones(2)), rng.uniform(-3.0, 3.0, (2, 3)),
+                          rng.uniform(5.0, 10.0, (2, 3))) for _ in range(37)]
+        sets[SPECIAL_ROW] = th
+        got = log_likelihood(spec, EDGE_DATA, stack(sets))
+        assert list(got) == [log_likelihood(spec, EDGE_DATA, s) for s in sets]
+        assert abs(got[SPECIAL_ROW] - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("K, p, N", [(1, 1, 1), (1, 3, 40), (2, 5, 1), (4, 3, 500),

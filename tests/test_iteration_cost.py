@@ -10,16 +10,23 @@ def test_quick_run_prints_iteration_and_target_cost(capsys):
     assert script.main(["--quick"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "yoasovi-naive on sim_p2k2.yaml, seeds 0-1, 50 iterations at most"
-    assert lines[1].split() == ["round", "us/iteration", "us/target", "ratio"]
-    assert [line.split()[0] for line in lines[2:]] == ["1", "median", "trace", *["target"] * 3]
-    per_iter, per_target, ratio = map(float, lines[3].split()[1:])
-    # an iteration includes its target call
+    assert lines[1].split() == ["round", "us/iteration", "us/target", "ratio", "us/outside"]
+    assert [line.split()[0] for line in lines[2:]] == ["1", "median", "trace",
+                                                      *["target"] * 3, *["sets"] * 3]
+    per_iter, per_target, ratio, outside = map(float, lines[3].split()[1:])
+    # an iteration includes its target call, one per iteration
     assert 0 < per_target < per_iter
     assert abs(ratio - per_iter / per_target) < 2e-3 * ratio
+    assert 0 < outside < per_iter
+    assert abs(outside - (per_iter - per_target)) < 0.02 + 1e-3 * per_iter
     # 100 iterations: 25 B each in columns, plus each trace's fixed part
     held = lines[4].split()
     assert held[2:] == ["bytes", "retained", "per", "iteration"] and 0 < float(held[1]) < 100
     # one z through the target at each workload's preset
-    targets = [line.split() for line in lines[5:]]
+    targets = [line.split() for line in lines[5:8]]
     assert [t[1] for t in targets] == ["sim-p2k2", "sim-p2k3", "sim-p3k4"]
     assert all(t[3:] == ["us", "per", "z"] and 0 < float(t[2]) for t in targets)
+    # 1000 stacked sets through log_likelihood at each preset
+    sets = [line.split() for line in lines[8:]]
+    assert [t[1] for t in sets] == ["sim-p2k2", "sim-p2k3", "sim-p3k4"]
+    assert all(t[3:] == ["ms", "per", "1000", "sets"] and 0 < float(t[2]) for t in sets)
