@@ -13,18 +13,31 @@ tracks the loop around the target.  DIC is left out: it runs after the
 loop and the loop time does not include it.  The timer's own cost, two
 perf_counter calls per target call, counts towards the iteration.  After
 the timed rounds, one more untimed round under tracemalloc gives the bytes
-its finished traces hold per iteration.  Last, at sim-p2k2, sim-p2k3 and
-sim-p3k4, the presets of perfbench's three workloads, it prints the µs per
-one-z target call, the minimum of repeated timings of one call per row
-over 64 fixed draws from q at the preset's k-means++ starting λ, and then
-the ms per 1000 stacked parameter sets through gmm.log_likelihood, the
-DIC phase's half of the likelihood kernel: the minimum of repeated
-timings over 1000 other draws from the same q, constrained.
+its finished traces hold per iteration.
+
+Then, at sim-p2k2, sim-p2k3 and sim-p3k4, the presets of perfbench's three
+workloads, it prints the µs per one-z target call, the minimum of repeated
+timings of one call per row over 64 fixed draws from q at the preset's
+k-means++ starting λ; the ms per 1000 stacked parameter sets through
+gmm.log_likelihood, the DIC phase's half of the likelihood kernel, the
+minimum of repeated timings over 1000 other draws from the same q,
+constrained; and the ms per DIC phase, the minimum of repeated timings of
+the problem's dic at that λ: its 1000 fresh draws from q, constrain, the
+parameter checks and gmm.dic.  Every fixed draw comes from points clamped
+by sequences.clamp, as a run's draws do.
+
+Last, the multi-draw workload's two methods on sim-p3k4 at its settings
+(step size 5e-7, patience 100, linear schedule k=0.1, k-means++ start,
+seeds 0-1): qmcvi at S=10 for 300 iterations and mcvi at S=100 for 30, each
+with its target timed as the single-draw rounds time theirs.  Each prints
+the µs per draw (loop time over target calls, one per draw) and the µs per
+draw spent outside the target call, the medians over the rounds.
 
     PYTHONPATH=src python3 scripts/iteration_cost.py [--rounds 5] [--quick]
 
---quick runs one round of seeds 0-1 at 50 iterations, and times each
-preset's target and stacked sets twice, as a smoke test.
+--quick runs one round of seeds 0-1 at 50 single-draw iterations and 3 and
+1 multi-draw iterations, and times each preset's target, stacked sets and
+DIC phase twice, as a smoke test.
 """
 
 import argparse
@@ -38,21 +51,27 @@ from pathlib import Path
 
 import numpy as np
 
-from yoasovi.driver import build_gmm_problem, run_problem
+from yoasovi.acceptance import TemperatureSchedule
+from yoasovi.driver import RunConfig, build_gmm_problem, run_problem
 from yoasovi.gmm import log_likelihood
 from yoasovi.harness import build_matrix, load_config, make_preset
 from yoasovi.meanfield import constrain, sample
+from yoasovi.sequences import clamp
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "sim_p2k2.yaml"
 METHOD = "yoasovi-naive"
 PRESETS = ("sim-p2k2", "sim-p2k3", "sim-p3k4")
 DRAWS = 64
 SETS = 1000
+# perfbench's multi-draw workload on its preset: (method, samples,
+# iterations, iterations under --quick)
+MULTI_PRESET = "sim-p3k4"
+MULTI_DRAW = (("qmcvi", 10, 300, 3), ("mcvi", 100, 30, 1))
 
 
-def one_round(template, problem, seeds) -> tuple[float, float, float]:
-    """(µs per iteration, µs per target call, µs per iteration outside the
-    target) over one run per seed."""
+def one_round(template, problem, seeds) -> tuple[float, float, int, int]:
+    """(loop seconds, target seconds, iterations, target calls) summed over
+    one run per seed, with the target timed inside the loop."""
     target_s, target_calls = 0.0, 0
 
     def timed(z):
@@ -71,8 +90,7 @@ def one_round(template, problem, seeds) -> tuple[float, float, float]:
             raise SystemExit(f"seed {seed}: {trace.summary.error}")
         loop_s += trace.summary.wall_seconds
         iterations += trace.summary.iterations
-    return (1e6 * loop_s / iterations, 1e6 * target_s / target_calls,
-            1e6 * (loop_s - target_s) / iterations)
+    return loop_s, target_s, iterations, target_calls
 
 
 def trace_bytes(template, problem, seeds) -> float:
@@ -91,29 +109,34 @@ def trace_bytes(template, problem, seeds) -> float:
     return held / sum(trace.summary.iterations for trace in traces)
 
 
-def preset_cost(preset: str, repeat: int, number: int) -> tuple[float, float]:
+def preset_cost(preset: str, repeat: int, number: int) -> tuple[float, float, float]:
     """(µs per one-z target call, ms per SETS stacked sets through
-    log_likelihood) at preset: the fastest of repeat timings, each of number
-    passes, at the preset's k-means++ starting λ.  A target pass is one call
-    per row over DRAWS fixed draws from q; a stacked pass is one call over
-    SETS other draws from q, constrained."""
+    log_likelihood, ms per DIC phase) at preset: the fastest of repeat
+    timings, each of number passes, at the preset's k-means++ starting λ.  A
+    target pass is one call per row over DRAWS fixed draws from q; a stacked
+    pass is one call over SETS other draws from q, constrained; a DIC pass
+    is one call of the problem's dic with a generator of one seed."""
     spec, data = make_preset(preset)
     problem = build_gmm_problem(spec, data, kmeans_style_init=True)
     lam = problem.init(np.random.default_rng(0))
-    z = sample(lam, np.random.default_rng(1).uniform(size=(DRAWS, lam.dim))).z
+    z = sample(lam, clamp(np.random.default_rng(1).uniform(size=(DRAWS, lam.dim)))).z
     target = problem.target
     timings = timeit.repeat(lambda: [target(row) for row in z], number=number, repeat=repeat)
-    sets = constrain(sample(lam, np.random.default_rng(2).uniform(size=(SETS, lam.dim))).z, spec)
+    sets = constrain(sample(lam, clamp(np.random.default_rng(2).uniform(size=(SETS, lam.dim)))).z,
+                     spec)
     stacked = timeit.repeat(lambda: log_likelihood(spec, data, sets), number=number,
                             repeat=repeat)
-    return 1e6 * min(timings) / (number * DRAWS), 1e3 * min(stacked) / number
+    phase = timeit.repeat(lambda: problem.dic(lam, np.random.default_rng(3)), number=number,
+                          repeat=repeat)
+    return (1e6 * min(timings) / (number * DRAWS), 1e3 * min(stacked) / number,
+            1e3 * min(phase) / number)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=5, help="rounds over all seeds")
     parser.add_argument("--quick", action="store_true",
-                        help="one round, seeds 0-1, 50 iterations")
+                        help="one round, seeds 0-1, 50 and 3 and 1 iterations")
     args = parser.parse_args(argv)
 
     matrix, _ = build_matrix(load_config(CONFIG))
@@ -131,17 +154,36 @@ def main(argv=None) -> int:
     print("round  us/iteration  us/target  ratio  us/outside")
     per_round = []
     for r in range(rounds):
-        it_us, tg_us, out_us = one_round(template, problem, seeds)
+        loop_s, target_s, iterations, calls = one_round(template, problem, seeds)
+        it_us, tg_us = 1e6 * loop_s / iterations, 1e6 * target_s / calls
+        out_us = 1e6 * (loop_s - target_s) / iterations
         per_round.append((it_us, tg_us, out_us))
         print(f"{r + 1:5d}  {it_us:12.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}  {out_us:10.2f}")
     it_us, tg_us, out_us = map(statistics.median, zip(*per_round))
     print(f"median {it_us:11.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}  {out_us:10.2f}")
     print(f"trace  {trace_bytes(template, problem, seeds):.1f} bytes retained per iteration")
     costs = {preset: preset_cost(preset, repeat, number) for preset in PRESETS}
-    for preset, (z_us, _) in costs.items():
+    for preset, (z_us, _, _) in costs.items():
         print(f"target {preset} {z_us:.2f} us per z")
-    for preset, (_, sets_ms) in costs.items():
+    for preset, (_, sets_ms, _) in costs.items():
         print(f"sets   {preset} {sets_ms:.3f} ms per {SETS} sets")
+    for preset, (_, _, dic_ms) in costs.items():
+        print(f"dic    {preset} {dic_ms:.3f} ms per phase")
+
+    multi_spec, multi_data = make_preset(MULTI_PRESET)
+    multi_problem = build_gmm_problem(multi_spec, multi_data, kmeans_style_init=True)
+    for method, samples, max_iters, quick_iters in MULTI_DRAW:
+        config = RunConfig(method=method, samples=samples, learning_rate=5e-7,
+                           max_iters=quick_iters if args.quick else max_iters, patience=100,
+                           schedule=TemperatureSchedule("linear", 0.1), model=multi_spec,
+                           kmeans_style_init=True)
+        per_draw = []
+        for _ in range(rounds):
+            loop_s, target_s, _, calls = one_round(config, multi_problem, range(2))
+            per_draw.append((1e6 * loop_s / calls, 1e6 * (loop_s - target_s) / calls))
+        draw_us, draw_out_us = map(statistics.median, zip(*per_draw))
+        print(f"draw   {method} {MULTI_PRESET} {draw_us:.2f} us per draw "
+              f"{draw_out_us:.2f} outside")
     return 0
 
 

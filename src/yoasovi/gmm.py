@@ -15,7 +15,7 @@ y' = y - ybar and mu' = mu - ybar, so a set's K component log densities
 at all N points, less (p/2) log 2 pi, are one (K, 4p + 1) @ (4p + 1, N)
 matrix product against features the Dataset stores once.  The last 2p + 1
 feature rows are constants, so the product also sums each component's
-constant terms over p: mu'^2 / sd^2 / 2, log sd and log w.  What every
+constant terms over p: mu'^2 / sd^2 / 2, log sd and its logit.  What every
 component leaves out, (N p / 2) log 2 pi over the data, is the Dataset's
 log_norm, added once per set.  Centring on the data's column means ybar
 keeps the expansion exact to rounding however far the data sit from the
@@ -23,28 +23,36 @@ origin.  What it cannot keep are the digits lost when a residual is small
 next to y' and mu': the relative error grows with the square of the data's
 spread measured in sds, to a few 1e-12 at clusters 1e3 sds apart.
 
-The kernel works in log space: it takes log weights and log sds, never
-sds, and builds each precision as exp(-2 log sd).  Its plain pass is only
-the arithmetic: exp of the product with no shift, a sum over the
-components, a log and a sum over the points.  A per-point sum that is not
-a normal float (0, subnormal or nan) would lose digits or give a
-non-finite log, so it makes its set's result nan.  A set whose result is
+A set's coefficients come from one flat row, [iv, mu' iv, mu' (mu' iv),
+-2 log sd, logits] with iv = exp(-2 log sd) the precision, each block built
+by one operation over all K*p of its entries; one gather, by an index
+GmmSpec works out once, turns the row into the (K, 4p + 1) coefficients.
+The kernel works in log space: it takes logits and log sds, never sds.
+Its plain pass is only the arithmetic: exp of the product with no shift, a
+sum over the components, a log and a sum over the points.  A per-point sum
+that is not a normal float (0, subnormal or nan) would lose digits or give
+a non-finite log, so it makes its set's result nan.  A set whose result is
 nan or inf, and only such a set, is scored again with two guards: a
 component whose precision is inf (an sd whose square underflows) drops out
 where inf * 0 would give nan, and the log-sum-exp is shifted by each
 point's maximum and leaves a non-finite maximum unshifted, so a point far
 from every component keeps its digits, an all -inf point gives -inf and an
-inf or nan point scipy's inf or nan.  Whether a log sd's sd underflows to
-0 or overflows to inf is read off the log sd against the two edges of exp,
-_LOG_UNDERFLOW and _LOG_OVERFLOW.  A log sd at or below the first always
-leaves the plain pass nan, so that check runs only on a set scored again.
+inf or nan point scipy's inf or nan.
 
 A run optimises over unconstrained vectors z instead (split_unconstrained
-gives their layout and a log-softmax for the log weights), and
+gives their layout and constrain's log-softmax for the log weights), and
 unconstrained_log_joint scores them in z's own coordinates, Jacobian term
-included.  It and log_likelihood share one likelihood kernel, and it and
-log_prior one prior formula, a small matrix product whose factors and
-constant GmmSpec works out once.
+included, in one flat pass: z's raw logits, the last pinned at 0, stand in
+the logit column, and each set's one normaliser L = log sum_k exp(logit_k)
+comes off once, (N + alpha K) L for the likelihood's and the Dirichlet's
+log weights.  log_likelihood puts log weights in the logit column and
+needs no normaliser.  The z-space prior is one small matrix product per
+row whose factors and constant GmmSpec works out once; log_prior is the
+same product less the Jacobian term.  Whether a log sd's sd underflows to
+0 or overflows to inf, and whether a weight underflows to 0, is read off
+the log sd or log weight against the two edges of exp, _LOG_UNDERFLOW and
+_LOG_OVERFLOW, and the target checks them only on a row whose sums of
+logits and of squared log sds come near an edge.
 """
 
 import math
@@ -59,7 +67,8 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # np.exp(x) is 0 for x at or below _LOG_UNDERFLOW, the log of half the
 # smallest subnormal, and inf above _LOG_OVERFLOW, the log of the largest
-# float: the log sds whose sds underflow or overflow
+# float: the log sds whose sds underflow or overflow, and the log weights
+# whose weights underflow
 _LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 _LOG_OVERFLOW = math.log(sys.float_info.max)
 
@@ -70,11 +79,16 @@ _TINY = sys.float_info.min
 
 @dataclass(frozen=True)
 class GmmSpec:
-    """The model's size and prior scales, and two terms of the prior in z's
-    coordinates worked out once here: prior_const, its additive constant,
-    and prior_coef, a column of its factor on each of K log weights (alpha)
-    and then on the square of each of z's K*p means and K*p log sds
-    (-1 / (2 scale^2))."""
+    """The model's size and prior scales, and what the likelihood kernel and
+    the prior need of them, worked out once here:
+    - prior_const, the prior's additive constant in z's coordinates;
+    - prior_coef, three columns of factors on a row of the K logits and then
+      the squares of z's K*p means and K*p log sds: the prior's (alpha on
+      each logit, -1 / (2 scale^2) on each square), 1 on each logit, and 1
+      on each squared log sd;
+    - coef_index, the (K, 4p + 1) index that gathers a flat row of _flat
+      into the set's coefficients, and center_index, the (K*p,) index that
+      tiles the data's p column means over the K components."""
 
     K: int
     p: int
@@ -83,6 +97,8 @@ class GmmSpec:
     prior_logsd_scale: float = 1.0
     prior_const: float = field(init=False, repr=False, compare=False)
     prior_coef: np.ndarray = field(init=False, repr=False, compare=False)
+    coef_index: np.ndarray = field(init=False, repr=False, compare=False)
+    center_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("K", "p"):
@@ -90,11 +106,16 @@ class GmmSpec:
         for name in ("prior_mean_scale", "prior_dirichlet_alpha", "prior_logsd_scale"):
             require_positive(name, getattr(self, name))
         a, s, t = self.prior_dirichlet_alpha, self.prior_mean_scale, self.prior_logsd_scale
-        Kp = self.K * self.p
-        object.__setattr__(self, "prior_const", math.lgamma(self.K * a) - self.K * math.lgamma(a)
+        K, p, Kp = self.K, self.p, self.K * self.p
+        object.__setattr__(self, "prior_const", math.lgamma(K * a) - K * math.lgamma(a)
                            - Kp * (math.log(s * t) + 2.0 * _HALF_LOG_2PI))
-        object.__setattr__(self, "prior_coef", np.repeat([[a], [-0.5 / s**2], [-0.5 / t**2]],
-                                                         [self.K, Kp, Kp], axis=0))
+        object.__setattr__(self, "prior_coef", np.repeat(
+            [[a, 1, 0], [-0.5 / s**2, 0, 0], [-0.5 / t**2, 0, 1]], [K, Kp, Kp], axis=0))
+        # component k's coef: entries k*p .. k*p + p - 1 of each of the flat
+        # row's four Kp blocks, then logit k
+        j, k = np.arange(4 * p), np.arange(K)[:, None]
+        object.__setattr__(self, "coef_index", np.c_[j // p * Kp + k * p + j % p, 4 * Kp + k])
+        object.__setattr__(self, "center_index", np.arange(Kp) % p)
 
     @property
     def n_unconstrained(self) -> int:
@@ -179,9 +200,11 @@ class Dataset:
 # Parameter sets per pass of the likelihood kernel: at N=500 and K=4 a
 # pass's (b, K, N) component buffer takes 256 kB, and the guarded
 # log-sum-exp's one temporary of its size as much again, however many sets
-# a caller stacks.  The (B, K, 4p + 1) coef of all B sets is built first,
-# 416 kB for DIC's 1000 sets at sim-p3k4: their peak of 908 KiB of traced
-# allocations is while _components builds it.
+# a caller stacks.  _flat builds the flat rows of all B sets first, 416 kB
+# for DIC's 1000 sets at sim-p3k4, and each pass gathers only its own sets'
+# coefficients from them, so the gathered coefficients of all B sets never
+# exist at once: the 1000 sets peak at 908 KiB of traced allocations, while
+# _flat builds their rows.
 _BLOCK = 16
 
 
@@ -203,50 +226,75 @@ def split_unconstrained(spec: GmmSpec, z: np.ndarray):
     K-1 free weight logits, then the K*p means, then the K*p log sds.
 
     Returns log weights, a log-softmax over the logits with the last
-    category pinned at logit 0, and means and log sds, each with z's
-    leading axes; means and log sds are views of z.  A log weight whose
-    weight underflows to 0 is -inf, so the target fails where log_joint of
-    the constrained parameters does.  z is taken to be finite, and log sds
-    are not checked: each caller deals with a non-finite z, and with a log
-    sd whose sd underflows to 0, its own way."""
-    if z.shape[-1:] != (spec.n_unconstrained,):
-        raise ValueError(f"expected z of length {spec.n_unconstrained}, got {z.shape}")
-    K, p = spec.K, spec.p
-    lead = z.shape[:-1]
-    a = np.zeros(lead + (K,))
-    a[..., : K - 1] = z[..., : K - 1]
-    log_w = a - np.logaddexp.reduce(a, axis=-1, keepdims=True)
-    if log_w.min(initial=0.0) <= _LOG_UNDERFLOW:
-        log_w[log_w <= _LOG_UNDERFLOW] = -np.inf
-    return (log_w, z[..., K - 1 : K - 1 + K * p].reshape(lead + (K, p)),
-            z[..., K - 1 + K * p :].reshape(lead + (K, p)))
+    category pinned at logit 0, and means and log sds of shape (..., K, p),
+    views of z.  A weight that underflows has a log weight at or below
+    _LOG_UNDERFLOW, whose exp is already 0.  This is constrain's map, and
+    the edge checks of unconstrained_log_joint on a row near an edge; the
+    target's own pass reads z's blocks directly and takes no log-softmax.
+    z is taken to be finite, which constrain checks; a z of the wrong length
+    fails to reshape."""
+    lead, K = z.shape[:-1], spec.K
+    a = np.concatenate([z[..., : K - 1], np.zeros(lead + (1,))], axis=-1)
+    tail = z[..., K - 1 :].reshape(lead + (2, K, spec.p))
+    return a - np.logaddexp.reduce(a, -1)[..., None], tail[..., 0, :, :], tail[..., 1, :, :]
 
 
+@np.errstate(all="ignore")
 def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray):
     """log p(y, constrain(z)) plus the log |Jacobian| of the map from z, row
     by row: the density a run optimises, scored in z's own coordinates.
     z of shape (..., n_unconstrained) gives an array of the leading shape,
     and a float for one vector.
 
-    log w and log sds come straight from split_unconstrained.  No parameter
-    check runs, since split_unconstrained builds valid parameters.  The
-    data's constant log_norm is added with the prior's.  An sd that
-    underflows to 0 or overflows to inf raises NumericError, and so does a
-    non-finite result, which is what a non-finite z or a weight that
-    underflows to 0 gives: every coordinate of z enters the prior."""
+    One flat pass from z's blocks, with no parameter check, since constrain
+    would build valid parameters.  _flat takes z's raw logits, the last
+    pinned at 0, in place of log weights, and each set's one normaliser
+    L = log sum_k exp(logit_k) comes off once, (N + alpha K) L: N L for the
+    likelihood's log weights and alpha K L for the Dirichlet's.  The prior's
+    terms, the logits and the squares of z's tail, ride at the end of the
+    flat row, and one product with spec.prior_coef gives the prior with the
+    Jacobian folded in, the sum of the logits and the sum of the squared
+    log sds.  The data's constant log_norm is added with the prior's.
+
+    An sd that underflows to 0 or overflows to inf raises NumericError, and
+    so does a non-finite result, which is what a non-finite z gives, since
+    every coordinate of z enters the prior, and what a weight that
+    underflows to 0 (a log weight logit - L at or below _LOG_UNDERFLOW) is
+    made to give.  Those edges are checked on split_unconstrained's log
+    weights and log sds, and only for a row near one: each log weight is at
+    most 0, so log weights that sum to above _LOG_UNDERFLOW + 1 clear the
+    weight edge one by one, and squared log sds that sum to below half of
+    _LOG_OVERFLOW^2 clear both sd edges."""
     z = np.asarray(z, dtype=float)
-    with np.errstate(all="ignore"):
-        log_w, means, log_sds = split_unconstrained(spec, z)
-        out = _log_likelihood(data, log_w, means, log_sds) + _log_prior_z(
-            spec, log_w, z[..., spec.K - 1 :], spec.prior_const + data.log_norm)
-    if log_sds.max(initial=0.0) > _LOG_OVERFLOW:
-        raise NumericError("an sd overflowed to inf")
+    if z.shape[-1:] != (spec.n_unconstrained,):
+        raise ValueError(f"expected z of length {spec.n_unconstrained}, got {z.shape}")
+    K1, Kp = spec.K - 1, spec.K * spec.p
+    flat = _flat(spec, data, z[..., K1 : K1 + Kp], z[..., K1 + Kp :], z[..., :K1],
+                 np.zeros(z.shape[:-1] + (1,)), np.square(z[..., K1:]))
+    norm = np.logaddexp.reduce(flat[..., 4 * Kp : 4 * Kp + spec.K], -1)
+    # [()] makes a lone row's sums numpy floats, not 0-d arrays
+    sums = flat[..., None, 4 * Kp :] @ spec.prior_coef
+    prior, logit_sum, log_sd_sq = sums[..., 0, 0][()], sums[..., 0, 1][()], sums[..., 0, 2][()]
+    out = (_log_likelihood(spec, data, flat) + prior + (spec.prior_const + data.log_norm)
+           - (data.N + spec.K * spec.prior_dirichlet_alpha) * norm)
+    # a row whose sums clear the edges by a margin needs no edge check
+    ok = (log_sd_sq < 0.5 * _LOG_OVERFLOW**2) & (logit_sum - spec.K * norm > _LOG_UNDERFLOW + 1)
+    if not (ok if ok.ndim == 0 else ok.all()):
+        log_w, _, log_sds = split_unconstrained(spec, z)
+        if log_sds.min(initial=0.0) <= _LOG_UNDERFLOW:
+            raise NumericError("an sd underflowed to 0")
+        if log_sds.max(initial=0.0) > _LOG_OVERFLOW:
+            raise NumericError("an sd overflowed to inf")
+        out = np.where(log_w.min(axis=-1) <= _LOG_UNDERFLOW, -np.inf, out)[()]
     # math.isfinite takes a hundredth of the time on the one-vector path
     if not (math.isfinite(out) if out.ndim == 0 else np.isfinite(out).all()):
         raise NumericError(f"log joint is non-finite ({out}) at z={z}")
     return out
 
 
+# zero weights drop out (log 0 = -inf); an sd of inf gives a -inf or nan
+# density, which log_joint rejects
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarray:
     """Mixture log likelihood of the data under each parameter set in params:
     an array of the leading shape of its fields (a scalar for one set).
@@ -254,111 +302,94 @@ def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarra
     if data.p != spec.p:
         raise ValueError(f"data dimension {data.p} does not match spec p={spec.p}")
     params.validate(spec)
-    # zero weights drop out (log 0 = -inf); an sd of inf gives a -inf or
-    # nan density, which log_joint rejects
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _log_likelihood(data, np.log(params.weights), params.means,
-                               np.log(params.sds)) + data.log_norm
+    return _log_likelihood(spec, data, _flat(spec, data, *_blocks(spec, params))) + data.log_norm
 
 
-def _components(data: Dataset, log_w, means, log_sds):
-    """The GEMM form of each parameter set's K component log densities less
-    (p/2) log 2 pi: coef of shape (..., K, 4p + 1), so that a set's (K, N)
-    component terms at the data are coef @ data.features.
+def _blocks(spec: GmmSpec, params: GmmParams):
+    """The blocks of _flat's row for params: means and log sds of shape
+    (..., K*p), and log weights in place of logits.  The caller sets the
+    errstate for a zero weight's log."""
+    lead = params.weights.shape[:-1] + (spec.K * spec.p,)
+    return params.means.reshape(lead), np.log(params.sds).reshape(lead), np.log(params.weights)
 
-    With iv = exp(-2 log sd), the precision, and mu' = mu - data.center,
-    coef = [iv, mu' iv, mu' (mu' iv), -2 log sd, log w] against features
-    [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2; 1], so the matrix product sums
-    each component's constant over p too.  A component whose iv is inf (its
-    sd^2 underflows, say) meets the data as inf * 0 = nan or inf - inf;
-    _log_likelihood scores such a set again.  The caller sets the errstate
-    for overflowing terms."""
+
+def _flat(spec: GmmSpec, data: Dataset, means, log_sds, *ends) -> np.ndarray:
+    """Each parameter set's flat row [iv, mu' iv, mu' (mu' iv), -2 log sd,
+    ends], from means and log sds of shape (..., K*p) in z's order, and then
+    the pieces in ends laid end to end, the first K entries of which are
+    the set's K logits: iv = exp(-2 log sd) is the precision and
+    mu' = mu - data.center.  GmmSpec.coef_index gathers a row into the
+    set's coef of shape (K, 4p + 1), so that its (K, N) component terms at
+    the data are coef @ data.features: [iv, mu' iv, mu' (mu' iv), -2 log
+    sd, logit] against features [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2;
+    1], so the matrix product sums each component's constant over p too.
+    A component whose iv is inf (its sd^2 underflows, say) meets the data
+    as inf * 0 = nan or inf - inf; _log_likelihood scores such a set again.
+    The caller sets the errstate for overflowing terms."""
     m2ls = -2.0 * log_sds
     iv = np.exp(m2ls)
-    mu = means - data.center
+    mu = means - data.center[spec.center_index]
     miv = mu * iv
     mu *= miv
-    return np.concatenate([iv, miv, mu, m2ls, log_w[..., None]], axis=-1)
+    return np.concatenate([iv, miv, mu, m2ls, *ends], axis=-1)
 
 
-def _plain_logsumexp(comp: np.ndarray) -> np.ndarray:
-    """log(sum(exp(comp))) over axis -2 with no shift, in place of comp of
-    shape (..., K, N): the plain pass.  A point whose sum is not a normal
-    float (0, subnormal or nan) gives nan, since its log has lost digits or
-    is not finite."""
-    np.exp(comp, out=comp)
-    s = comp.sum(axis=-2)
-    if not s.min(initial=np.inf) >= _TINY:
+def _log_likelihood(spec: GmmSpec, data: Dataset, flat) -> np.ndarray:
+    """The likelihood kernel: from _flat's rows of parameter sets that fit
+    the data, each set's sum over the points of log sum_k exp(logit_k +
+    component k's log density), less data.log_norm, as an array of the
+    leading shape (a numpy float for one set).  With log weights for the
+    logits that is the log likelihood; a caller whose logits are not
+    normalised subtracts N log sum_k exp(logit_k).
+
+    One set goes through _score_block alone, and a stack _BLOCK sets at a
+    time, each block gathering its own coef, so that the memory is a
+    block's, not the stack's."""
+    if flat.ndim == 1 or flat.ndim == 2 and len(flat) <= _BLOCK:
+        return _score_block(spec, data, flat)
+    rows = flat.reshape(-1, flat.shape[-1])
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), _BLOCK):
+        out[lo : lo + _BLOCK] = _score_block(spec, data, rows[lo : lo + _BLOCK])
+    return out.reshape(flat.shape[:-1])
+
+
+def _score_block(spec: GmmSpec, data: Dataset, flat) -> np.ndarray:
+    """_log_likelihood of one set's flat row or of a block of rows: coef =
+    flat[..., spec.coef_index] and one matmul coef @ data.features, a 2-d
+    one for one set and a stacked one for a block.  The stacked matmul makes
+    the same BLAS call per set as a lone set does, where one product over
+    b * K rows would let BLAS pick another kernel and round otherwise, so a
+    stacked set's result has the bits of its own call.
+
+    Every set goes through the plain pass.  The guards run only for a set
+    that this leaves nan or infinite: one with a point whose sum overflows,
+    underflows or loses digits as a subnormal, or whose coef makes nan.
+    Such a set is scored again with each component whose iv, mu' iv or
+    mu' (mu' iv) is inf set to coef 0 and logit -inf, so it drops out
+    where inf * 0 would give nan, and with the max-shifted _logsumexp, which
+    keeps the digits of a point far from every component and of one whose
+    density overflows, gives an all -inf point -inf and gives scipy's inf or
+    nan elsewhere.  The caller sets the errstate for overflowing terms."""
+    comp = flat.take(spec.coef_index, axis=-1) @ data.features
+    # the plain pass: exp with no shift, in place, summed over the components;
+    # a point whose sum is not a normal float (0, subnormal or nan) gives nan,
+    # since its log has lost digits or is not finite
+    s = np.add.reduce(np.exp(comp, out=comp), -2)
+    if not np.minimum.reduce(s, None, initial=np.inf) >= _TINY:
         s[~(s >= _TINY)] = np.nan
-    return np.log(s, out=s)
-
-
-def _score_sets(data: Dataset, coef, lse) -> np.ndarray:
-    """Each set's log likelihood less data.log_norm from its coef: lse over
-    the components of coef @ data.features, summed over the points, through
-    one matmul for one set and _BLOCK sets per pass of one stacked matmul
-    for more.  The stacked matmul makes the same BLAS call per set as a
-    lone set does, where one product over b * K rows would let BLAS pick
-    another kernel and round otherwise, so a stacked set's result has the
-    bits of its own call."""
-    if coef.ndim == 2 or coef.ndim == 3 and len(coef) <= _BLOCK:
-        return lse(coef @ data.features).sum(axis=-1)
-    flat = coef.reshape((-1,) + coef.shape[-2:])
-    out = np.empty(len(flat))
-    for lo in range(0, len(flat), _BLOCK):
-        b = slice(lo, lo + _BLOCK)
-        out[b] = lse(flat[b] @ data.features).sum(axis=1)
-    return out.reshape(coef.shape[:-2])
-
-
-def _log_likelihood(data: Dataset, log_w, means, log_sds) -> np.ndarray:
-    """The likelihood kernel: log likelihood less data.log_norm of parameter
-    sets that fit the data, given as log weights (..., K) and means and log
-    sds (..., K, p), as an array of the leading shape (a numpy float for one
-    set).
-
-    _components gives every set's coef at once, and _score_sets takes them
-    through the plain pass.  The guards run only for a set that this leaves
-    nan or infinite: one with a point whose sum overflows, underflows or
-    loses digits as a subnormal, or whose coef makes nan.  Every set with a
-    log sd at or below _LOG_UNDERFLOW is one of them, since its iv is inf
-    and Dataset's centre makes it meet some point as inf * 0 or inf - inf:
-    NumericError.  Any other such set is scored again with each component
-    whose iv, mu' iv or mu' (mu' iv) is inf set to coef 0 and log w -inf, so
-    it drops out where inf * 0 would give nan, and with the max-shifted
-    _logsumexp, which keeps the digits of a point far from every component
-    and of one whose density overflows, gives an all -inf point -inf and
-    gives scipy's inf or nan elsewhere.  The caller sets the errstate for
-    overflowing terms."""
-    coef = _components(data, log_w, means, log_sds)
-    out = _score_sets(data, coef, _plain_logsumexp)
-    # math.isfinite takes a fifteenth of the time on the one-set path
-    if math.isfinite(out) if out.ndim == 0 else np.isfinite(out).all():
+    out = np.add.reduce(np.log(s, out=s), -1)
+    # math.isfinite of one set or of a block's sum, which is not finite if a
+    # set's result is not, takes a fifteenth or a half of isfinite and all
+    if math.isfinite(out if out.ndim == 0 else np.add.reduce(out, None)):
         return out
-    out = np.array(out).reshape(-1)
+    out = np.array(out)
     bad = ~np.isfinite(out)
-    if log_sds.reshape(len(out), -1)[bad].min() <= _LOG_UNDERFLOW:
-        raise NumericError("an sd underflowed to 0")
-    coef = coef.reshape((-1,) + coef.shape[-2:])[bad]
-    drop = np.isinf(coef[..., : 3 * data.p]).any(axis=2)
-    coef[drop] = 0.0
-    coef[..., -1][drop] = -np.inf
-    out[bad] = _score_sets(data, coef, _logsumexp)
-    return out.reshape(log_w.shape[:-1])[()]
-
-
-def _log_prior_z(spec: GmmSpec, log_w, tail, const: float):
-    """The prior in z's coordinates, row by row, from log weights (..., K)
-    and tail (..., 2Kp), z's means and then log sds: the prior density of
-    the parameters plus the log |Jacobian| of constrain's map, sum log w +
-    sum log sd, which cancels the Dirichlet's -sum log w and the lognormal's
-    -sum log sd.  So alpha sum log w, Normal means and Normal log sds: one
-    (1, K + 2Kp) @ (K + 2Kp, 1) product per row of [log w, tail^2] with
-    spec.prior_coef, the same dot product for a row in a stack as alone,
-    plus const: spec.prior_const, and on the run's target also the data's
-    log_norm, so one addition serves both constants."""
-    terms = np.concatenate([log_w, np.square(tail)], axis=-1)[..., None, :]
-    return (terms @ spec.prior_coef)[..., 0, 0] + const
+    coef = flat[bad].take(spec.coef_index, axis=-1)
+    drop = np.isinf(coef[..., : 3 * spec.p]).any(axis=-1)
+    coef[drop] = np.repeat([0.0, -np.inf], [4 * spec.p, 1])
+    out[bad] = _logsumexp(coef @ data.features).sum(axis=-1)
+    return out[()]
 
 
 def log_prior(spec: GmmSpec, params: GmmParams):
@@ -375,13 +406,10 @@ def _log_prior(spec: GmmSpec, params: GmmParams):
     # a zero weight or an overflowing square gives a non-finite prior, which
     # log_joint rejects
     with np.errstate(all="ignore"):
-        log_w = np.log(params.weights)
-        log_sds = np.log(params.sds)
-        lead = log_w.shape[:-1]
-        tail = np.concatenate([params.means.reshape(lead + (-1,)),
-                               log_sds.reshape(lead + (-1,))], axis=-1)
-        return (_log_prior_z(spec, log_w, tail, spec.prior_const)
-                - log_w.sum(axis=-1) - log_sds.sum(axis=(-2, -1)))
+        means, log_sds, log_w = _blocks(spec, params)
+        terms = np.concatenate([log_w, np.square(means), np.square(log_sds)], axis=-1)
+        return ((terms[..., None, :] @ spec.prior_coef)[..., 0, 0] + spec.prior_const
+                - log_w.sum(axis=-1) - log_sds.sum(axis=-1))
 
 
 def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:

@@ -362,6 +362,59 @@ def test_the_sd_edges_hold_inside_a_stack(K, values):
                     unconstrained_log_joint(spec, data, zs)
 
 
+def oracle_z_log_joint(spec, data, z):
+    """The run's target at one row z through scipy.stats, with the log
+    weights kept in log space: z's logits less their log-sum-exp.  The
+    checked log_joint of constrain(z) cannot serve near the weight edge:
+    there constrain rounds a weight to a subnormal, whose log is off by up
+    to log 2 from the log weight it came from."""
+    K, Kp, a = spec.K, spec.K * spec.p, spec.prior_dirichlet_alpha
+    logits = np.append(z[: K - 1], 0.0)
+    log_w = logits - logsumexp(logits)
+    return (oracle_log_likelihood(spec, data, constrain(z, spec))
+            + math.lgamma(K * a) - K * math.lgamma(a) + a * log_w.sum()
+            + stats.norm.logpdf(z[K - 1 : K - 1 + Kp], 0.0, spec.prior_mean_scale).sum()
+            + stats.norm.logpdf(z[K - 1 + Kp :], 0.0, spec.prior_logsd_scale).sum())
+
+
+@pytest.mark.parametrize("K", [2, 4])
+def test_the_weight_edge_holds_inside_a_stack(K):
+    """A free logit of -_LOG_UNDERFLOW puts the pinned weight's log, 0 less
+    the logits' log-sum-exp, at _LOG_UNDERFLOW, where its weight underflows
+    to 0: the target raises the non-finite -inf error, alone and as a row of
+    a 37-row stack.  One ulp below, and with logits of +-720, the row scores
+    finite with the bits of its one-row call and matches the log-space
+    oracle to 1e-12; the other free logits, 0.5, keep their weights' logs
+    above the edge.  At +720 the logits push a component's exps past the
+    largest float, so the plain pass overflows and the row is scored again."""
+    data = Dataset(np.array([[0.5, -1.0], [1.5, 0.3], [-0.2, 0.8]]))
+    spec = GmmSpec(K=K, p=data.p)
+    rows = ordinary_rows(np.random.default_rng(745 + K), spec, 37)
+    z = rows[SPECIAL_ROW].copy()
+    z[K - 1 : K - 1 + data.p] = data.values[0]  # component 0's means sit on a point
+    edge = -_LOG_UNDERFLOW
+    z[: K - 1] = [edge] + [0.5] * (K - 2)
+    logits = np.append(z[: K - 1], 0.0)
+    assert logits[-1] - np.logaddexp.reduce(logits) == _LOG_UNDERFLOW
+    sds0 = np.exp(z[K - 1 + K * data.p :][: data.p])
+    density0 = stats.norm.logpdf(data.values[0], data.values[0], sds0).sum()
+    assert 720.0 + density0 + data.p * 0.5 * math.log(2.0 * math.pi) > _LOG_OVERFLOW
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zs in (z, with_row(rows, z)):
+            with pytest.raises(NumericError, match=r"(?s)^log joint is non-finite \(.*-inf"):
+                unconstrained_log_joint(spec, data, zs)
+        for free in ([np.nextafter(edge, 0.0)] + [0.5] * (K - 2), [720.0] * (K - 1),
+                     [-720.0] * (K - 1)):
+            z[: K - 1] = free
+            stacked = with_row(rows, z)
+            got = unconstrained_log_joint(spec, data, stacked)
+            assert np.isfinite(got).all()
+            assert list(got) == [unconstrained_log_joint(spec, data, row) for row in stacked]
+            want = oracle_z_log_joint(spec, data, z)
+            assert abs(got[SPECIAL_ROW] - want) <= 1e-12 * abs(want)
+
+
 def test_an_empty_stack_scores_to_an_empty_array():
     """No rows of z give no values, of the stack's leading shape, as
     log_likelihood gives for no parameter sets."""

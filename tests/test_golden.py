@@ -26,7 +26,7 @@ from yoasovi.harness import build_matrix, load_config, run_matrix
 from test_shipped_flags import (CONFIGS, ROOT, perfbench_argv, readme_argvs,
                                 script_argvs, with_config)
 
-RUN_DIGEST = "3ebbd06f75fabb66a5f2d5614d732a3ca12aff9e3a3a50182e3320dea11dd8ee"
+RUN_DIGEST = "915f6c045c208e75f6df18cb8d8eff5d0b89c2a86176025313036933eb6003ac"
 MATRIX_DIGEST = "8ea7877ab6e137c01f68d077feac68a37338300c5826a6348537b27969f192d9"
 
 

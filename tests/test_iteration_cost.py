@@ -12,7 +12,8 @@ def test_quick_run_prints_iteration_and_target_cost(capsys):
     assert lines[0] == "yoasovi-naive on sim_p2k2.yaml, seeds 0-1, 50 iterations at most"
     assert lines[1].split() == ["round", "us/iteration", "us/target", "ratio", "us/outside"]
     assert [line.split()[0] for line in lines[2:]] == ["1", "median", "trace",
-                                                      *["target"] * 3, *["sets"] * 3]
+                                                      *["target"] * 3, *["sets"] * 3,
+                                                      *["dic"] * 3, *["draw"] * 2]
     per_iter, per_target, ratio, outside = map(float, lines[3].split()[1:])
     # an iteration includes its target call, one per iteration
     assert 0 < per_target < per_iter
@@ -27,6 +28,17 @@ def test_quick_run_prints_iteration_and_target_cost(capsys):
     assert [t[1] for t in targets] == ["sim-p2k2", "sim-p2k3", "sim-p3k4"]
     assert all(t[3:] == ["us", "per", "z"] and 0 < float(t[2]) for t in targets)
     # 1000 stacked sets through log_likelihood at each preset
-    sets = [line.split() for line in lines[8:]]
+    sets = [line.split() for line in lines[8:11]]
     assert [t[1] for t in sets] == ["sim-p2k2", "sim-p2k3", "sim-p3k4"]
     assert all(t[3:] == ["ms", "per", "1000", "sets"] and 0 < float(t[2]) for t in sets)
+    # the problem's whole DIC phase at each preset, the 1000 sets' kernel within it
+    phases = [line.split() for line in lines[11:14]]
+    assert [t[1] for t in phases] == ["sim-p2k2", "sim-p2k3", "sim-p3k4"]
+    assert all(t[3:] == ["ms", "per", "phase"] and 0 < float(t[2]) for t in phases)
+    # the multi-draw workload's two methods: us per draw, and the part of it
+    # outside the target call
+    draws = [line.split() for line in lines[14:]]
+    assert [t[1:3] for t in draws] == [["qmcvi", "sim-p3k4"], ["mcvi", "sim-p3k4"]]
+    for t in draws:
+        assert t[4:7] == ["us", "per", "draw"] and t[8] == "outside"
+        assert 0 < float(t[7]) < float(t[3])
