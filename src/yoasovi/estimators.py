@@ -6,16 +6,17 @@ serves points in stream order and keeps the z and log_q rows it has
 computed ahead for the last lambda it served.  It can tell only one thing
 about the run: whether lambda is the same object as on its last call,
 which in run_problem it is exactly after a rejected step (so a lambda's
-arrays must not be changed in place between calls).  For a new lambda it
-computes just the S rows it serves, so the Monte Carlo methods, which
-move every step, do the same work as a per-call pass.  For an unchanged
-lambda it computes max(S, LOOKAHEAD) rows in one row-wise sample and
-log_q pass and serves the rest on the calls after, so a run of rejected
-single-draw steps costs little beyond its target calls.  Points computed
-for a lambda that has since changed stay in the stream and are scored
-again, in order, under the new one.  Row-wise sample and log_q give each
-row the bits of its own call, so every served draw and log_q is what a
-per-call pass over the same stream would give.
+arrays must not be changed in place between calls).  It refills by one
+rule: when lambda is a new object, or the stream holds fewer than S rows
+for it, it computes rows from the first unserved point in one row-wise
+sample and log_q pass, dropping any rows it held.  For a new lambda that
+is the S rows it serves, so the Monte Carlo methods, which move every
+step, do the same work as a per-call pass; for the same lambda it is
+max(S, LOOKAHEAD) rows, the rest served on the calls after, so a run of
+rejected single-draw steps costs little beyond its target calls.
+Row-wise sample and log_q give each row the bits of its own call, a
+recomputed row those of its first computation, so every served draw and
+log_q is what a per-call pass over the same stream would give.
 """
 
 import math
@@ -78,21 +79,14 @@ class DrawStream:
         """The next S draws from q(.|lam) and their log_q, as (S, dim) z
         rows and a list of S floats.  Non-finite rows are served as they
         are; the caller checks each row as it uses it."""
-        if lam is not self._lam:
-            self._lam, done, n = lam, 0, S
-        else:
-            done = len(self._lq)
-            n = 0 if done >= S else max(S, LOOKAHEAD)
-        if n:
-            short = done + n - len(self._pts)
+        if lam is not self._lam or len(self._lq) < S:
+            n = max(S, LOOKAHEAD) if lam is self._lam else S
+            self._lam, short = lam, n - len(self._pts)
             if short > 0:
                 new = self._src.next_point(short)
                 self._pts = np.concatenate([self._pts, new]) if len(self._pts) else new
-            z = sample(lam, self._pts[done:done + n]).z
-            lq = log_q(lam, z).tolist()
-            if done:
-                z, lq = np.concatenate([self._z, z]), self._lq + lq
-            self._z, self._lq = z, lq
+            self._z = sample(lam, self._pts[:n]).z
+            self._lq = log_q(lam, self._z).tolist()
         z, lq = self._z[:S], self._lq[:S]
         self._pts, self._z, self._lq = self._pts[S:], self._z[S:], self._lq[S:]
         return z, lq

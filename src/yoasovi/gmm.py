@@ -33,11 +33,17 @@ sum over the components, a log and a sum over the points.  A per-point sum
 that is not a normal float (0, subnormal or nan) would lose digits or give
 a non-finite log, so it makes its set's result nan.  A set whose result is
 nan or inf, and only such a set, is scored again with two guards: a
-component whose precision is inf (an sd whose square underflows) drops out
-where inf * 0 would give nan, and the log-sum-exp is shifted by each
-point's maximum and leaves a non-finite maximum unshifted, so a point far
-from every component keeps its digits, an all -inf point gives -inf and an
-inf or nan point scipy's inf or nan.
+component whose iv, mu' iv or mu' (mu' iv) is inf (an sd whose square
+underflows, say) gets coefficients 0 and logit -inf, so it drops out where
+inf * 0 would give nan, and np.logaddexp.reduce over the components keeps
+the digits of a point far from every component or whose density
+overflows, gives an all -inf point -inf and an inf or nan point scipy's
+inf or nan.  A stack of more than _BLOCK sets goes through the kernel
+_BLOCK sets at a time, each block gathering its own coefficients, so the
+memory is a block's, not the stack's.  The stacked matmul makes the same
+BLAS call per set as a lone set does, where one product over a block's
+b * K rows would let BLAS pick another kernel and round otherwise, so a
+stacked set's result has the bits of its own call.
 
 A run optimises over unconstrained vectors z instead (split_unconstrained
 gives their layout and constrain's log-softmax for the log weights), and
@@ -198,27 +204,13 @@ class Dataset:
 
 
 # Parameter sets per pass of the likelihood kernel: at N=500 and K=4 a
-# pass's (b, K, N) component buffer takes 256 kB, and the guarded
-# log-sum-exp's one temporary of its size as much again, however many sets
-# a caller stacks.  _flat builds the flat rows of all B sets first, 416 kB
-# for DIC's 1000 sets at sim-p3k4, and each pass gathers only its own sets'
-# coefficients from them, so the gathered coefficients of all B sets never
-# exist at once: the 1000 sets peak at 908 KiB of traced allocations, while
-# _flat builds their rows.
+# pass's (b, K, N) component buffer takes 256 kB, and a re-score's product
+# as much again, however many sets a caller stacks.  _flat builds the flat
+# rows of all B sets first, 416 kB for DIC's 1000 sets at sim-p3k4, and
+# each pass gathers only its own sets' coefficients from them, so the
+# gathered coefficients of all B sets never exist at once: the 1000 sets
+# peak at 908 KiB of traced allocations, while _flat builds their rows.
 _BLOCK = 16
-
-
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over axis 1, shifted by the maximum along it.
-
-    Where that maximum is not finite the values are left unshifted, so the
-    result is the same inf or nan as scipy.special.logsumexp gives, and no
-    inf - inf is ever formed.  An all -inf slice sums to 0: the caller's
-    errstate ignores the log's divide."""
-    m = a.max(axis=1, keepdims=True)
-    m[~np.isfinite(m)] = 0.0
-    e = a - m
-    return np.log(np.exp(e, out=e).sum(axis=1)) + m[:, 0]
 
 
 def split_unconstrained(spec: GmmSpec, z: np.ndarray):
@@ -322,10 +314,7 @@ def _flat(spec: GmmSpec, data: Dataset, means, log_sds, *ends) -> np.ndarray:
     set's coef of shape (K, 4p + 1), so that its (K, N) component terms at
     the data are coef @ data.features: [iv, mu' iv, mu' (mu' iv), -2 log
     sd, logit] against features [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2;
-    1], so the matrix product sums each component's constant over p too.
-    A component whose iv is inf (its sd^2 underflows, say) meets the data
-    as inf * 0 = nan or inf - inf; _log_likelihood scores such a set again.
-    The caller sets the errstate for overflowing terms."""
+    1].  The caller sets the errstate for overflowing terms."""
     m2ls = -2.0 * log_sds
     iv = np.exp(m2ls)
     mu = means - data.center[spec.center_index]
@@ -340,41 +329,13 @@ def _log_likelihood(spec: GmmSpec, data: Dataset, flat) -> np.ndarray:
     component k's log density), less data.log_norm, as an array of the
     leading shape (a numpy float for one set).  With log weights for the
     logits that is the log likelihood; a caller whose logits are not
-    normalised subtracts N log sum_k exp(logit_k).
-
-    One set goes through _score_block alone, and a stack _BLOCK sets at a
-    time, each block gathering its own coef, so that the memory is a
-    block's, not the stack's."""
-    if flat.ndim == 1 or flat.ndim == 2 and len(flat) <= _BLOCK:
-        return _score_block(spec, data, flat)
-    rows = flat.reshape(-1, flat.shape[-1])
-    out = np.empty(len(rows))
-    for lo in range(0, len(rows), _BLOCK):
-        out[lo : lo + _BLOCK] = _score_block(spec, data, rows[lo : lo + _BLOCK])
-    return out.reshape(flat.shape[:-1])
-
-
-def _score_block(spec: GmmSpec, data: Dataset, flat) -> np.ndarray:
-    """_log_likelihood of one set's flat row or of a block of rows: coef =
-    flat[..., spec.coef_index] and one matmul coef @ data.features, a 2-d
-    one for one set and a stacked one for a block.  The stacked matmul makes
-    the same BLAS call per set as a lone set does, where one product over
-    b * K rows would let BLAS pick another kernel and round otherwise, so a
-    stacked set's result has the bits of its own call.
-
-    Every set goes through the plain pass.  The guards run only for a set
-    that this leaves nan or infinite: one with a point whose sum overflows,
-    underflows or loses digits as a subnormal, or whose coef makes nan.
-    Such a set is scored again with each component whose iv, mu' iv or
-    mu' (mu' iv) is inf set to coef 0 and logit -inf, so it drops out
-    where inf * 0 would give nan, and with the max-shifted _logsumexp, which
-    keeps the digits of a point far from every component and of one whose
-    density overflows, gives an all -inf point -inf and gives scipy's inf or
-    nan elsewhere.  The caller sets the errstate for overflowing terms."""
+    normalised subtracts N log sum_k exp(logit_k).  The caller sets the
+    errstate for overflowing terms."""
+    if flat.size > _BLOCK * flat.shape[-1]:
+        rows = flat.reshape(-1, flat.shape[-1])
+        return np.concatenate([_log_likelihood(spec, data, rows[lo : lo + _BLOCK])
+                               for lo in range(0, len(rows), _BLOCK)]).reshape(flat.shape[:-1])
     comp = flat.take(spec.coef_index, axis=-1) @ data.features
-    # the plain pass: exp with no shift, in place, summed over the components;
-    # a point whose sum is not a normal float (0, subnormal or nan) gives nan,
-    # since its log has lost digits or is not finite
     s = np.add.reduce(np.exp(comp, out=comp), -2)
     if not np.minimum.reduce(s, None, initial=np.inf) >= _TINY:
         s[~(s >= _TINY)] = np.nan
@@ -388,7 +349,7 @@ def _score_block(spec: GmmSpec, data: Dataset, flat) -> np.ndarray:
     coef = flat[bad].take(spec.coef_index, axis=-1)
     drop = np.isinf(coef[..., : 3 * spec.p]).any(axis=-1)
     coef[drop] = np.repeat([0.0, -np.inf], [4 * spec.p, 1])
-    out[bad] = _logsumexp(coef @ data.features).sum(axis=-1)
+    out[bad] = np.logaddexp.reduce(coef @ data.features, axis=-2).sum(-1)
     return out[()]
 
 

@@ -313,6 +313,22 @@ def test_a_new_lambda_on_every_call_computes_exactly_s_rows(monkeypatch, S):
     assert rows == [S] * 12
 
 
+@pytest.mark.parametrize("S, want", [(1, [1, 16, 16, 16]), (3, [3] + [16] * 8)])
+def test_an_unchanged_lambda_refills_lookahead_rows_from_the_first_unserved(
+        monkeypatch, S, want):
+    """With lambda unchanged for 40 calls the stream computes S rows on the
+    first and LOOKAHEAD rows whenever it holds fewer than S, recomputing
+    the one row left over at S=3; it never takes more than LOOKAHEAD points
+    beyond those it served."""
+    rows = count_rows(monkeypatch)
+    src = CountingSource(make_source("sobol-scrambled", P2K2_INIT.dim, 5))
+    draws = DrawStream(src)
+    for call in range(1, 41):
+        estimate(P2K2_INIT, P2K2.target, draws, S)
+        assert src.taken <= call * S + LOOKAHEAD
+    assert LOOKAHEAD == 16 and rows == want
+
+
 def test_update_step_unit_gradient():
     lam = VariationalParams(m=np.array([1.0, 2.0]), log_s=np.array([0.0, -1.0]))
     new = update_step(lam, np.ones(4), rho=0.001)

@@ -15,8 +15,8 @@ from scipy.special import logsumexp
 
 from yoasovi.errors import NumericError, ParseError
 from yoasovi.gmm import (_BLOCK, _LOG_OVERFLOW, _LOG_UNDERFLOW, Dataset, GmmParams, GmmSpec,
-                         _logsumexp, dic, log_joint, log_likelihood, log_prior, simulate,
-                         unconstrained_log_joint)
+                         _log_likelihood, dic, log_joint, log_likelihood, log_prior,
+                         simulate, unconstrained_log_joint)
 from yoasovi.harness import load_csv, make_preset
 from yoasovi.meanfield import constrain
 
@@ -140,22 +140,39 @@ def test_log_joint_raises_on_non_finite():
                 unconstrained_log_joint(spec, Dataset(np.array([[1.0], [2.0]])), rows)
 
 
-def test_logsumexp_non_finite_rows_match_scipy():
+def test_the_re_score_of_non_finite_points_matches_scipy():
+    """Flat rows whose coefficients are 0 but for the logit column give each
+    component its logit at every point.  Logit rows with an inf, a nan, all
+    -inf or an overflowing exp leave the plain pass non-finite, so the
+    kernel scores them again: the result is scipy's log-sum-exp over the
+    components summed over the points, nan where scipy's is nan and to
+    1e-15 relative elsewhere, alone and as rows of a 37-row stack of
+    ordinary rows, whose rows keep the bits of their one-row calls."""
     inf, nan = math.inf, math.nan
-    a = np.array([[-inf, -inf, -inf],
-                  [inf, 0.0, -inf],
-                  [inf, inf, 1.0],
-                  [nan, 0.0, 1.0],
-                  [-inf, 2.0, -inf],
-                  [700.0, 710.0, -1e300]])
-    # both callers ignore the log's divide on an all -inf row
-    with warnings.catch_warnings(), np.errstate(divide="ignore"):
+    spec = GmmSpec(K=2, p=2)
+    data = Dataset(np.array([[0.5, -1.0], [1.5, 0.3], [-0.2, 0.8]]))
+    logits = slice(4 * spec.K * spec.p, None)
+    special = np.zeros((4, 4 * spec.K * spec.p + spec.K))
+    special[:, logits] = [[inf, 0.0], [nan, 0.0], [-inf, -inf], [700.0, 710.0]]
+    rows = np.zeros((37, special.shape[1]))
+    rows[:, logits] = np.random.default_rng(37).uniform(1.0, 3.0, (37, spec.K))
+    at = [0, SPECIAL_ROW, 33, 36]
+    rows[at] = special
+    # the errstate log_likelihood calls the kernel under
+    with warnings.catch_warnings(), np.errstate(divide="ignore", over="ignore",
+                                                invalid="ignore"):
         warnings.simplefilter("error")
-        got = _logsumexp(a)
-    want = logsumexp(a, axis=1)
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-    ok = ~np.isnan(want)
-    np.testing.assert_allclose(got[ok], want[ok], rtol=1e-15)
+        for flat in (*special, rows):
+            got = _log_likelihood(spec, data, flat)
+            comp = flat.take(spec.coef_index, axis=-1) @ data.features
+            want = logsumexp(comp, axis=-2).sum(-1)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            np.testing.assert_allclose(np.asarray(got)[ok], np.asarray(want)[ok], rtol=1e-15)
+        # 710's exp overflows the plain pass, 710 + log1p(exp(-10)) does not
+        assert np.exp(710.0) == inf
+        np.testing.assert_array_equal(_log_likelihood(spec, data, rows),
+                                      [_log_likelihood(spec, data, r) for r in rows])
 
 
 def stack(draws):
@@ -413,6 +430,55 @@ def test_the_weight_edge_holds_inside_a_stack(K):
             assert list(got) == [unconstrained_log_joint(spec, data, row) for row in stacked]
             want = oracle_z_log_joint(spec, data, z)
             assert abs(got[SPECIAL_ROW] - want) <= 1e-12 * abs(want)
+
+
+def oracle_log_space_z_log_joint(spec, data, z):
+    """The run's target at one row z through scipy.stats, with z's log
+    weights, its logits less their log-sum-exp, kept in log space in the
+    likelihood too: each point's log density is the log-sum-exp over the
+    components of the log weight plus the component's log density.  No
+    weight is ever formed, so a subnormal one loses no digits."""
+    K, p, Kp, a = spec.K, spec.p, spec.K * spec.p, spec.prior_dirichlet_alpha
+    logits = np.append(z[: K - 1], 0.0)
+    log_w = logits - logsumexp(logits)
+    means, log_sds = z[K - 1 : K - 1 + Kp].reshape(K, p), z[K - 1 + Kp :].reshape(K, p)
+    comp = stats.norm.logpdf(data.values[:, None, :], means, np.exp(log_sds)).sum(-1)
+    return (logsumexp(log_w + comp, axis=1).sum()
+            + math.lgamma(K * a) - K * math.lgamma(a) + a * log_w.sum()
+            + stats.norm.logpdf(means, 0.0, spec.prior_mean_scale).sum()
+            + stats.norm.logpdf(log_sds, 0.0, spec.prior_logsd_scale).sum())
+
+
+@pytest.mark.parametrize("which", ["free", "pinned"])
+@pytest.mark.parametrize("log_w", [-708.4, -720.0, -740.0, -745.13])
+def test_a_row_with_a_subnormal_weight_matches_the_log_space_oracle(which, log_w):
+    """A log weight in (_LOG_UNDERFLOW, log of the smallest normal float]
+    has a subnormal weight, which constrain rounds to few digits: at -740
+    and -745.13 log_joint of constrain(z) is off by 3e-6 and 9e-4
+    relative, and the log-space oracle is not.  The small weight's
+    component sits on the point at 60, which the other component, at 0.5,
+    leaves about 1770 nats below it, so that point's density is the small
+    weight's: the row matches the oracle to 1e-12 relative, alone and as a
+    row of a 37-row stack whose rows keep the bits of their one-row calls.
+    A pinned small weight takes a free logit of -log_w, whose exp
+    overflows the plain pass."""
+    data = Dataset(np.array([[0.0], [1.0], [60.0]]))
+    spec = GmmSpec(K=2, p=1)
+    small = 0 if which == "free" else 1
+    z = np.zeros(spec.n_unconstrained)
+    z[0] = log_w if which == "free" else -log_w
+    z[1:3] = [60.0, 0.5] if which == "free" else [0.5, 60.0]
+    logits = np.append(z[:1], 0.0)
+    assert logits[small] - np.logaddexp.reduce(logits) == log_w
+    assert _LOG_UNDERFLOW < log_w < math.log(sys.float_info.min)
+    assert 0.0 < constrain(z, spec).weights[small] < sys.float_info.min
+    rows = with_row(ordinary_rows(np.random.default_rng(708), spec, 37), z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = unconstrained_log_joint(spec, data, rows)
+        assert list(got) == [unconstrained_log_joint(spec, data, row) for row in rows]
+    want = oracle_log_space_z_log_joint(spec, data, z)
+    assert abs(got[SPECIAL_ROW] - want) <= 1e-12 * abs(want)
 
 
 def test_an_empty_stack_scores_to_an_empty_array():

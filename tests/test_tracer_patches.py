@@ -2,7 +2,7 @@
 (perfbench/tracer.py, PATCHES).  A renamed or deleted attribute, or a run
 that stopped calling through one, would only show up when the benchmark
 runs; this checks every one still resolves, and that runs still reach the
-draw layer through them."""
+draw layer and the DIC phase through them."""
 
 import dataclasses
 import importlib.util
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from yoasovi import estimators, sequences
+from yoasovi import driver, estimators, gmm, sequences
 from yoasovi.driver import RunConfig, build_gmm_problem, run_problem
 from yoasovi.harness import make_preset
 
@@ -60,3 +60,25 @@ def test_runs_still_reach_the_draw_layer_names(monkeypatch, method):
     assert trace.summary.error is None and trace.summary.iterations == 40
     assert targets == trace.summary.density_evals == samples * 40
     assert min(calls.values()) > 0, calls
+
+
+def test_a_run_still_reaches_the_dic_phase_names(monkeypatch):
+    """The DIC spans wrap driver.posterior_draw_set, driver.constrain,
+    gmm.dic and gmm.log_likelihood; one driver.run of a GMM config calls
+    each of them through those names."""
+    calls = dict.fromkeys(["posterior_draw_set", "constrain", "dic", "log_likelihood"], 0)
+    for owner, attr in ((driver, "posterior_draw_set"), (driver, "constrain"),
+                        (gmm, "dic"), (gmm, "log_likelihood")):
+        real = getattr(owner, attr)
+
+        def counted(*args, _real=real, _attr=attr):
+            calls[_attr] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    spec, data = make_preset("sim-p2k2", N=60)
+    cfg = RunConfig(method="yoasovi-naive", samples=1, learning_rate=5e-7, max_iters=40,
+                    patience=100, seed=1, model=spec, kmeans_style_init=True)
+    trace = driver.run(cfg, data)
+    assert trace.summary.error is None and trace.summary.dic is not None
+    assert min(calls.values()) >= 1, calls
