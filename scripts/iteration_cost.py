@@ -33,17 +33,24 @@ with its target timed as the single-draw rounds time theirs.  Each prints
 the µs per draw (loop time over target calls, one per draw) and the µs per
 draw spent outside the target call, the medians over the rounds.
 
+The pool line comes last but is timed first, so that its first call
+pays what a fresh process pays: harness.run_matrix(jobs=2) at perfbench's
+matrix settings (configs/sim_p2k3.yaml, 2 replicates, 30 iterations), one
+call and then one per round, each into a new directory.  It prints the ms
+of the first call and the median ms of the later ones.
+
     PYTHONPATH=src python3 scripts/iteration_cost.py [--rounds 5] [--quick]
 
---quick runs one round of seeds 0-1 at 50 single-draw iterations and 3 and
-1 multi-draw iterations, and times each preset's target, stacked sets and
-DIC phase twice, as a smoke test.
+--quick runs one round of seeds 0-1 at 50 single-draw iterations, 3 and 1
+multi-draw iterations and 5 pool iterations, and times each preset's
+target, stacked sets and DIC phase twice, as a smoke test.
 """
 
 import argparse
 import dataclasses
 import gc
 import statistics
+import tempfile
 import time
 import timeit
 import tracemalloc
@@ -54,7 +61,7 @@ import numpy as np
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.driver import RunConfig, build_gmm_problem, run_problem
 from yoasovi.gmm import log_likelihood
-from yoasovi.harness import build_matrix, load_config, make_preset
+from yoasovi.harness import build_matrix, load_config, make_preset, run_matrix
 from yoasovi.meanfield import constrain, sample
 from yoasovi.sequences import clamp
 
@@ -67,6 +74,9 @@ SETS = 1000
 # iterations, iterations under --quick)
 MULTI_PRESET = "sim-p3k4"
 MULTI_DRAW = (("qmcvi", 10, 300, 3), ("mcvi", 100, 30, 1))
+# perfbench's matrix workload: its config, replicates, iterations and jobs
+POOL_CONFIG = CONFIG.with_name("sim_p2k3.yaml")
+POOL_REPLICATES, POOL_ITERS, POOL_JOBS = 2, 30, 2
 
 
 def one_round(template, problem, seeds) -> tuple[float, float, int, int]:
@@ -132,6 +142,23 @@ def preset_cost(preset: str, repeat: int, number: int) -> tuple[float, float, fl
             1e3 * min(phase) / number)
 
 
+def pool_cost(calls: int, max_iters: int) -> list[float]:
+    """ms per run_matrix call at perfbench's matrix settings with max_iters
+    iterations, for calls calls in a row, each into a new directory."""
+    matrix, _ = build_matrix(load_config(POOL_CONFIG))
+    matrix = dataclasses.replace(
+        matrix, replicates=POOL_REPLICATES,
+        methods=tuple((label, dataclasses.replace(template, max_iters=max_iters))
+                      for label, template in matrix.methods))
+    times = []
+    with tempfile.TemporaryDirectory() as out:
+        for i in range(calls):
+            t0 = time.perf_counter()
+            run_matrix(matrix, Path(out) / f"call{i}", jobs=POOL_JOBS)
+            times.append(1e3 * (time.perf_counter() - t0))
+    return times
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=5, help="rounds over all seeds")
@@ -148,6 +175,7 @@ def main(argv=None) -> int:
         template = dataclasses.replace(template, max_iters=50)
         seeds, rounds, repeat, number = range(2), 1, 2, 1
     problem = build_gmm_problem(spec, data, template.kmeans_style_init)
+    first_ms, *later_ms = pool_cost(1 + rounds, 5 if args.quick else POOL_ITERS)
 
     print(f"{METHOD} on {CONFIG.name}, seeds {seeds.start}-{seeds.stop - 1}, "
           f"{template.max_iters} iterations at most")
@@ -184,6 +212,8 @@ def main(argv=None) -> int:
         draw_us, draw_out_us = map(statistics.median, zip(*per_draw))
         print(f"draw   {method} {MULTI_PRESET} {draw_us:.2f} us per draw "
               f"{draw_out_us:.2f} outside")
+    print(f"pool   {POOL_CONFIG.name} jobs={POOL_JOBS} {first_ms:.1f} ms first call "
+          f"{statistics.median(later_ms):.1f} ms later")
     return 0
 
 

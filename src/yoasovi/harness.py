@@ -10,6 +10,7 @@ import concurrent.futures
 import csv
 import inspect
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass, fields, make_dataclass, replace
 from pathlib import Path
@@ -18,9 +19,10 @@ import numpy as np
 import yaml
 
 from .acceptance import TemperatureSchedule
-from .driver import RunConfig, RunSummary, RunTrace, TraceColumns, run
+from .driver import METHODS, RunConfig, RunSummary, RunTrace, TraceColumns, run
 from .errors import ParseError, require_number
 from .gmm import Dataset, GmmParams, GmmSpec, simulate
+from .sequences import make_source
 
 # Trace column -> cell parser, in IterationRecord field order: write_trace
 # writes TraceColumns.rows() under these names and read_trace parses them back.
@@ -116,7 +118,12 @@ def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
     Aborted runs are kept: they count in the errors column and are simply
     left out of the mean/sd statistics.  jobs > 1 runs cells in worker
     processes (incompatible with an injected clock), one per run at most:
-    a fork pool starts all of its workers up front.
+    a fork pool starts all of its workers up front.  Under the fork start
+    method the parent first builds one throwaway source of each kind the
+    runs draw from, under seed 0 and never a run's, so that every worker
+    inherits the one-time loads (scipy.stats and Sobol's direction numbers)
+    instead of paying them at its first run; spawn and forkserver workers
+    inherit nothing, so they get no warm-up.
     """
     if jobs > 1 and clock is not None:
         raise ValueError("an injected clock cannot cross process boundaries")
@@ -132,7 +139,12 @@ def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
             for r in range(matrix.replicates)]
 
     if jobs > 1 and work:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+        context = multiprocessing.get_context()  # ProcessPoolExecutor's default
+        if context.get_start_method() == "fork":
+            for kind in dict.fromkeys(METHODS[config.method].source for config, _, _ in work):
+                make_source(kind, 1, seed=0)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(work)),
+                                                    mp_context=context) as pool:
             summaries = list(pool.map(_run_one, *zip(*work)))
     else:
         summaries = [_run_one(*item, clock=clock) for item in work]

@@ -44,6 +44,12 @@ def make_source(kind: str, dimension: int, seed: int) -> SequenceSource:
     origin, and clamp keeps every point off the boundary, so the skip stays
     only because tests/test_golden.py's RUN_DIGEST and the qmcvi values
     pinned in tests/test_driver.py were recorded on this stream.
+
+    The first Sobol source in a process pays two one-time loads: the
+    scipy.stats import and scipy's table of direction numbers.  A source
+    holds no state shared with another, so harness.run_matrix builds a
+    throwaway one in the parent before a fork pool starts, and its workers
+    inherit both loads; no run's stream changes.
     """
     if kind not in ("pseudo-random", "sobol-scrambled"):
         raise ValueError(f"unknown sequence kind {kind!r}")

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import csv
+import multiprocessing
 import pickle
 import re
 import subprocess
@@ -202,17 +203,97 @@ def test_summary_row_statistics_match_trace_files(tmp_path):
     assert rows[0].elbo_sd == pytest.approx(np.std(elbos), abs=1e-12)
 
 
+EVERY_METHOD = (("mcvi", quick_template(method="mcvi", samples=3)),
+                ("qmcvi", quick_template(method="qmcvi", samples=10)),
+                ("yoasovi-naive", quick_template()),
+                ("yoasovi-metropolis", quick_template(method="yoasovi-metropolis")))
+
+
 def test_parallel_jobs_agree_with_serial(tmp_path):
+    """Pooled runs of every method give the serial runs' traces and summary
+    rows, all but their wall times, so whatever the parent does before the
+    pool starts takes nothing from any run's stream."""
     spec, data = make_preset("sim-p2k2", N=60)
     matrix = ExperimentMatrix(datasets=(("sim-p2k2", spec, data),),
-                              methods=(("yoasovi-naive", quick_template()),),
-                              replicates=2, base_seed=0)
+                              methods=EVERY_METHOD, replicates=2, base_seed=0)
     serial = run_matrix(matrix, tmp_path / "s", jobs=1)
     parallel = run_matrix(matrix, tmp_path / "p", jobs=2)
     assert [r.elbo_mean for r in serial] == pytest.approx(
         [r.elbo_mean for r in parallel], abs=1e-12)
+    untimed = [f for f in harness.SUMMARY_FIELDS if not f.startswith("seconds_")]
+    assert ([[getattr(r, f) for f in untimed] for r in serial]
+            == [[getattr(r, f) for f in untimed] for r in parallel])
+    names = sorted(p.name for p in (tmp_path / "s" / "traces").iterdir())
+    assert len(names) == 8
+    assert names == sorted(p.name for p in (tmp_path / "p" / "traces").iterdir())
+    for name in names:
+        s, p = (read_trace(tmp_path / side / "traces" / name) for side in ("s", "p"))
+        assert s.elbo.tobytes() == p.elbo.tobytes(), name
+        assert s.accepted.tolist() == p.accepted.tolist(), name
+        assert (s.M is None) == (p.M is None) == name.split("__")[1].endswith("cvi"), name
+        assert s.M is None or s.M.tobytes() == p.M.tobytes(), name
     with pytest.raises(ValueError):
         run_matrix(matrix, tmp_path / "x", jobs=2, clock=FakeClock())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+def test_only_a_fork_pool_gets_one_warm_source_of_each_kind_first(tmp_path, monkeypatch):
+    """run_matrix builds one throwaway source per point-source kind of its
+    runs (dimension 1, seed 0) in the parent, before a fork pool starts:
+    none at jobs=1, and none for a spawn or forkserver pool, whose workers
+    would not inherit it.  The non-fork pools are stubs that run the tasks
+    in this process, so no worker is started for them."""
+    events = []
+    real_make_source = harness.make_source
+
+    def recording_make_source(kind, dimension, seed):
+        events.append(("source", kind, dimension, seed))
+        return real_make_source(kind, dimension, seed=seed)
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, mp_context=None, **kwargs):
+            events.append(("pool", mp_context.get_start_method()))
+            super().__init__(max_workers=max_workers, mp_context=mp_context, **kwargs)
+
+    class InProcess:
+        def __init__(self, max_workers=None, mp_context=None):
+            events.append(("pool", mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(harness, "make_source", recording_make_source)
+    spec, data = make_preset("sim-p2k2", N=60)
+    matrix = ExperimentMatrix(datasets=(("sim-p2k2", spec, data),),
+                              methods=EVERY_METHOD[:3], replicates=2, base_seed=0)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: get_context("fork"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    assert [r.errors for r in run_matrix(matrix, tmp_path / "fork", jobs=2)] == [0, 0, 0]
+    assert events == [("source", "pseudo-random", 1, 0), ("source", "sobol-scrambled", 1, 0),
+                      ("pool", "fork")]
+
+    events.clear()
+    run_matrix(matrix, tmp_path / "serial", jobs=1)
+    assert events == []
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    for method in ("spawn", "forkserver"):
+        if method not in multiprocessing.get_all_start_methods():
+            continue
+        events.clear()
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda m=None, method=method: get_context(method))
+        assert [r.errors for r in run_matrix(matrix, tmp_path / method, jobs=2)] == [0, 0, 0]
+        assert events == [("pool", method)]
 
 
 def test_the_pool_starts_at_most_one_worker_per_run(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ def test_quick_run_prints_iteration_and_target_cost(capsys):
     assert lines[1].split() == ["round", "us/iteration", "us/target", "ratio", "us/outside"]
     assert [line.split()[0] for line in lines[2:]] == ["1", "median", "trace",
                                                       *["target"] * 3, *["sets"] * 3,
-                                                      *["dic"] * 3, *["draw"] * 2]
+                                                      *["dic"] * 3, *["draw"] * 2, "pool"]
     per_iter, per_target, ratio, outside = map(float, lines[3].split()[1:])
     # an iteration includes its target call, one per iteration
     assert 0 < per_target < per_iter
@@ -37,8 +37,14 @@ def test_quick_run_prints_iteration_and_target_cost(capsys):
     assert all(t[3:] == ["ms", "per", "phase"] and 0 < float(t[2]) for t in phases)
     # the multi-draw workload's two methods: us per draw, and the part of it
     # outside the target call
-    draws = [line.split() for line in lines[14:]]
+    draws = [line.split() for line in lines[14:16]]
     assert [t[1:3] for t in draws] == [["qmcvi", "sim-p3k4"], ["mcvi", "sim-p3k4"]]
     for t in draws:
         assert t[4:7] == ["us", "per", "draw"] and t[8] == "outside"
         assert 0 < float(t[7]) < float(t[3])
+    # run_matrix(jobs=2) at perfbench's matrix settings: the first call and
+    # the median of the later ones
+    pool = lines[16].split()
+    assert pool[1:3] == ["sim_p2k3.yaml", "jobs=2"]
+    assert pool[4:7] == ["ms", "first", "call"] and pool[8:] == ["ms", "later"]
+    assert 0 < float(pool[3]) and 0 < float(pool[7])
