@@ -141,8 +141,11 @@ class RunTrace:
 @dataclass(frozen=True)
 class Problem:
     """What the loop needs from a model: an unconstrained-space log joint
-    (Jacobian term folded in) and an initialiser.  dic, when present,
-    scores the final lambda on the run's own dic stream."""
+    (Jacobian term folded in) of one z, a float, called once per draw, and
+    an initialiser.  build_gmm_problem builds the target once per problem,
+    gmm.unconstrained_target, with what it needs of the spec and data
+    worked out then.  dic, when present, scores the final lambda on the
+    run's own dic stream."""
 
     target: Callable[[np.ndarray], float]
     init: Callable[[np.random.Generator], VariationalParams]
@@ -157,7 +160,7 @@ def build_gmm_problem(spec: GmmSpec, data: Dataset,
     def dic(lam: VariationalParams, rng: np.random.Generator) -> float:
         return gmm.dic(spec, data, posterior_draw_set(lam, DIC_DRAWS, spec, rng))
 
-    return Problem(target=partial(gmm.unconstrained_log_joint, spec, data),
+    return Problem(target=gmm.unconstrained_target(spec, data),
                    init=partial(initial_params, spec, data, kmeans_style=kmeans_style_init),
                    dic=dic)
 

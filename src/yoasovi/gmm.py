@@ -46,19 +46,22 @@ b * K rows would let BLAS pick another kernel and round otherwise, so a
 stacked set's result has the bits of its own call.
 
 A run optimises over unconstrained vectors z instead (split_unconstrained
-gives their layout and constrain's log-softmax for the log weights), and
-unconstrained_log_joint scores them in z's own coordinates, Jacobian term
-included, in one flat pass: z's raw logits, the last pinned at 0, stand in
-the logit column, and each set's one normaliser L = log sum_k exp(logit_k)
-comes off once, (N + alpha K) L for the likelihood's and the Dirichlet's
-log weights.  log_likelihood puts log weights in the logit column and
-needs no normaliser.  The z-space prior is one small matrix product per
-row whose factors and constant GmmSpec works out once; log_prior is the
-same product less the Jacobian term.  Whether a log sd's sd underflows to
-0 or overflows to inf, and whether a weight underflows to 0, is read off
-the log sd or log weight against the two edges of exp, _LOG_UNDERFLOW and
-_LOG_OVERFLOW, and the target checks them only on a row whose sums of
-logits and of squared log sds come near an edge.
+gives their layout and constrain's log-softmax for the log weights).  Its
+target, unconstrained_target(spec, data), scores one z at a time in z's own
+coordinates, Jacobian term included, with what does not depend on z worked
+out once when it is built; unconstrained_log_joint is the same code for one
+z, and stacks of parameter sets go through log_likelihood.  A call is one
+flat pass: z's raw logits, the last pinned at 0, stand in the logit column,
+and the one normaliser L = log sum_k exp(logit_k) comes off once,
+(N + alpha K) L for the likelihood's and the Dirichlet's log weights.
+log_likelihood puts log weights in the logit column and needs no
+normaliser.  The z-space prior is one small matrix product whose factors
+and constant GmmSpec works out once; log_prior is the same product less
+the Jacobian term.  Whether a log sd's sd underflows to 0 or overflows to
+inf, and whether a weight underflows to 0, is read off the log sd or log
+weight against the two edges of exp, _LOG_UNDERFLOW and _LOG_OVERFLOW, and
+the target checks them only on a z whose sums of logits and of squared log
+sds come near an edge.
 """
 
 import math
@@ -93,8 +96,7 @@ class GmmSpec:
       each logit, -1 / (2 scale^2) on each square), 1 on each logit, and 1
       on each squared log sd;
     - coef_index, the (K, 4p + 1) index that gathers a flat row of _flat
-      into the set's coefficients, and center_index, the (K*p,) index that
-      tiles the data's p column means over the K components."""
+      into the set's coefficients."""
 
     K: int
     p: int
@@ -104,7 +106,6 @@ class GmmSpec:
     prior_const: float = field(init=False, repr=False, compare=False)
     prior_coef: np.ndarray = field(init=False, repr=False, compare=False)
     coef_index: np.ndarray = field(init=False, repr=False, compare=False)
-    center_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("K", "p"):
@@ -121,7 +122,6 @@ class GmmSpec:
         # row's four Kp blocks, then logit k
         j, k = np.arange(4 * p), np.arange(K)[:, None]
         object.__setattr__(self, "coef_index", np.c_[j // p * Kp + k * p + j % p, 4 * Kp + k])
-        object.__setattr__(self, "center_index", np.arange(Kp) % p)
 
     @property
     def n_unconstrained(self) -> int:
@@ -221,67 +221,78 @@ def split_unconstrained(spec: GmmSpec, z: np.ndarray):
     category pinned at logit 0, and means and log sds of shape (..., K, p),
     views of z.  A weight that underflows has a log weight at or below
     _LOG_UNDERFLOW, whose exp is already 0.  This is constrain's map, and
-    the edge checks of unconstrained_log_joint on a row near an edge; the
-    target's own pass reads z's blocks directly and takes no log-softmax.
-    z is taken to be finite, which constrain checks; a z of the wrong length
-    fails to reshape."""
+    the target's edge checks on a z near an edge; the target's own pass
+    reads z's blocks directly and takes no log-softmax.  z is taken to be
+    finite and of the right length, which constrain and the target check
+    first."""
     lead, K = z.shape[:-1], spec.K
     a = np.concatenate([z[..., : K - 1], np.zeros(lead + (1,))], axis=-1)
     tail = z[..., K - 1 :].reshape(lead + (2, K, spec.p))
     return a - np.logaddexp.reduce(a, -1)[..., None], tail[..., 0, :, :], tail[..., 1, :, :]
 
 
-@np.errstate(all="ignore")
-def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray):
-    """log p(y, constrain(z)) plus the log |Jacobian| of the map from z, row
-    by row: the density a run optimises, scored in z's own coordinates.
-    z of shape (..., n_unconstrained) gives an array of the leading shape,
-    and a float for one vector.
+def unconstrained_target(spec: GmmSpec, data: Dataset):
+    """The run's target: a function of one z of shape (n_unconstrained,)
+    that returns log p(y, constrain(z)) plus the log |Jacobian| of the map
+    from z as a float, the density a run optimises, scored in z's own
+    coordinates.  What does not depend on z is worked out here, once: the
+    data's column means tiled over the K components, the constant
+    prior_const + log_norm, the normaliser's factor N + alpha K and the
+    pinned logit's 0.
 
-    One flat pass from z's blocks, with no parameter check, since constrain
-    would build valid parameters.  _flat takes z's raw logits, the last
-    pinned at 0, in place of log weights, and each set's one normaliser
-    L = log sum_k exp(logit_k) comes off once, (N + alpha K) L: N L for the
-    likelihood's log weights and alpha K L for the Dirichlet's.  The prior's
-    terms, the logits and the squares of z's tail, ride at the end of the
-    flat row, and one product with spec.prior_coef gives the prior with the
-    Jacobian folded in, the sum of the logits and the sum of the squared
-    log sds.  The data's constant log_norm is added with the prior's.
+    Each call is one flat pass from z's blocks, with no parameter check,
+    since constrain would build valid parameters.  _flat takes z's raw
+    logits, the last pinned at 0, in place of log weights, and the one
+    normaliser L = log sum_k exp(logit_k) comes off once, (N + alpha K) L:
+    N L for the likelihood's log weights and alpha K L for the Dirichlet's.
+    The prior's terms, the logits and the squares of z's tail, ride at the
+    end of the flat row, and one product with spec.prior_coef gives the
+    prior with the Jacobian folded in, the sum of the logits and the sum of
+    the squared log sds, read as floats with L.
 
-    An sd that underflows to 0 or overflows to inf raises NumericError, and
-    so does a non-finite result, which is what a non-finite z gives, since
-    every coordinate of z enters the prior, and what a weight that
-    underflows to 0 (a log weight logit - L at or below _LOG_UNDERFLOW) is
-    made to give.  Those edges are checked on split_unconstrained's log
-    weights and log sds, and only for a row near one: each log weight is at
-    most 0, so log weights that sum to above _LOG_UNDERFLOW + 1 clear the
-    weight edge one by one, and squared log sds that sum to below half of
-    _LOG_OVERFLOW^2 clear both sd edges."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1:] != (spec.n_unconstrained,):
-        raise ValueError(f"expected z of length {spec.n_unconstrained}, got {z.shape}")
-    K1, Kp = spec.K - 1, spec.K * spec.p
-    flat = _flat(spec, data, z[..., K1 : K1 + Kp], z[..., K1 + Kp :], z[..., :K1],
-                 np.zeros(z.shape[:-1] + (1,)), np.square(z[..., K1:]))
-    norm = np.logaddexp.reduce(flat[..., 4 * Kp : 4 * Kp + spec.K], -1)
-    # [()] makes a lone row's sums numpy floats, not 0-d arrays
-    sums = flat[..., None, 4 * Kp :] @ spec.prior_coef
-    prior, logit_sum, log_sd_sq = sums[..., 0, 0][()], sums[..., 0, 1][()], sums[..., 0, 2][()]
-    out = (_log_likelihood(spec, data, flat) + prior + (spec.prior_const + data.log_norm)
-           - (data.N + spec.K * spec.prior_dirichlet_alpha) * norm)
-    # a row whose sums clear the edges by a margin needs no edge check
-    ok = (log_sd_sq < 0.5 * _LOG_OVERFLOW**2) & (logit_sum - spec.K * norm > _LOG_UNDERFLOW + 1)
-    if not (ok if ok.ndim == 0 else ok.all()):
-        log_w, _, log_sds = split_unconstrained(spec, z)
-        if log_sds.min(initial=0.0) <= _LOG_UNDERFLOW:
-            raise NumericError("an sd underflowed to 0")
-        if log_sds.max(initial=0.0) > _LOG_OVERFLOW:
-            raise NumericError("an sd overflowed to inf")
-        out = np.where(log_w.min(axis=-1) <= _LOG_UNDERFLOW, -np.inf, out)[()]
-    # math.isfinite takes a hundredth of the time on the one-vector path
-    if not (math.isfinite(out) if out.ndim == 0 else np.isfinite(out).all()):
-        raise NumericError(f"log joint is non-finite ({out}) at z={z}")
-    return out
+    A z of another shape raises ValueError.  An sd that underflows to 0 or
+    overflows to inf raises NumericError, and so does a non-finite result,
+    which is what a non-finite z gives, since every coordinate of z enters
+    the prior, and what a weight that underflows to 0 (a log weight logit -
+    L at or below _LOG_UNDERFLOW) is made to give.  Those edges are checked
+    on split_unconstrained's log weights and log sds, and only for a z near
+    one: each log weight is at most 0, so log weights that sum to above
+    _LOG_UNDERFLOW + 1 clear the weight edge one by one, and squared log sds
+    that sum to below half of _LOG_OVERFLOW^2 clear both sd edges."""
+    K, K1, Kp, n = spec.K, spec.K - 1, spec.K * spec.p, spec.n_unconstrained
+    center, zero, coef = np.tile(data.center, K), np.zeros(1), spec.prior_coef
+    const = spec.prior_const + data.log_norm
+    n_norm = data.N + K * spec.prior_dirichlet_alpha
+
+    @np.errstate(all="ignore")
+    def target(z) -> float:
+        z = np.asarray(z, dtype=float)
+        if z.shape != (n,):
+            raise ValueError(f"expected one z of shape ({n},), got shape {z.shape}")
+        flat = _flat(center, z[K1 : K1 + Kp], z[K1 + Kp :], z[:K1], zero, np.square(z[K1:]))
+        prior, logit_sum, log_sd_sq = np.dot(flat[4 * Kp :], coef).tolist()
+        norm = float(np.logaddexp.reduce(flat[4 * Kp : 4 * Kp + K]))
+        out = float(_log_likelihood(spec, data, flat)) + prior + const - n_norm * norm
+        # a z whose sums clear the edges by a margin needs no edge check
+        if not (log_sd_sq < 0.5 * _LOG_OVERFLOW**2 and logit_sum - K * norm > _LOG_UNDERFLOW + 1):
+            log_w, _, log_sds = split_unconstrained(spec, z)
+            if log_sds.min() <= _LOG_UNDERFLOW:
+                raise NumericError("an sd underflowed to 0")
+            if log_sds.max() > _LOG_OVERFLOW:
+                raise NumericError("an sd overflowed to inf")
+            if log_w.min() <= _LOG_UNDERFLOW:
+                out = -math.inf
+        if not math.isfinite(out):
+            raise NumericError(f"log joint is non-finite ({out}) at z={z}")
+        return out
+
+    return target
+
+
+def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray) -> float:
+    """The run's target, unconstrained_target(spec, data), at one z of shape
+    (n_unconstrained,); stacks of parameter sets go through log_likelihood."""
+    return unconstrained_target(spec, data)(z)
 
 
 # zero weights drop out (log 0 = -inf); an sd of inf gives a -inf or nan
@@ -294,7 +305,8 @@ def log_likelihood(spec: GmmSpec, data: Dataset, params: GmmParams) -> np.ndarra
     if data.p != spec.p:
         raise ValueError(f"data dimension {data.p} does not match spec p={spec.p}")
     params.validate(spec)
-    return _log_likelihood(spec, data, _flat(spec, data, *_blocks(spec, params))) + data.log_norm
+    flat = _flat(np.tile(data.center, spec.K), *_blocks(spec, params))
+    return _log_likelihood(spec, data, flat) + data.log_norm
 
 
 def _blocks(spec: GmmSpec, params: GmmParams):
@@ -305,19 +317,20 @@ def _blocks(spec: GmmSpec, params: GmmParams):
     return params.means.reshape(lead), np.log(params.sds).reshape(lead), np.log(params.weights)
 
 
-def _flat(spec: GmmSpec, data: Dataset, means, log_sds, *ends) -> np.ndarray:
+def _flat(center, means, log_sds, *ends) -> np.ndarray:
     """Each parameter set's flat row [iv, mu' iv, mu' (mu' iv), -2 log sd,
     ends], from means and log sds of shape (..., K*p) in z's order, and then
     the pieces in ends laid end to end, the first K entries of which are
     the set's K logits: iv = exp(-2 log sd) is the precision and
-    mu' = mu - data.center.  GmmSpec.coef_index gathers a row into the
+    mu' = mu - center, center being the data's column means tiled over the
+    K components, np.tile(data.center, K).  GmmSpec.coef_index gathers a row into the
     set's coef of shape (K, 4p + 1), so that its (K, N) component terms at
     the data are coef @ data.features: [iv, mu' iv, mu' (mu' iv), -2 log
     sd, logit] against features [-(y - ybar)^2 / 2; y - ybar; -1/2; 1/2;
     1].  The caller sets the errstate for overflowing terms."""
     m2ls = -2.0 * log_sds
     iv = np.exp(m2ls)
-    mu = means - data.center[spec.center_index]
+    mu = means - center
     miv = mu * iv
     mu *= miv
     return np.concatenate([iv, miv, mu, m2ls, *ends], axis=-1)

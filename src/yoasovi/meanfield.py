@@ -71,10 +71,14 @@ def constrain(z: np.ndarray, spec: GmmSpec) -> GmmParams:
 
     z's layout and the map are gmm.split_unconstrained's: weights from a
     softmax over the K-1 free logits with the last category pinned at logit
-    0, sds from exp.  A non-finite z or an sd that underflows to 0 raises
+    0, sds from exp.  A z whose last axis is not n_unconstrained long raises
+    ValueError, and a non-finite z or an sd that underflows to 0 raises
     NumericError.
     """
     z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (spec.n_unconstrained,):
+        raise ValueError(f"expected z of length {spec.n_unconstrained} on its last axis, "
+                         f"got shape {z.shape}")
     if not np.isfinite(z).all():
         raise NumericError("non-finite unconstrained vector")
     # an sd that overflows is inf; log_joint rejects it as non-finite

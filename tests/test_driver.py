@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -408,8 +409,7 @@ def test_the_target_is_the_checked_log_joint_plus_ldj():
     public, checked gmm.log_joint plus the Jacobian term to 1e-12 relative
     at single draws and at rows of a stacked sample (a dropped prior or
     Jacobian term misses by at least a nat), also at an sd just short of
-    overflowing, and fails where log_joint fails, for one row and for a row
-    inside a 37-row stack."""
+    overflowing, and fails where log_joint fails."""
     spec, data = small_gmm()
     target = build_gmm_problem(spec, data).target
     rng = np.random.default_rng(8)
@@ -423,7 +423,6 @@ def test_the_target_is_the_checked_log_joint_plus_ldj():
         ldj = np.log(params.weights).sum() + np.log(params.sds).sum()
         want = gmm.log_joint(spec, data, params) + ldj
         assert abs(target(z) - want) <= 1e-12 * abs(want)
-    stacked = sample(lam, rng.random((37, lam.dim))).z
     for index, value, message in [
         (slice(0, spec.K - 1), 800.0, r"(?s)non-finite \(.*-inf"),  # the pinned weight underflows to 0
         (-1, -745.2, "^an sd underflowed to 0$"),  # exp(-745.2) is 0
@@ -433,13 +432,31 @@ def test_the_target_is_the_checked_log_joint_plus_ldj():
         far[index] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for z in (far, np.concatenate([stacked[:20], far[None], stacked[21:]])):
-                with pytest.raises(NumericError, match=message):
-                    target(z)
+            with pytest.raises(NumericError, match=message):
+                target(far)
     heavy = lam.m.copy()
     heavy[: spec.K - 1] = 800.0
     with pytest.raises(NumericError, match="non-finite"):
         gmm.log_joint(spec, data, constrain(heavy, spec))
+
+
+def test_the_target_takes_one_z():
+    """The problem's target is gmm.unconstrained_log_joint for one z of shape
+    (n_unconstrained,), a float of the same bits; a stacked, wrong-length
+    or 0-d z raises ValueError naming its shape."""
+    spec, data = small_gmm()
+    target = build_gmm_problem(spec, data).target
+    rng = np.random.default_rng(33)
+    for z in rng.normal(0.0, 1.0, (5, spec.n_unconstrained)):
+        got = target(z)
+        assert type(got) is float
+        assert got == gmm.unconstrained_log_joint(spec, data, z)
+    n = spec.n_unconstrained
+    for shape in [(2, n), (1, n), (n - 1,), (n + 1,), ()]:
+        message = re.escape(f"expected one z of shape ({n},), got shape {shape}")
+        for score in (target, partial(gmm.unconstrained_log_joint, spec, data)):
+            with pytest.raises(ValueError, match=message):
+                score(np.zeros(shape))
 
 
 def test_a_gmm_problem_needs_data_of_the_specs_dimension():

@@ -130,14 +130,16 @@ def test_log_joint_raises_on_non_finite():
         with pytest.raises(NumericError, match=r"^log joint is non-finite \(nan\)"):
             log_joint(spec, Dataset(np.array([[1e200]])), params)
     # an all -inf row through the run's target: log sds at -400 square every
-    # residual to inf, for one vector and for a stack
+    # residual to inf; a stack of such rows, constrained, scores -inf per row
+    # through the stacked kernel
     spec = GmmSpec(K=2, p=1)
+    data = Dataset(np.array([[1.0], [2.0]]))
     z = np.array([0.0, 0.0, 0.0, -400.0, -400.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for rows in (z, np.stack([z, z])):
-            with pytest.raises(NumericError, match=r"^log joint is non-finite \(.*-inf"):
-                unconstrained_log_joint(spec, Dataset(np.array([[1.0], [2.0]])), rows)
+        with pytest.raises(NumericError, match=r"^log joint is non-finite \(.*-inf"):
+            unconstrained_log_joint(spec, data, z)
+        assert list(stacked_log_likelihood(spec, data, np.stack([z, z]))) == [-math.inf] * 2
 
 
 def test_the_re_score_of_non_finite_points_matches_scipy():
@@ -274,15 +276,26 @@ def with_row(rows, row):
     return out
 
 
+def stacked_log_likelihood(spec, data, rows):
+    """log_likelihood of the rows of z, constrained, through the kernel's
+    stacked entry, which DIC's draws take, checked to have the bits of one
+    call per row."""
+    got = log_likelihood(spec, data, constrain(rows, spec))
+    assert list(got) == [log_likelihood(spec, data, constrain(row, spec)) for row in rows]
+    return got
+
+
 def test_a_component_whose_sd_squared_underflows_drops_out():
     """At log sd -360 the sd is positive but its square is subnormal and its
     inverse inf, so inf * 0 could make nan: the component drops out instead,
     quietly, as the residual form's inf square made it, and with every
     component there the log likelihood is -inf and the target raises.  The
     features a dropped component meets are 0 on N=1 data and in a constant
-    data column, where inf * 0 is nan.  Each case holds for one set or row
-    and inside a 37-row stack, through log_likelihood and through the run's
-    target, whose value is the checked log_joint plus the Jacobian term."""
+    data column, where inf * 0 is nan.  Each case holds for one set and
+    inside a 37-set stack through log_likelihood, and for one z through the
+    run's target, whose value is the checked log_joint plus the Jacobian
+    term; the z inside a 37-row stack, constrained, keeps its one-set bits
+    through the stacked kernel."""
     rng = np.random.default_rng(360)
     datasets = [Dataset(np.array([[1.0], [2.0], [-0.5]])), Dataset(np.array([[0.7]])),
                 Dataset(np.array([[1.0, 3.0], [2.0, 3.0], [-0.5, 3.0]]))]
@@ -313,14 +326,14 @@ def test_a_component_whose_sd_squared_underflows_drops_out():
             params = constrain(z, spec)
             ldj = np.log(params.weights).sum() + np.log(params.sds).sum()
             want = log_joint(spec, data, params) + ldj
-            rows = with_row(ordinary_rows(rng, spec, 37), z)
-            got = unconstrained_log_joint(spec, data, rows)
-            assert list(got) == [unconstrained_log_joint(spec, data, row) for row in rows]
-            assert abs(got[SPECIAL_ROW] - want) <= 1e-12 * abs(want)
+            stacked_log_likelihood(spec, data, with_row(ordinary_rows(rng, spec, 37), z))
+            got = unconstrained_log_joint(spec, data, z)
+            assert abs(got - want) <= 1e-12 * abs(want)
             z[spec.K - 1 + spec.K * spec.p:] = -360.0
-            for rows in (z, with_row(ordinary_rows(rng, spec, 37), z)):
-                with pytest.raises(NumericError, match=r"(?s)^log joint is non-finite \(.*-inf"):
-                    unconstrained_log_joint(spec, data, rows)
+            with pytest.raises(NumericError, match=r"(?s)^log joint is non-finite \(.*-inf"):
+                unconstrained_log_joint(spec, data, z)
+            got = stacked_log_likelihood(spec, data, with_row(ordinary_rows(rng, spec, 37), z))
+            assert got[SPECIAL_ROW] == -math.inf
 
 
 def test_the_sd_edges_are_where_exp_gives_0_and_inf():
@@ -350,12 +363,12 @@ def test_the_sd_edges_are_where_exp_gives_0_and_inf():
                                        (2, [[1.0, 3.0], [2.0, 3.0], [-0.5, 3.0]]),
                                        (2, [[0.1], [0.1], [0.1]])])
 def test_the_sd_edges_hold_inside_a_stack(K, values):
-    """A row with a log sd at either edge inside a 37-row stack raises the
-    same NumericError as that row alone, and the rows one step inside score
-    finite with the bits of their one-row calls.  The special row's mean
-    sits above the data in that coordinate; the data have two points, one
-    point, a constant column and a constant column whose mean rounds off its
-    value (0.1 * 3 / 3 > 0.1)."""
+    """A row with a log sd at either edge raises its NumericError, and the
+    rows one step inside score finite; inside a 37-row stack, constrained,
+    each row one step inside keeps its one-set bits through the stacked
+    kernel.  The special row's mean sits above the data in that coordinate;
+    the data have two points, one point, a constant column and a constant
+    column whose mean rounds off its value (0.1 * 3 / 3 > 0.1)."""
     data = Dataset(np.array(values))
     spec = GmmSpec(K=K, p=data.p)
     rows = ordinary_rows(np.random.default_rng(K * 37 + data.N), spec, 37)
@@ -368,15 +381,12 @@ def test_the_sd_edges_hold_inside_a_stack(K, values):
         for log_sd, message in [(_LOG_UNDERFLOW, "underflowed"), (up, None),
                                 (_LOG_OVERFLOW, None), (over, "overflowed")]:
             z[-1] = log_sd
-            stacked = with_row(rows, z)
             if message is None:
-                got = unconstrained_log_joint(spec, data, stacked)
-                assert np.isfinite(got).all()
-                assert list(got) == [unconstrained_log_joint(spec, data, row) for row in stacked]
+                assert math.isfinite(unconstrained_log_joint(spec, data, z))
+                stacked_log_likelihood(spec, data, with_row(rows, z))
                 continue
-            for zs in (z, stacked):
-                with pytest.raises(NumericError, match=f"^an sd {message}"):
-                    unconstrained_log_joint(spec, data, zs)
+            with pytest.raises(NumericError, match=f"^an sd {message}"):
+                unconstrained_log_joint(spec, data, z)
 
 
 def oracle_z_log_joint(spec, data, z):
@@ -398,12 +408,13 @@ def oracle_z_log_joint(spec, data, z):
 def test_the_weight_edge_holds_inside_a_stack(K):
     """A free logit of -_LOG_UNDERFLOW puts the pinned weight's log, 0 less
     the logits' log-sum-exp, at _LOG_UNDERFLOW, where its weight underflows
-    to 0: the target raises the non-finite -inf error, alone and as a row of
-    a 37-row stack.  One ulp below, and with logits of +-720, the row scores
-    finite with the bits of its one-row call and matches the log-space
-    oracle to 1e-12; the other free logits, 0.5, keep their weights' logs
-    above the edge.  At +720 the logits push a component's exps past the
-    largest float, so the plain pass overflows and the row is scored again."""
+    to 0: the target raises the non-finite -inf error.  One ulp below, and
+    with logits of +-720, the row scores finite and matches the log-space
+    oracle to 1e-12, and inside a 37-row stack, constrained, it keeps its
+    one-set bits through the stacked kernel; the other free logits, 0.5,
+    keep their weights' logs above the edge.  At +720 the logits push a
+    component's exps past the largest float, so the plain pass overflows
+    and the row is scored again."""
     data = Dataset(np.array([[0.5, -1.0], [1.5, 0.3], [-0.2, 0.8]]))
     spec = GmmSpec(K=K, p=data.p)
     rows = ordinary_rows(np.random.default_rng(745 + K), spec, 37)
@@ -418,18 +429,16 @@ def test_the_weight_edge_holds_inside_a_stack(K):
     assert 720.0 + density0 + data.p * 0.5 * math.log(2.0 * math.pi) > _LOG_OVERFLOW
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for zs in (z, with_row(rows, z)):
-            with pytest.raises(NumericError, match=r"(?s)^log joint is non-finite \(.*-inf"):
-                unconstrained_log_joint(spec, data, zs)
+        with pytest.raises(NumericError, match=r"(?s)^log joint is non-finite \(.*-inf"):
+            unconstrained_log_joint(spec, data, z)
         for free in ([np.nextafter(edge, 0.0)] + [0.5] * (K - 2), [720.0] * (K - 1),
                      [-720.0] * (K - 1)):
             z[: K - 1] = free
-            stacked = with_row(rows, z)
-            got = unconstrained_log_joint(spec, data, stacked)
-            assert np.isfinite(got).all()
-            assert list(got) == [unconstrained_log_joint(spec, data, row) for row in stacked]
+            got = unconstrained_log_joint(spec, data, z)
+            assert math.isfinite(got)
             want = oracle_z_log_joint(spec, data, z)
-            assert abs(got[SPECIAL_ROW] - want) <= 1e-12 * abs(want)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            stacked_log_likelihood(spec, data, with_row(rows, z))
 
 
 def oracle_log_space_z_log_joint(spec, data, z):
@@ -458,8 +467,9 @@ def test_a_row_with_a_subnormal_weight_matches_the_log_space_oracle(which, log_w
     relative, and the log-space oracle is not.  The small weight's
     component sits on the point at 60, which the other component, at 0.5,
     leaves about 1770 nats below it, so that point's density is the small
-    weight's: the row matches the oracle to 1e-12 relative, alone and as a
-    row of a 37-row stack whose rows keep the bits of their one-row calls.
+    weight's: the row matches the oracle to 1e-12 relative, and inside a
+    37-row stack, constrained, it keeps its one-set bits through the
+    stacked kernel.
     A pinned small weight takes a free logit of -log_w, whose exp
     overflows the plain pass."""
     data = Dataset(np.array([[0.0], [1.0], [60.0]]))
@@ -475,20 +485,24 @@ def test_a_row_with_a_subnormal_weight_matches_the_log_space_oracle(which, log_w
     rows = with_row(ordinary_rows(np.random.default_rng(708), spec, 37), z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = unconstrained_log_joint(spec, data, rows)
-        assert list(got) == [unconstrained_log_joint(spec, data, row) for row in rows]
+        got = unconstrained_log_joint(spec, data, z)
+        stacked_log_likelihood(spec, data, rows)
     want = oracle_log_space_z_log_joint(spec, data, z)
-    assert abs(got[SPECIAL_ROW] - want) <= 1e-12 * abs(want)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_an_empty_stack_scores_to_an_empty_array():
-    """No rows of z give no values, of the stack's leading shape, as
-    log_likelihood gives for no parameter sets."""
+    """No rows of z, constrained, give no values of the stack's leading
+    shape through log_likelihood, as no parameter sets do; the run's target
+    takes one z and refuses them."""
     spec = GmmSpec(K=3, p=2)
     data = Dataset(np.random.default_rng(0).normal(0.0, 1.0, (5, 2)))
     for lead in [(0,), (2, 0)]:
-        got = unconstrained_log_joint(spec, data, np.empty(lead + (spec.n_unconstrained,)))
+        z = np.empty(lead + (spec.n_unconstrained,))
+        got = log_likelihood(spec, data, constrain(z, spec))
         assert got.shape == lead and got.dtype == float
+        with pytest.raises(ValueError, match=re.escape(f"got shape {z.shape}")):
+            unconstrained_log_joint(spec, data, z)
     none = GmmParams(np.empty((0, 3)), np.empty((0, 3, 2)), np.empty((0, 3, 2)))
     assert log_likelihood(spec, data, none).shape == (0,)
 
@@ -578,17 +592,16 @@ def test_a_point_whose_sum_is_not_a_normal_float_is_scored_again(case):
 @pytest.mark.parametrize("K, p, N", [(1, 1, 1), (1, 3, 40), (2, 5, 1), (4, 3, 500),
                                      (7, 5, 500)])
 def test_stacked_rows_have_the_bits_of_per_row_calls_at_every_shape(K, p, N):
-    """37 rows of z, two full kernel passes and a short one, score exactly
-    as 37 one-row calls, at shapes where BLAS would round one product over
-    all of a pass's rows otherwise: a lone component, a lone observation,
-    and many rows."""
+    """37 rows of z, constrained, two full kernel passes and a short one,
+    score through log_likelihood exactly as 37 one-set calls, at shapes
+    where BLAS would round one product over all of a pass's rows otherwise:
+    a lone component, a lone observation, and many rows."""
     rng = np.random.default_rng(K * 100 + p * 10 + N)
     spec = GmmSpec(K=K, p=p)
     data = Dataset(rng.normal(0.0, 2.0, (N, p)))
     z = ordinary_rows(rng, spec, 37)
     assert 37 % _BLOCK != 0 and 37 > 2 * _BLOCK
-    got = unconstrained_log_joint(spec, data, z)
-    assert list(got) == [unconstrained_log_joint(spec, data, row) for row in z]
+    stacked_log_likelihood(spec, data, z)
 
 
 def test_scoring_1000_stacked_sets_peaks_under_1_mib():
@@ -653,16 +666,16 @@ def z_rows(draw):
 @given(z_rows())
 @settings(max_examples=100, deadline=None)
 def test_unconstrained_log_joint_rows_are_per_row_calls_and_the_constrained_path(case):
-    """Stacked rows give the bits of one call per row, and each agrees with
-    the checked log_joint of constrain(z) plus its Jacobian term to 1e-12
-    relative: the z-space prior is the same formula with the Jacobian folded
-    in, and only the rounding differs."""
+    """Each row's target agrees with the checked log_joint of constrain(z)
+    plus its Jacobian term to 1e-12 relative: the z-space prior is the same
+    formula with the Jacobian folded in, and only the rounding differs.  The
+    rows, constrained, give the bits of one call per row through the
+    stacked kernel."""
     spec, z = case
     data = Z_DATA[spec.K, spec.p]
-    got = unconstrained_log_joint(spec, data, z)
-    assert got.shape == (len(z),)
-    assert list(got) == [unconstrained_log_joint(spec, data, row) for row in z]
-    for row, value in zip(z, got):
+    stacked_log_likelihood(spec, data, z)
+    for row in z:
+        value = unconstrained_log_joint(spec, data, row)
         params = constrain(row, spec)
         ldj = np.log(params.weights).sum() + np.log(params.sds).sum()
         want = log_joint(spec, data, params) + ldj

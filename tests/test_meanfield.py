@@ -124,8 +124,16 @@ def test_jacobian_term_matches_numerical_determinant():
 
 
 def test_constrain_rejects_wrong_length_and_non_finite():
-    with pytest.raises(ValueError):
+    """The length is checked first and named, with z's shape, before z is
+    reshaped or checked for finiteness."""
+    with pytest.raises(ValueError, match=r"^expected z of length 9 on its last axis, "
+                                         r"got shape \(5,\)$"):
         constrain(np.zeros(5), SPEC22)
+    # K=2, p=1: a length-4 z has a tail of 3, which does not reshape to (2, 2, 1)
+    with pytest.raises(ValueError, match=r"length 5 .*got shape \(4,\)$"):
+        constrain(np.zeros(4), GmmSpec(K=2, p=1))
+    with pytest.raises(ValueError, match=r"got shape \(8,\)$"):
+        constrain(np.full(8, np.nan), SPEC22)
     with pytest.raises(NumericError):
         constrain(np.full(9, np.nan), SPEC22)
 
