@@ -60,9 +60,9 @@ import numpy as np
 
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.driver import RunConfig, build_gmm_problem, run_problem
-from yoasovi.gmm import log_likelihood
+from yoasovi.gmm import constrain, log_likelihood
 from yoasovi.harness import build_matrix, load_config, make_preset, run_matrix
-from yoasovi.meanfield import constrain, sample
+from yoasovi.meanfield import sample
 from yoasovi.sequences import clamp
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "sim_p2k2.yaml"

@@ -27,8 +27,8 @@ from . import gmm
 from .acceptance import TemperatureSchedule, decide, temperature
 from .errors import NumericError, require_number, require_positive
 from .estimators import DrawStream, estimate, update_step
-from .gmm import Dataset, GmmParams, GmmSpec
-from .meanfield import VariationalParams, constrain, initial_params, sample
+from .gmm import Dataset, GmmParams, GmmSpec, constrain
+from .meanfield import VariationalParams, initial_params, sample
 from .sequences import clamp, make_source
 
 

@@ -1,4 +1,5 @@
-"""Gaussian mixture model with diagonal covariances: joint density, priors,
+"""Gaussian mixture model with diagonal covariances: the map from
+unconstrained vectors to its parameters, joint density, priors,
 simulation, and the DIC fit score.
 
 Parameter layout is K mixture weights on the simplex, K mean vectors of
@@ -45,23 +46,23 @@ BLAS call per set as a lone set does, where one product over a block's
 b * K rows would let BLAS pick another kernel and round otherwise, so a
 stacked set's result has the bits of its own call.
 
-A run optimises over unconstrained vectors z instead (split_unconstrained
-gives their layout and constrain's log-softmax for the log weights).  Its
-target, unconstrained_target(spec, data), scores one z at a time in z's own
-coordinates, Jacobian term included, with what does not depend on z worked
-out once when it is built; unconstrained_log_joint is the same code for one
-z, and stacks of parameter sets go through log_likelihood.  A call is one
-flat pass: z's raw logits, the last pinned at 0, stand in the logit column,
-and the one normaliser L = log sum_k exp(logit_k) comes off once,
-(N + alpha K) L for the likelihood's and the Dirichlet's log weights.
-log_likelihood puts log weights in the logit column and needs no
-normaliser.  The z-space prior is one small matrix product whose factors
-and constant GmmSpec works out once; log_prior is the same product less
-the Jacobian term.  Whether a log sd's sd underflows to 0 or overflows to
-inf, and whether a weight underflows to 0, is read off the log sd or log
-weight against the two edges of exp, _LOG_UNDERFLOW and _LOG_OVERFLOW, and
-the target checks them only on a z whose sums of logits and of squared log
-sds come near an edge.
+A run optimises over unconstrained vectors z instead, and constrain maps
+them to GmmParams: z's layout, a softmax over the logits for the weights
+and exp for the sds.  The run's target, unconstrained_target(spec, data),
+scores one z at a time in z's own coordinates, Jacobian term included,
+with what does not depend on z worked out once when it is built;
+unconstrained_log_joint is the same code for one z, and stacks of
+parameter sets go through log_likelihood.  A call is one flat pass: z's
+raw logits, the last pinned at 0, stand in the logit column, and the one
+normaliser L = log sum_k exp(logit_k) comes off once, (N + alpha K) L for
+the likelihood's and the Dirichlet's log weights.  log_likelihood puts log
+weights in the logit column and needs no normaliser.  The z-space prior is
+one small matrix product whose factors and constant GmmSpec works out
+once; log_prior is the same product less the Jacobian term.  Whether a log
+sd's sd underflows to 0 or overflows to inf, and whether a weight
+underflows to 0, is read off the log sd or log weight against the two
+edges of exp, _LOG_UNDERFLOW and _LOG_OVERFLOW, and the target checks them
+only on a z whose sums of logits and of squared log sds come near an edge.
 """
 
 import math
@@ -213,22 +214,32 @@ class Dataset:
 _BLOCK = 16
 
 
-def split_unconstrained(spec: GmmSpec, z: np.ndarray):
-    """The layout of unconstrained vectors z of shape (..., n_unconstrained):
-    K-1 free weight logits, then the K*p means, then the K*p log sds.
+def constrain(z: np.ndarray, spec: GmmSpec) -> GmmParams:
+    """Unconstrained vectors to GmmParams, row by row: z of shape
+    (..., n_unconstrained) gives params with the same leading axes.
 
-    Returns log weights, a log-softmax over the logits with the last
-    category pinned at logit 0, and means and log sds of shape (..., K, p),
-    views of z.  A weight that underflows has a log weight at or below
-    _LOG_UNDERFLOW, whose exp is already 0.  This is constrain's map, and
-    the target's edge checks on a z near an edge; the target's own pass
-    reads z's blocks directly and takes no log-softmax.  z is taken to be
-    finite and of the right length, which constrain and the target check
-    first."""
+    z's layout is K-1 free weight logits, then the K*p means, then the K*p
+    log sds.  Weights come from a softmax over the logits with the last
+    category pinned at logit 0, sds from exp.  A z whose last axis is not
+    n_unconstrained long raises ValueError, and a non-finite z or an sd that
+    underflows to 0 raises NumericError.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (spec.n_unconstrained,):
+        raise ValueError(f"expected z of length {spec.n_unconstrained} on its last axis, "
+                         f"got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise NumericError("non-finite unconstrained vector")
     lead, K = z.shape[:-1], spec.K
-    a = np.concatenate([z[..., : K - 1], np.zeros(lead + (1,))], axis=-1)
-    tail = z[..., K - 1 :].reshape(lead + (2, K, spec.p))
-    return a - np.logaddexp.reduce(a, -1)[..., None], tail[..., 0, :, :], tail[..., 1, :, :]
+    # an sd that overflows is inf; log_joint rejects it as non-finite
+    with np.errstate(over="ignore"):
+        a = np.concatenate([z[..., : K - 1], np.zeros(lead + (1,))], axis=-1)
+        log_w = a - np.logaddexp.reduce(a, -1)[..., None]
+        tail = z[..., K - 1 :].reshape(lead + (2, K, spec.p))
+        sds = np.exp(tail[..., 1, :, :])
+    if not (sds > 0.0).all():
+        raise NumericError("an sd underflowed to 0")
+    return GmmParams(weights=np.exp(log_w), means=tail[..., 0, :, :].copy(), sds=sds)
 
 
 def unconstrained_target(spec: GmmSpec, data: Dataset):
@@ -255,8 +266,8 @@ def unconstrained_target(spec: GmmSpec, data: Dataset):
     which is what a non-finite z gives, since every coordinate of z enters
     the prior, and what a weight that underflows to 0 (a log weight logit -
     L at or below _LOG_UNDERFLOW) is made to give.  Those edges are checked
-    on split_unconstrained's log weights and log sds, and only for a z near
-    one: each log weight is at most 0, so log weights that sum to above
+    on z's log-sd block and on the row's logits less L, and only for a z
+    near one: each log weight is at most 0, so log weights that sum to above
     _LOG_UNDERFLOW + 1 clear the weight edge one by one, and squared log sds
     that sum to below half of _LOG_OVERFLOW^2 clear both sd edges."""
     K, K1, Kp, n = spec.K, spec.K - 1, spec.K * spec.p, spec.n_unconstrained
@@ -275,12 +286,12 @@ def unconstrained_target(spec: GmmSpec, data: Dataset):
         out = float(_log_likelihood(spec, data, flat)) + prior + const - n_norm * norm
         # a z whose sums clear the edges by a margin needs no edge check
         if not (log_sd_sq < 0.5 * _LOG_OVERFLOW**2 and logit_sum - K * norm > _LOG_UNDERFLOW + 1):
-            log_w, _, log_sds = split_unconstrained(spec, z)
+            log_sds = z[K1 + Kp :]
             if log_sds.min() <= _LOG_UNDERFLOW:
                 raise NumericError("an sd underflowed to 0")
             if log_sds.max() > _LOG_OVERFLOW:
                 raise NumericError("an sd overflowed to inf")
-            if log_w.min() <= _LOG_UNDERFLOW:
+            if (flat[4 * Kp : 4 * Kp + K] - norm).min() <= _LOG_UNDERFLOW:
                 out = -math.inf
         if not math.isfinite(out):
             raise NumericError(f"log joint is non-finite ({out}) at z={z}")
@@ -372,11 +383,6 @@ def log_prior(spec: GmmSpec, params: GmmParams):
     z's coordinates less the log |Jacobian| of constrain's map.  Checks
     params against spec first."""
     params.validate(spec)
-    return _log_prior(spec, params)
-
-
-def _log_prior(spec: GmmSpec, params: GmmParams):
-    """log_prior of params that fit spec."""
     # a zero weight or an overflowing square gives a non-finite prior, which
     # log_joint rejects
     with np.errstate(all="ignore"):
@@ -389,7 +395,7 @@ def _log_prior(spec: GmmSpec, params: GmmParams):
 def log_joint(spec: GmmSpec, data: Dataset, params: GmmParams) -> float:
     """Log joint density of one parameter set, which log_likelihood checks;
     a NumericError if it is non-finite."""
-    out = float(log_likelihood(spec, data, params)) + float(_log_prior(spec, params))
+    out = float(log_likelihood(spec, data, params)) + float(log_prior(spec, params))
     if not math.isfinite(out):
         raise NumericError(f"log joint is non-finite ({out}) for {params}")
     return out

@@ -24,11 +24,19 @@ from .errors import ParseError, require_number
 from .gmm import Dataset, GmmParams, GmmSpec, simulate
 from .sequences import make_source
 
+
+def _finite(cell: str) -> float:
+    if math.isfinite(x := float(cell)):
+        return x
+    raise ValueError(cell)
+
+
 # Trace column -> cell parser, in IterationRecord field order: write_trace
-# writes TraceColumns.rows() under these names and read_trace parses them back.
-TRACE_COLUMNS = {"iter": int, "elapsed_s": float, "elbo": float,
-                 "accepted": lambda cell: bool(int(cell)),
-                 "M": lambda cell: float(cell) if cell else None}
+# writes TraceColumns.rows() under these names and read_trace parses them
+# back; a parser raises ValueError on any cell a run does not write.
+TRACE_COLUMNS = {"iter": int, "elapsed_s": _finite, "elbo": _finite,
+                 "accepted": lambda cell: bool(("0", "1").index(cell)),
+                 "M": lambda cell: _finite(cell) if cell else None}
 TRACE_FIELDS = list(TRACE_COLUMNS)
 
 # Cluster geometry for the simulated benchmarks.  Component means sit at
@@ -227,15 +235,9 @@ def _parse_rows(path, rows, parsers) -> list[list]:
                     values.append(parse(cell))
             except ValueError:
                 raise ParseError(
-                    f"{path}: non-numeric cell at row {line}, column {j}: {cell!r}") from None
+                    f"{path}: bad cell at row {line}, column {j}: {cell!r}") from None
         out.append(values)
     return out
-
-
-def _finite(cell: str) -> float:
-    if math.isfinite(x := float(cell)):
-        return x
-    raise ValueError(cell)
 
 
 def load_csv(path, label_column: str | None = None) -> Dataset:
@@ -265,8 +267,9 @@ def write_trace(trace: RunTrace, path) -> None:
 
 
 def read_trace(path) -> TraceColumns:
-    """The columns of a file write_trace wrote: iter counts rows from 1, and
-    M is empty in every row or in none."""
+    """The columns of a file write_trace wrote: iter counts rows from 1,
+    accepted is 0 or 1, every float is finite, and M is empty in every row
+    or in none."""
     rows = _read_rows(path)
     if not rows or rows[0][1] != TRACE_FIELDS:
         raise ParseError(f"{path}: expected header {','.join(TRACE_FIELDS)}")

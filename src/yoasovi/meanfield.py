@@ -1,9 +1,9 @@
-"""Mean-field Gaussian variational family over unconstrained parameters.
+"""Mean-field Gaussian variational family over unconstrained parameters,
+and initial_params, a GMM run's starting lambda.
 
 q(z | lambda) is a product of independent Gaussians with parameters
 lambda = (m, log_s).  Model parameters with constraints (simplex weights,
-positive sds) are reached through the deterministic transform constrain,
-so the ELBO integrand is
+positive sds) are reached through gmm.constrain, so the ELBO integrand is
 
     log p(y, constrain(z)) + log|J(z)| - log q(z | lambda),
 
@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import NumericError
-from .gmm import GmmParams, GmmSpec, split_unconstrained
+from .gmm import GmmSpec
+# perfbench/tracer.py wraps meanfield.constrain until ROADMAP item 4
+from .gmm import constrain  # noqa: F401
 
 
 # the log normaliser of a standard normal density, -log(2 pi) / 2
@@ -63,31 +64,6 @@ class VariationalParams:
 @dataclass(frozen=True)
 class ParamDraw:
     z: np.ndarray
-
-
-def constrain(z: np.ndarray, spec: GmmSpec) -> GmmParams:
-    """Unconstrained vectors to GmmParams, row by row: z of shape
-    (..., n_unconstrained) gives params with the same leading axes.
-
-    z's layout and the map are gmm.split_unconstrained's: weights from a
-    softmax over the K-1 free logits with the last category pinned at logit
-    0, sds from exp.  A z whose last axis is not n_unconstrained long raises
-    ValueError, and a non-finite z or an sd that underflows to 0 raises
-    NumericError.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1:] != (spec.n_unconstrained,):
-        raise ValueError(f"expected z of length {spec.n_unconstrained} on its last axis, "
-                         f"got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise NumericError("non-finite unconstrained vector")
-    # an sd that overflows is inf; log_joint rejects it as non-finite
-    with np.errstate(over="ignore"):
-        log_w, means, log_sds = split_unconstrained(spec, z)
-        sds = np.exp(log_sds)
-    if not (sds > 0.0).all():
-        raise NumericError("an sd underflowed to 0")
-    return GmmParams(weights=np.exp(log_w), means=means.copy(), sds=sds)
 
 
 def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:

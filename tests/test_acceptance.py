@@ -212,8 +212,10 @@ def test_criterion_08_simulated_benchmark():
                                    **shared),
     }
     summaries = {name: [] for name in methods}
-    for name, template in methods.items():
-        for r in range(10):
+    # replicate by replicate, each cycling through the methods, so a slow
+    # phase of a shared host lands on every method and not on one
+    for r in range(10):
+        for name, template in methods.items():
             tr = run(dataclasses.replace(template, seed=r), data)
             assert tr.summary.error is None
             summaries[name].append(tr.summary)

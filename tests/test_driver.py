@@ -19,9 +19,9 @@ from yoasovi.driver import IterationRecord, TraceColumns
 from yoasovi.errors import NumericError
 from yoasovi.estimators import DrawStream, estimate
 from yoasovi import gmm
-from yoasovi.gmm import Dataset, GmmParams
+from yoasovi.gmm import Dataset, GmmParams, constrain
 from yoasovi.harness import make_preset
-from yoasovi.meanfield import VariationalParams, constrain, log_q, sample
+from yoasovi.meanfield import VariationalParams, log_q, sample
 from yoasovi.sequences import EPS, make_source
 
 
@@ -425,6 +425,10 @@ def test_the_target_is_the_checked_log_joint_plus_ldj():
         assert abs(target(z) - want) <= 1e-12 * abs(want)
     for index, value, message in [
         (slice(0, spec.K - 1), 800.0, r"(?s)non-finite \(.*-inf"),  # the pinned weight underflows to 0
+        (slice(0, spec.K - 1), np.inf, r"(?s)non-finite \(nan\)"),  # inf - inf: every log weight nan
+        # the pinned weight underflows, and the last mean, next to the log
+        # sds in z, is no sd: the sd edges read only the log-sd block
+        ([0, spec.K - 2 + spec.K * spec.p], [800.0, -800.0], r"(?s)non-finite \(.*-inf"),
         (-1, -745.2, "^an sd underflowed to 0$"),  # exp(-745.2) is 0
         (-1, 709.8, "^an sd overflowed to inf$"),  # exp(709.8) is inf
     ]:

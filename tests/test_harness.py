@@ -441,6 +441,16 @@ def test_read_trace_rejects_foreign_header(tmp_path):
     ("1,0.5,-1.0,1,\n3,1.0,-2.0,1,\n", "row 3 has iter 3, expected 2"),
     ("1,0.5,-1.0,1,1.5\n2,1.0,-2.0,1,\n", "row 3 has no M value, unlike row 2"),
     ("1,0.5,-1.0,1,\n2,1.0,-2.0,1,1.5\n", "row 3 has an M value, unlike row 2"),
+    ("1,0.5,-1.0,2,\n", "bad cell at row 2, column 4: '2'"),
+    ("1,0.5,-1.0,0,\n2,1.0,-2.0,-1,\n", "bad cell at row 3, column 4: '-1'"),
+    ("1,0.5,-1.0,true,\n", "bad cell at row 2, column 4: 'true'"),
+    ("1,nan,-1.0,1,\n", "bad cell at row 2, column 2: 'nan'"),
+    ("1,0.5,nan,1,\n", "bad cell at row 2, column 3: 'nan'"),
+    ("1,0.5,-1.0,1,1.5\n2,1.0,-inf,1,1.5\n", "bad cell at row 3, column 3: '-inf'"),
+    ("1,inf,-1.0,1,1.5\n", "bad cell at row 2, column 2: 'inf'"),
+    ("1,0.5,-1.0,1,nan\n", "bad cell at row 2, column 5: 'nan'"),
+    ("1,0.5,-1.0,1,1.5\n2,1.0,-2.0,1,inf\n", "bad cell at row 3, column 5: 'inf'"),
+    ("1,0.5,nan,2,\n2,inf,-10.0,-1,\n", "bad cell at row 2, column 3: 'nan'"),
 ])
 def test_read_trace_names_a_row_no_run_writes(tmp_path, rows, message):
     f = tmp_path / "t.csv"

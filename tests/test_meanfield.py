@@ -2,17 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.special import ndtri
 
 from yoasovi.errors import NumericError
 from yoasovi.estimators import update_step
-from yoasovi.gmm import Dataset, GmmSpec, log_joint, unconstrained_log_joint
-from yoasovi.meanfield import (ParamDraw, VariationalParams, constrain,
-                               initial_params, log_q, sample, score)
+from yoasovi.gmm import Dataset, GmmSpec
+from yoasovi.meanfield import (ParamDraw, VariationalParams, initial_params, log_q, sample,
+                               score)
 from yoasovi.sequences import make_source
 
 from validation import finite_diff
@@ -20,163 +17,9 @@ from validation import finite_diff
 SPEC22 = GmmSpec(K=2, p=2)
 
 
-def log_jacobian(params):
-    """sum log w + sum log sd: the log |Jacobian| of constrain's map, row by
-    row."""
-    return np.log(params.weights).sum(axis=-1) + np.log(params.sds).sum(axis=(-2, -1))
-
-
 def lam_fixture(dim, seed=0):
     rng = np.random.default_rng(seed)
     return VariationalParams(m=rng.normal(0, 1, dim), log_s=rng.normal(0, 0.3, dim))
-
-
-# ---------------------------------------------------------------------------
-# constrain
-
-@given(arrays(np.float64, 9, elements=st.floats(-20, 20)))
-@settings(max_examples=200, deadline=None)
-def test_round_trip_through_constrained_space(z):
-    params = constrain(z, SPEC22)
-    # the inverse map: logits against the pinned last weight, means, log sds
-    w = params.weights
-    back = np.concatenate([np.log(w[:-1]) - np.log(w[-1]), params.means.ravel(),
-                           np.log(params.sds).ravel()])
-    np.testing.assert_allclose(back, z, atol=1e-12, rtol=0)
-
-
-def test_constrain_produces_valid_params():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        spec = GmmSpec(K=int(rng.integers(1, 5)), p=int(rng.integers(1, 4)))
-        z = rng.normal(0, 2, spec.n_unconstrained)
-        params = constrain(z, spec)
-        params.validate(spec)
-        assert np.isfinite(log_jacobian(params))
-
-
-@st.composite
-def extreme_z(draw):
-    """A spec and z of one row or stacked rows whose weight logits reach
-    +-800 (a weight can underflow to 0) and whose log sds reach 800 (an sd
-    can overflow to inf), but stay above the -745 where an sd underflows."""
-    K, p = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    spec = GmmSpec(K=K, p=p)
-    lead = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
-    n = int(np.prod(lead, dtype=int))
-    cols = [st.floats(-800, 800)] * (K - 1) + [st.floats(-50, 50)] * (K * p) \
-        + [st.floats(-700, 800)] * (K * p)
-    rows = [[draw(c) for c in cols] for _ in range(n)]
-    return spec, np.array(rows, dtype=float).reshape(lead + (spec.n_unconstrained,))
-
-
-@given(extreme_z())
-@settings(max_examples=300, deadline=None)
-def test_constrain_output_always_passes_validate(case):
-    """constrain builds valid params by construction, which is why the run's
-    target does not call validate once per draw.  Weights that underflow to
-    0 and sds that overflow to inf are valid too; log_joint rejects them."""
-    spec, z = case
-    params = constrain(z, spec)
-    params.validate(spec)
-    assert params.weights.shape == z.shape[:-1] + (spec.K,)
-    data = Dataset(np.zeros((3, spec.p)))
-    for idx in np.ndindex(z.shape[:-1]):
-        one = constrain(z[idx], spec)
-        one.validate(spec)
-        if (one.weights == 0.0).any() or np.isinf(one.sds).any():
-            with pytest.raises(NumericError, match="log joint is non-finite"):
-                log_joint(spec, data, one)
-
-
-def test_constrain_layout():
-    # z = [logit | mu11 mu12 mu21 mu22 | log_sd...]; last logit pinned at 0
-    z = np.array([0.0, 1.0, 2.0, 3.0, 4.0, -1.0, -1.0, -1.0, -1.0])
-    params = constrain(z, SPEC22)
-    np.testing.assert_allclose(params.weights, [0.5, 0.5])
-    np.testing.assert_allclose(params.means, [[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(params.sds, np.exp(-1.0) * np.ones((2, 2)))
-
-
-def test_jacobian_term_matches_numerical_determinant():
-    """The Jacobian term the run's target folds in, unconstrained_log_joint(z)
-    less log_joint(constrain(z)), should equal log |det| of
-    z -> (w[:K-1], means, sds), measured by finite differences of that map."""
-    spec = GmmSpec(K=3, p=1)
-    d = spec.n_unconstrained
-    data = Dataset(np.random.default_rng(2).normal(0, 2, (20, 1)))
-
-    def flat(z):
-        params = constrain(z, spec)
-        return np.concatenate(
-            [params.weights[:-1], params.means.ravel(), params.sds.ravel()])
-
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        z = rng.normal(0, 1.5, d)
-        jac = np.zeros((d, d))
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1e-6
-            jac[:, i] = (flat(z + e) - flat(z - e)) / 2e-6
-        ldj = unconstrained_log_joint(spec, data, z) - log_joint(spec, data, constrain(z, spec))
-        assert ldj == pytest.approx(np.log(abs(np.linalg.det(jac))), abs=1e-5)
-
-
-def test_constrain_rejects_wrong_length_and_non_finite():
-    """The length is checked first and named, with z's shape, before z is
-    reshaped or checked for finiteness."""
-    with pytest.raises(ValueError, match=r"^expected z of length 9 on its last axis, "
-                                         r"got shape \(5,\)$"):
-        constrain(np.zeros(5), SPEC22)
-    # K=2, p=1: a length-4 z has a tail of 3, which does not reshape to (2, 2, 1)
-    with pytest.raises(ValueError, match=r"length 5 .*got shape \(4,\)$"):
-        constrain(np.zeros(4), GmmSpec(K=2, p=1))
-    with pytest.raises(ValueError, match=r"got shape \(8,\)$"):
-        constrain(np.full(8, np.nan), SPEC22)
-    with pytest.raises(NumericError):
-        constrain(np.full(9, np.nan), SPEC22)
-
-
-def test_constrain_rejects_an_sd_that_underflows():
-    z = np.zeros((3, 9))
-    z[1, 6] = -800.0  # exp(-800) is 0 in double precision
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericError, match="underflowed"):
-            constrain(z, SPEC22)
-        constrain(z[0], SPEC22)
-
-
-def test_constrain_of_no_rows_is_empty_params():
-    """No rows of z give parameters with no sets, as log_q gives no values."""
-    lam = lam_fixture(9)
-    for lead in [(0,), (2, 0)]:
-        z = np.empty(lead + (9,))
-        params = constrain(z, SPEC22)
-        assert params.weights.shape == lead + (2,)
-        assert params.means.shape == params.sds.shape == lead + (2, 2)
-        assert log_q(lam, z).shape == lead
-
-
-def test_constrain_rows_match_per_row_calls():
-    rng = np.random.default_rng(17)
-    for spec in (SPEC22, GmmSpec(K=4, p=3), GmmSpec(K=9, p=2)):
-        z = rng.normal(0, 2, (23, spec.n_unconstrained))
-        params = constrain(z, spec)
-        ldj = log_jacobian(params)
-        assert params.weights.shape == (23, spec.K)
-        assert params.means.shape == params.sds.shape == (23, spec.K, spec.p)
-        assert ldj.shape == (23,)
-        for i, z_i in enumerate(z):
-            one = constrain(z_i, spec)
-            for field in ("weights", "means", "sds"):
-                np.testing.assert_array_equal(getattr(params, field)[i], getattr(one, field))
-            assert ldj[i] == log_jacobian(one)
-        # two leading axes: the same rows, reshaped
-        params2 = constrain(z[:22].reshape(2, 11, -1), spec)
-        np.testing.assert_array_equal(params2.sds.reshape(22, spec.K, spec.p), params.sds[:22])
-        np.testing.assert_array_equal(log_jacobian(params2).ravel(), ldj[:22])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from yoasovi import driver, estimators, gmm, sequences
+from yoasovi import driver, estimators, gmm, meanfield, sequences
 from yoasovi.driver import RunConfig, build_gmm_problem, run_problem
 from yoasovi.harness import make_preset
 
@@ -26,6 +26,8 @@ def test_every_patched_attribute_resolves():
                if not callable(getattr(owner, attr, None))]
     assert tracer.PATCHES
     assert missing == []
+    # the names the tracer wraps for the constrain span are gmm's one map
+    assert meanfield.constrain is driver.constrain is gmm.constrain
 
 
 @pytest.mark.parametrize("method", ["yoasovi-naive", "qmcvi"])
