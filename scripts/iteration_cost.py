@@ -7,13 +7,19 @@ its data, model, step size, schedule, patience and iteration cap) on seeds
 prints per round the µs per iteration (the run's loop time over its
 iterations), the µs per target call, their ratio and the µs per iteration
 spent outside the target call (loop time less target time, over the
-iterations), then the median of each over the rounds.  A faster target
-raises the ratio while the µs outside stay put, so those µs are what
-tracks the loop around the target.  DIC is left out: it runs after the
-loop and the loop time does not include it.  The timer's own cost, two
-perf_counter calls per target call, counts towards the iteration.  After
-the timed rounds, one more untimed round under tracemalloc gives the bytes
-its finished traces hold per iteration.
+iterations), then that outside time split by the iteration's decision:
+the µs outside the target per accepted and per rejected iteration, each
+iteration timed by the difference of its trace's elapsed_s from the
+iteration before, less its own target call.  Then it prints the median of
+each over the rounds.  A faster target raises the ratio while the µs
+outside stay put, so those µs are what tracks the loop around the target;
+an accepted iteration also scores its draw, moves lambda and refills the
+run's draws.  DIC is left out: it runs after the loop and the loop time
+does not include it.  The timer's own cost, two perf_counter calls per
+target call, counts towards the iteration.  After the timed rounds, one
+more untimed round under tracemalloc gives the bytes its finished traces
+hold per iteration, and one more counts the estimators.sample passes, the
+draw refills, per accepted iteration.
 
 Then, at sim-p2k2, sim-p2k3 and sim-p3k4, the presets of perfbench's three
 workloads, it prints the µs per one-z target call, the minimum of repeated
@@ -55,9 +61,11 @@ import time
 import timeit
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from yoasovi import estimators
 from yoasovi.acceptance import TemperatureSchedule
 from yoasovi.driver import RunConfig, build_gmm_problem, run_problem
 from yoasovi.gmm import constrain, log_likelihood
@@ -79,28 +87,70 @@ POOL_CONFIG = CONFIG.with_name("sim_p2k3.yaml")
 POOL_REPLICATES, POOL_ITERS, POOL_JOBS = 2, 30, 2
 
 
-def one_round(template, problem, seeds) -> tuple[float, float, int, int]:
-    """(loop seconds, target seconds, iterations, target calls) summed over
-    one run per seed, with the target timed inside the loop."""
-    target_s, target_calls = 0.0, 0
+class Round(NamedTuple):
+    """One run per seed, summed: loop and target seconds, iterations and
+    target calls, and, for a single-draw method, the seconds outside the
+    target call of the accepted and of the rejected iterations and the
+    count of each."""
+
+    loop_s: float
+    target_s: float
+    iterations: int
+    calls: int
+    outside_s: tuple[float, float] = (0.0, 0.0)
+    decided: tuple[int, int] = (0, 0)
+
+
+def one_round(template, problem, seeds) -> Round:
+    """A Round, with the target timed inside the loop."""
+    call_s = []
 
     def timed(z):
-        nonlocal target_s, target_calls
         t0 = time.perf_counter()
         out = problem.target(z)
-        target_s += time.perf_counter() - t0
-        target_calls += 1
+        call_s.append(time.perf_counter() - t0)
         return out
 
     timed_problem = dataclasses.replace(problem, target=timed, dic=None)
     loop_s = iterations = 0
+    outside, decided = np.zeros(2), np.zeros(2, dtype=int)
     for seed in seeds:
+        start = len(call_s)
         trace = run_problem(dataclasses.replace(template, seed=seed), timed_problem)
         if trace.summary.error is not None:
             raise SystemExit(f"seed {seed}: {trace.summary.error}")
         loop_s += trace.summary.wall_seconds
         iterations += trace.summary.iterations
-    return loop_s, target_s, iterations, target_calls
+        if template.samples == 1:
+            cols = trace.columns
+            out = np.diff(cols.elapsed_s, prepend=0.0) - call_s[start:]
+            for j, flag in enumerate((True, False)):
+                outside[j] += out[cols.accepted == flag].sum()
+                decided[j] += (cols.accepted == flag).sum()
+    return Round(loop_s, sum(call_s), iterations, len(call_s),
+                 tuple(outside.tolist()), tuple(decided.tolist()))
+
+
+def sample_passes(template, problem, seeds) -> float:
+    """estimators.sample calls, each one refill of a run's draws, per
+    accepted iteration over one run per seed."""
+    passes = accepted = 0
+    real = estimators.sample
+
+    def counted(lam, u):
+        nonlocal passes
+        passes += 1
+        return real(lam, u)
+
+    problem = dataclasses.replace(problem, dic=None)
+    estimators.sample = counted
+    try:
+        for seed in seeds:
+            trace = run_problem(dataclasses.replace(template, seed=seed), problem)
+            accepted += int(trace.columns.accepted.sum())
+    finally:
+        estimators.sample = real
+    return passes / accepted
 
 
 def trace_bytes(template, problem, seeds) -> float:
@@ -179,17 +229,22 @@ def main(argv=None) -> int:
 
     print(f"{METHOD} on {CONFIG.name}, seeds {seeds.start}-{seeds.stop - 1}, "
           f"{template.max_iters} iterations at most")
-    print("round  us/iteration  us/target  ratio  us/outside")
+    print("round  us/iteration  us/target  ratio  us/outside  us/accepted  us/rejected")
     per_round = []
     for r in range(rounds):
-        loop_s, target_s, iterations, calls = one_round(template, problem, seeds)
-        it_us, tg_us = 1e6 * loop_s / iterations, 1e6 * target_s / calls
-        out_us = 1e6 * (loop_s - target_s) / iterations
-        per_round.append((it_us, tg_us, out_us))
-        print(f"{r + 1:5d}  {it_us:12.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}  {out_us:10.2f}")
-    it_us, tg_us, out_us = map(statistics.median, zip(*per_round))
-    print(f"median {it_us:11.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}  {out_us:10.2f}")
+        rd = one_round(template, problem, seeds)
+        it_us, tg_us = 1e6 * rd.loop_s / rd.iterations, 1e6 * rd.target_s / rd.calls
+        out_us = 1e6 * (rd.loop_s - rd.target_s) / rd.iterations
+        acc_us, rej_us = (1e6 * s / max(n, 1) for s, n in zip(rd.outside_s, rd.decided))
+        per_round.append((it_us, tg_us, out_us, acc_us, rej_us))
+        print(f"{r + 1:5d}  {it_us:12.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}  {out_us:10.2f}"
+              f"  {acc_us:11.2f}  {rej_us:11.2f}")
+    it_us, tg_us, out_us, acc_us, rej_us = map(statistics.median, zip(*per_round))
+    print(f"median {it_us:11.2f}  {tg_us:9.2f}  {it_us / tg_us:5.3f}  {out_us:10.2f}"
+          f"  {acc_us:11.2f}  {rej_us:11.2f}")
     print(f"trace  {trace_bytes(template, problem, seeds):.1f} bytes retained per iteration")
+    print(f"refill {sample_passes(template, problem, seeds):.2f} sample passes per accepted "
+          "iteration")
     costs = {preset: preset_cost(preset, repeat, number) for preset in PRESETS}
     for preset, (z_us, _, _) in costs.items():
         print(f"target {preset} {z_us:.2f} us per z")
@@ -207,8 +262,9 @@ def main(argv=None) -> int:
                            kmeans_style_init=True)
         per_draw = []
         for _ in range(rounds):
-            loop_s, target_s, _, calls = one_round(config, multi_problem, range(2))
-            per_draw.append((1e6 * loop_s / calls, 1e6 * (loop_s - target_s) / calls))
+            rd = one_round(config, multi_problem, range(2))
+            per_draw.append((1e6 * rd.loop_s / rd.calls,
+                             1e6 * (rd.loop_s - rd.target_s) / rd.calls))
         draw_us, draw_out_us = map(statistics.median, zip(*per_draw))
         print(f"draw   {method} {MULTI_PRESET} {draw_us:.2f} us per draw "
               f"{draw_out_us:.2f} outside")

@@ -182,7 +182,7 @@ def run_problem(config: RunConfig, problem: Problem,
     lam = problem.init(np.random.default_rng(init_ss))
     draws = DrawStream(make_source(method.source, lam.dim,
                                    seed=int(src_ss.generate_state(1, dtype=np.uint64)[0])))
-    dec_rng = np.random.default_rng(dec_ss)
+    decision_u = _uniforms(np.random.default_rng(dec_ss))
 
     evals = 0
 
@@ -197,15 +197,15 @@ def run_problem(config: RunConfig, problem: Problem,
     converged = False
     error = None
 
+    rule, S, schedule, rho = method.rule, config.samples, config.schedule, config.learning_rate
     t0 = clock()
     for t in range(1, config.max_iters + 1):
         try:
-            est = estimate(lam, counted, draws, config.samples)
-            M = temperature(config.schedule, t) if method.rule else None
-            accepted = M is None or decide(method.rule, M, est.elbo, L_prev,
-                                           u=float(dec_rng.random()))
+            est = estimate(lam, counted, draws, S)
+            M = temperature(schedule, t) if rule else None
+            accepted = M is None or decide(rule, M, est.elbo, L_prev, next(decision_u))
             if accepted:
-                lam = update_step(lam, est.grad, config.learning_rate)
+                lam = update_step(lam, est.grad, rho)
                 L_prev = est.elbo
         except NumericError as exc:
             error = f"aborted at iteration {t}: {exc}"
@@ -234,6 +234,13 @@ def run_problem(config: RunConfig, problem: Problem,
                          final_elbo=fe, dic=dic_value, converged=converged,
                          density_evals=evals, error=error)
     return RunTrace(columns=columns, summary=summary, final_lambda=lam)
+
+
+def _uniforms(rng: np.random.Generator):
+    """rng's doubles one at a time, drawn 256 at a time: the doubles that
+    one rng.random() call each would give."""
+    while True:
+        yield from rng.random(256).tolist()
 
 
 def final_elbo(columns: TraceColumns) -> float:

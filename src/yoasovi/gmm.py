@@ -39,12 +39,13 @@ underflows, say) gets coefficients 0 and logit -inf, so it drops out where
 inf * 0 would give nan, and np.logaddexp.reduce over the components keeps
 the digits of a point far from every component or whose density
 overflows, gives an all -inf point -inf and an inf or nan point scipy's
-inf or nan.  A stack of more than _BLOCK sets goes through the kernel
-_BLOCK sets at a time, each block gathering its own coefficients, so the
-memory is a block's, not the stack's.  The stacked matmul makes the same
-BLAS call per set as a lone set does, where one product over a block's
-b * K rows would let BLAS pick another kernel and round otherwise, so a
-stacked set's result has the bits of its own call.
+inf or nan.  A stack of sets goes through the kernel in passes of as
+many sets as fit a fixed byte budget for their (b, K, N) component buffer,
+_PASS_BYTES, each pass gathering its own coefficients, so the memory is a
+pass's, not the stack's.  The stacked matmul makes the same BLAS call per
+set as a lone set does, where one product over a pass's b * K rows would
+let BLAS pick another kernel and round otherwise, so a stacked set's
+result has the bits of its own call, whatever the pass size.
 
 A run optimises over unconstrained vectors z instead, and constrain maps
 them to GmmParams: z's layout, a softmax over the logits for the weights
@@ -204,14 +205,23 @@ class Dataset:
         return self.values.shape[1]
 
 
-# Parameter sets per pass of the likelihood kernel: at N=500 and K=4 a
-# pass's (b, K, N) component buffer takes 256 kB, and a re-score's product
-# as much again, however many sets a caller stacks.  _flat builds the flat
-# rows of all B sets first, 416 kB for DIC's 1000 sets at sim-p3k4, and
-# each pass gathers only its own sets' coefficients from them, so the
-# gathered coefficients of all B sets never exist at once: the 1000 sets
-# peak at 908 KiB of traced allocations, while _flat builds their rows.
-_BLOCK = 16
+# Bytes of the (b, K, N) component buffer of one pass of the likelihood
+# kernel: a pass takes as many parameter sets as fit, at least one, so 32
+# at sim-p2k2 (K=2, N=500), 21 at sim-p2k3 and 16 at sim-p3k4, and a
+# re-score's product takes as much again, however many sets a caller
+# stacks.  _flat builds the flat rows of all B sets first, 416 kB for DIC's
+# 1000 sets at sim-p3k4, and each pass gathers only its own sets'
+# coefficients from them, so the gathered coefficients of all B sets never
+# exist at once: the 1000 sets peak at 908 KiB of traced allocations, while
+# _flat builds their rows.  A larger budget gains little at sim-p2k2 and
+# none at sim-p3k4, whose peak it would raise.
+_PASS_BYTES = 256 * 1024
+
+
+def _pass_sets(spec: GmmSpec, data: Dataset) -> int:
+    """Parameter sets per pass of the likelihood kernel: as many as fit
+    their (b, K, N) component buffer in _PASS_BYTES, and at least one."""
+    return max(1, _PASS_BYTES // (8 * spec.K * data.N))
 
 
 def constrain(z: np.ndarray, spec: GmmSpec) -> GmmParams:
@@ -355,16 +365,18 @@ def _log_likelihood(spec: GmmSpec, data: Dataset, flat) -> np.ndarray:
     logits that is the log likelihood; a caller whose logits are not
     normalised subtracts N log sum_k exp(logit_k).  The caller sets the
     errstate for overflowing terms."""
-    if flat.size > _BLOCK * flat.shape[-1]:
-        rows = flat.reshape(-1, flat.shape[-1])
-        return np.concatenate([_log_likelihood(spec, data, rows[lo : lo + _BLOCK])
-                               for lo in range(0, len(rows), _BLOCK)]).reshape(flat.shape[:-1])
+    if flat.ndim > 1:
+        b = _pass_sets(spec, data)
+        if flat.size > b * flat.shape[-1]:
+            rows = flat.reshape(-1, flat.shape[-1])
+            return np.concatenate([_log_likelihood(spec, data, rows[lo : lo + b])
+                                   for lo in range(0, len(rows), b)]).reshape(flat.shape[:-1])
     comp = flat.take(spec.coef_index, axis=-1) @ data.features
     s = np.add.reduce(np.exp(comp, out=comp), -2)
     if not np.minimum.reduce(s, None, initial=np.inf) >= _TINY:
         s[~(s >= _TINY)] = np.nan
     out = np.add.reduce(np.log(s, out=s), -1)
-    # math.isfinite of one set or of a block's sum, which is not finite if a
+    # math.isfinite of one set or of a pass's sum, which is not finite if a
     # set's result is not, takes a fifteenth or a half of isfinite and all
     if math.isfinite(out if out.ndim == 0 else np.add.reduce(out, None)):
         return out

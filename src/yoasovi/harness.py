@@ -26,17 +26,34 @@ from .sequences import make_source
 
 
 def _finite(cell: str) -> float:
-    if math.isfinite(x := float(cell)):
+    """A finite number in a form float reads, less the digit-grouping _ that
+    no CSV writer puts in a number; spaces around it are read."""
+    if "_" not in cell and math.isfinite(x := float(cell)):
         return x
+    raise ValueError(cell)
+
+
+def _trace_float(cell: str) -> float:
+    """A finite float as str writes it: _finite, with no space around it
+    and no leading +."""
+    if cell == cell.strip() and not cell.startswith("+"):
+        return _finite(cell)
+    raise ValueError(cell)
+
+
+def _trace_int(cell: str) -> int:
+    """An int as str writes it: digits only, with no leading zero."""
+    if str(t := int(cell)) == cell:
+        return t
     raise ValueError(cell)
 
 
 # Trace column -> cell parser, in IterationRecord field order: write_trace
 # writes TraceColumns.rows() under these names and read_trace parses them
 # back; a parser raises ValueError on any cell a run does not write.
-TRACE_COLUMNS = {"iter": int, "elapsed_s": _finite, "elbo": _finite,
+TRACE_COLUMNS = {"iter": _trace_int, "elapsed_s": _trace_float, "elbo": _trace_float,
                  "accepted": lambda cell: bool(("0", "1").index(cell)),
-                 "M": lambda cell: _finite(cell) if cell else None}
+                 "M": lambda cell: _trace_float(cell) if cell else None}
 TRACE_FIELDS = list(TRACE_COLUMNS)
 
 # Cluster geometry for the simulated benchmarks.  Component means sit at

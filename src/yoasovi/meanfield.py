@@ -11,6 +11,7 @@ and gmm.unconstrained_log_joint scores its first two terms in z's own
 coordinates.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ from .gmm import constrain  # noqa: F401
 
 # the log normaliser of a standard normal density, -log(2 pi) / 2
 _LOG_NORM = -0.5 * np.log(2.0 * np.pi)
+# the factors on log_s of the three exps VariationalParams takes
+_EXP_SCALES = np.array([[1.0], [2.0], [-2.0]])
 
 
 @dataclass(frozen=True)
@@ -40,21 +43,27 @@ class VariationalParams:
     two_var: np.ndarray = field(init=False, repr=False, compare=False)
     inv_var: np.ndarray = field(init=False, repr=False, compare=False)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         log_s = np.asarray(self.log_s, dtype=float)
         if m.shape != log_s.shape or m.ndim != 1:
             raise ValueError("m and log_s must be 1-d arrays of equal length")
-        if not (np.isfinite(m).all() and np.isfinite(log_s).all()):
+        # a nan or inf entry makes the sum of squares non-finite, and so can
+        # finite entries whose squares overflow: only then is each entry
+        # tested
+        if not (math.isfinite(m.dot(m) + log_s.dot(log_s))
+                or np.isfinite(m).all() and np.isfinite(log_s).all()):
             raise ValueError("variational parameters must be finite")
         set_ = object.__setattr__
         set_(self, "m", m)
         set_(self, "log_s", log_s)
-        with np.errstate(over="ignore"):
-            set_(self, "s", np.exp(log_s))
-            set_(self, "log_norm", _LOG_NORM - log_s)
-            set_(self, "two_var", 2.0 * np.exp(2.0 * log_s))
-            set_(self, "inv_var", np.exp(-2.0 * log_s))
+        # exp(log_s), exp(2 log_s) and exp(-2 log_s) in one pass
+        s, var, inv_var = np.exp(_EXP_SCALES * log_s)
+        set_(self, "s", s)
+        set_(self, "log_norm", _LOG_NORM - log_s)
+        set_(self, "two_var", 2.0 * var)
+        set_(self, "inv_var", inv_var)
 
     @property
     def dim(self) -> int:
@@ -66,6 +75,7 @@ class ParamDraw:
     z: np.ndarray
 
 
+@np.errstate(over="ignore")
 def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
     """Draws from q, row by row: points u of shape (..., dim) give z of the
     same shape, z = m + exp(log_s) * ndtri(u).  An overflow gives inf without
@@ -73,27 +83,26 @@ def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (lam.dim,):
         raise ValueError(f"expected points of dimension {lam.dim}, got {u.shape}")
-    with np.errstate(over="ignore"):
-        return ParamDraw(z=lam.m + lam.s * ndtri(u))
+    return ParamDraw(z=lam.m + lam.s * ndtri(u))
 
 
+@np.errstate(all="ignore")
 def log_q(lam: VariationalParams, z: np.ndarray):
     """log q(z | lam), row by row: z of shape (..., dim) gives an array of
     the leading shape, and a float for one draw.  A far draw gives inf or
     nan without a warning, and a non-finite draw always gives a non-finite
     value, which is where estimate looks for one."""
     z = np.asarray(z, dtype=float)
-    with np.errstate(all="ignore"):
-        return (lam.log_norm - (z - lam.m) ** 2 / lam.two_var).sum(axis=-1)
+    return (lam.log_norm - (z - lam.m) ** 2 / lam.two_var).sum(axis=-1)
 
 
+@np.errstate(all="ignore")
 def score(lam: VariationalParams, z: np.ndarray) -> np.ndarray:
     """Gradient of log_q with respect to (m, log_s), concatenated, row by
     row: z of shape (..., dim) gives shape (..., 2 * dim).  A far draw gives
     inf or nan without a warning; update_step rejects a non-finite step."""
     d = np.asarray(z, dtype=float) - lam.m
-    with np.errstate(all="ignore"):
-        return np.concatenate([d * lam.inv_var, d ** 2 * lam.inv_var - 1.0], axis=-1)
+    return np.concatenate([d * lam.inv_var, d ** 2 * lam.inv_var - 1.0], axis=-1)
 
 
 def initial_params(spec: GmmSpec, data, rng: np.random.Generator,

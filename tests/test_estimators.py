@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from yoasovi import estimators
+from yoasovi import driver, estimators
 from yoasovi.driver import RunConfig, build_gmm_problem, run_problem
 from yoasovi.errors import NumericError
 from yoasovi.estimators import LOOKAHEAD, DrawStream, GradientSample, estimate, update_step
@@ -153,11 +153,19 @@ def test_grad_read_later_is_the_eager_sum(S):
 
 def test_a_rejected_step_never_scores_its_draw(monkeypatch):
     """The driver reads grad only to update lambda, so over a single-draw
-    run score runs once per accepted iteration and never otherwise."""
-    calls = []
-    real = estimators.score
+    run score runs once in each accepted iteration and never in a rejected
+    one: the score calls made between one estimate and the next are the
+    iteration's accepted flag."""
+    calls, per_iteration = [], []
+    real, real_estimate = estimators.score, driver.estimate
     monkeypatch.setattr(estimators, "score",
                         lambda lam, z: calls.append(1) or real(lam, z))
+
+    def marked(*args):
+        per_iteration.append(len(calls))
+        return real_estimate(*args)
+
+    monkeypatch.setattr(driver, "estimate", marked)
     spec, data = make_preset("sim-p2k2", N=80)
     cfg = RunConfig(method="yoasovi-naive", learning_rate=5e-7, max_iters=20, patience=100,
                     schedule=TemperatureSchedule("linear", 0.1), seed=4, model=spec,
@@ -167,6 +175,8 @@ def test_a_rejected_step_never_scores_its_draw(monkeypatch):
     accepted = sum(r.accepted for r in trace.records)
     assert trace.summary.iterations == 20 and 0 < accepted < 20
     assert len(calls) == accepted
+    per_iteration.append(len(calls))
+    assert np.diff(per_iteration).tolist() == trace.columns.accepted.astype(int).tolist()
 
 
 @pytest.mark.parametrize("k,S", [(1, 1), (1, 5), (3, 5), (5, 5)])
@@ -277,11 +287,15 @@ def test_the_stream_serves_what_a_per_call_pass_would(kind, seed, script):
         assert served <= src.taken <= served + LOOKAHEAD
 
 
-@pytest.mark.parametrize("k,S", [(5, 1), (8, 3), (17, 3)])
-def test_an_overflowing_row_ahead_raises_only_when_served(monkeypatch, k, S):
+@pytest.mark.parametrize("k,S,ahead", [(5, 1, True), (8, 3, True), (17, 3, False), (20, 3, True)],
+                         ids=["5-1", "8-3", "17-3", "20-3"])
+def test_an_overflowing_row_ahead_raises_only_when_served(monkeypatch, k, S, ahead):
     """Point k (1-based in the stream) overflows; with lambda unchanged the
-    stream computes it ahead, yet the error comes at the call that serves
-    it, as draw ((k - 1) % S + 1) of S, after the target calls before it."""
+    stream computes it in a refill of LOOKAHEAD rows, either ahead of the
+    call that serves it or, at k = 17 and S = 3, in that call's own refill,
+    which starts at the one row left over.  Either way the error comes at
+    the call that serves it, as draw ((k - 1) % S + 1) of S, after the
+    target calls before it."""
     rows = count_rows(monkeypatch)
     lam = VariationalParams(m=np.array([0.2, -0.1]), log_s=np.full(2, 709.0))
     points = [[0.5, 0.5]] * 40
@@ -296,29 +310,34 @@ def test_an_overflowing_row_ahead_raises_only_when_served(monkeypatch, k, S):
     draws = DrawStream(FrozenSource(points))
     for _ in range((k - 1) // S):
         estimate(lam, counted, draws, S)
-    assert sum(rows) >= k  # the overflowing row was computed ahead
+    assert (sum(rows) >= k) == ahead  # whether the overflowing row was computed ahead
     with pytest.raises(NumericError, match=rf"^draw {(k - 1) % S + 1} of {S} overflowed"):
         estimate(lam, counted, draws, S)
     assert calls == k - 1
 
 
-@pytest.mark.parametrize("S", [1, 3, 10])
-def test_a_new_lambda_on_every_call_computes_exactly_s_rows(monkeypatch, S):
+@pytest.mark.parametrize("S", [1, 3, 10, 20])
+def test_a_new_lambda_on_every_call_refills_max_of_s_and_lookahead_rows(monkeypatch, S):
+    """One refill per lambda: a new lambda on every call computes max(S,
+    LOOKAHEAD) rows from the first unserved point, and the points taken
+    stay within LOOKAHEAD of those served."""
     rows = count_rows(monkeypatch)
-    draws = DrawStream(make_source("sobol-scrambled", P2K2_INIT.dim, 4))
+    src = CountingSource(make_source("sobol-scrambled", P2K2_INIT.dim, 4))
+    draws = DrawStream(src)
     lam = P2K2_INIT
-    for i in range(12):
+    for call in range(1, 13):
         lam = VariationalParams(m=lam.m + 1e-3, log_s=lam.log_s)
         estimate(lam, P2K2.target, draws, S)
-    assert rows == [S] * 12
+        assert call * S <= src.taken <= call * S + LOOKAHEAD
+    assert LOOKAHEAD == 16 and rows == [max(S, LOOKAHEAD)] * 12
 
 
-@pytest.mark.parametrize("S, want", [(1, [1, 16, 16, 16]), (3, [3] + [16] * 8)])
+@pytest.mark.parametrize("S, want", [(1, [16, 16, 16]), (3, [16] * 8)])
 def test_an_unchanged_lambda_refills_lookahead_rows_from_the_first_unserved(
         monkeypatch, S, want):
-    """With lambda unchanged for 40 calls the stream computes S rows on the
-    first and LOOKAHEAD rows whenever it holds fewer than S, recomputing
-    the one row left over at S=3; it never takes more than LOOKAHEAD points
+    """With lambda unchanged for 40 calls the stream computes LOOKAHEAD rows
+    on the first call and whenever it holds fewer than S, recomputing the
+    one row left over at S=3; it never takes more than LOOKAHEAD points
     beyond those it served."""
     rows = count_rows(monkeypatch)
     src = CountingSource(make_source("sobol-scrambled", P2K2_INIT.dim, 5))

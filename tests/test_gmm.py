@@ -14,10 +14,11 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.special import logsumexp
 
+from yoasovi import gmm
 from yoasovi.errors import NumericError, ParseError
-from yoasovi.gmm import (_BLOCK, _LOG_OVERFLOW, _LOG_UNDERFLOW, Dataset, GmmParams, GmmSpec,
-                         _log_likelihood, constrain, dic, log_joint, log_likelihood, log_prior,
-                         simulate, unconstrained_log_joint)
+from yoasovi.gmm import (_LOG_OVERFLOW, _LOG_UNDERFLOW, Dataset, GmmParams, GmmSpec,
+                         _log_likelihood, _pass_sets, constrain, dic, log_joint,
+                         log_likelihood, log_prior, simulate, unconstrained_log_joint)
 from yoasovi.harness import load_csv, make_preset
 from yoasovi.meanfield import VariationalParams, log_q
 
@@ -194,11 +195,29 @@ def random_draws(rng, spec, B):
     return [GmmParams(weights=w, means=m, sds=s) for w, m, s in zip(weights, means, sds)]
 
 
-def test_block_kernel_matches_brute_force_per_row():
-    # B = 37 is not a multiple of the block size, so the last pass is short
-    assert 37 % _BLOCK != 0
+def set_pass_sets(monkeypatch, spec, data, sets=16):
+    """Lower the kernel's byte budget so that a pass at spec's K and data's
+    N takes `sets` sets: at small K and N a whole 37-set stack would
+    otherwise fit one pass."""
+    monkeypatch.setattr(gmm, "_PASS_BYTES", sets * 8 * spec.K * data.N)
+    assert _pass_sets(spec, data) == sets
+
+
+def test_a_pass_takes_the_sets_whose_component_buffer_fits_256_kib():
+    """At N=500 a pass takes 32 sets at K=2, 21 at K=3 and 16 at K=4, so the
+    largest preset's pass is no bigger than a fixed 16 sets made it; a set
+    whose buffer alone is bigger still goes through, one set a pass."""
+    assert gmm._PASS_BYTES == 256 * 1024
+    assert [_pass_sets(*make_preset(name)) for name in ("sim-p2k2", "sim-p2k3", "sim-p3k4")] \
+        == [32, 21, 16]
+    assert _pass_sets(GmmSpec(K=7, p=1), Dataset(np.zeros((10_000, 1)))) == 1
+
+
+def test_block_kernel_matches_brute_force_per_row(monkeypatch):
     rng = np.random.default_rng(2718)
     spec, data, _ = random_instance(rng, K=3, p=2, N=7)
+    # B = 37 is not a multiple of the pass size, so the last pass is short
+    set_pass_sets(monkeypatch, spec, data)
     draws = random_draws(rng, spec, 37)
     got = log_likelihood(spec, data, stack(draws))
     assert got.shape == (37,)
@@ -592,7 +611,7 @@ def test_a_point_whose_sum_is_not_a_normal_float_is_scored_again(case):
 
 @pytest.mark.parametrize("K, p, N", [(1, 1, 1), (1, 3, 40), (2, 5, 1), (4, 3, 500),
                                      (7, 5, 500)])
-def test_stacked_rows_have_the_bits_of_per_row_calls_at_every_shape(K, p, N):
+def test_stacked_rows_have_the_bits_of_per_row_calls_at_every_shape(monkeypatch, K, p, N):
     """37 rows of z, constrained, two full kernel passes and a short one,
     score through log_likelihood exactly as 37 one-set calls, at shapes
     where BLAS would round one product over all of a pass's rows otherwise:
@@ -601,8 +620,18 @@ def test_stacked_rows_have_the_bits_of_per_row_calls_at_every_shape(K, p, N):
     spec = GmmSpec(K=K, p=p)
     data = Dataset(rng.normal(0.0, 2.0, (N, p)))
     z = ordinary_rows(rng, spec, 37)
-    assert 37 % _BLOCK != 0 and 37 > 2 * _BLOCK
+    set_pass_sets(monkeypatch, spec, data)
+    passes = []
+    real = gmm._log_likelihood
+
+    def counted(spec, data, flat):
+        passes.append(len(flat))
+        return real(spec, data, flat)
+
+    monkeypatch.setattr(gmm, "_log_likelihood", counted)
     stacked_log_likelihood(spec, data, z)
+    # the stacked call, then its passes; then the 37 one-set calls
+    assert passes[:4] == [37, 16, 16, 5]
 
 
 def test_scoring_1000_stacked_sets_peaks_under_1_mib():
@@ -995,6 +1024,13 @@ def test_load_csv_plain_numeric(tmp_path):
         assert data.name == "obs"
 
 
+def test_load_csv_reads_spaces_around_a_cell(tmp_path):
+    """Hand-written data files put a space after each comma."""
+    f = tmp_path / "spaced.csv"
+    f.write_text("x, y\n1.0, 2.0\n 3.5 ,-4.0\n")
+    np.testing.assert_array_equal(load_csv(f).values, [[1.0, 2.0], [3.5, -4.0]])
+
+
 def test_load_csv_detects_header(tmp_path):
     f = tmp_path / "h.csv"
     f.write_text("x,y\n1,2\n3,4\n")
@@ -1022,7 +1058,8 @@ def test_load_csv_reports_bad_cell_position(tmp_path):
     must hold a finite number."""
     f = tmp_path / "bad.csv"
     for text, row in [("x,y\n1.0,2.0\n3.0,oops\n", 3), ("a,b\n1,2\n\n3,4\n5,x\n", 5),
-                      ("1.0,2.0\n3.0,nan\n", 2), ("x,y\n1,-inf\n", 2)]:
+                      ("1.0,2.0\n3.0,nan\n", 2), ("x,y\n1,-inf\n", 2),
+                      ("x,y\n1.0,1_0\n", 2), ("1.0,2.0\n3.0, 1_0.5\n", 2)]:
         f.write_text(text)
         with pytest.raises(ParseError, match=rf"row {row}, column 2"):
             load_csv(f)

@@ -451,6 +451,15 @@ def test_read_trace_rejects_foreign_header(tmp_path):
     ("1,0.5,-1.0,1,nan\n", "bad cell at row 2, column 5: 'nan'"),
     ("1,0.5,-1.0,1,1.5\n2,1.0,-2.0,1,inf\n", "bad cell at row 3, column 5: 'inf'"),
     ("1,0.5,nan,2,\n2,inf,-10.0,-1,\n", "bad cell at row 2, column 3: 'nan'"),
+    ("+1,0.5,-1.0,1,\n 2,1_0.5,-2.0,0,\n", "bad cell at row 2, column 1: '+1'"),
+    ("1,0.5,-1.0,1,\n 2,1_0.5,-2.0,0,\n", "bad cell at row 3, column 1: ' 2'"),
+    ("1,0.5,-1.0,1,\n2,1_0.5,-2.0,0,\n", "bad cell at row 3, column 2: '1_0.5'"),
+    ("1_0,0.5,-1.0,1,\n", "bad cell at row 2, column 1: '1_0'"),
+    ("01,0.5,-1.0,1,\n", "bad cell at row 2, column 1: '01'"),
+    ("1,+0.5,-1.0,1,\n", "bad cell at row 2, column 2: '+0.5'"),
+    ("1,0.5, -1.0,1,\n", "bad cell at row 2, column 3: ' -1.0'"),
+    ("1,0.5,-1.0,1,1.5 \n", "bad cell at row 2, column 5: '1.5 '"),
+    ("1,0.5,-1.0,1,1_5\n", "bad cell at row 2, column 5: '1_5'"),
 ])
 def test_read_trace_names_a_row_no_run_writes(tmp_path, rows, message):
     f = tmp_path / "t.csv"

@@ -123,6 +123,37 @@ def test_variational_params_validation():
         VariationalParams(m=np.zeros((2, 2)), log_s=np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("m", [[1e308, 1e308], [1e200, -1e200], [-1.7e308, 1e-320]])
+def test_lambda_whose_sum_of_squares_overflows_builds_quietly(m):
+    """Every entry finite, so lambda builds, without a warning, although
+    the one test over all entries, the sum of squares, overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = VariationalParams(m=np.array(m), log_s=np.array([0.0, 700.0]))
+    assert lam.m.tolist() == m and lam.s[0] == 1.0
+
+
+@pytest.mark.parametrize("field", ["m", "log_s"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 2])
+def test_one_non_finite_entry_of_lambda_raises(field, bad, at):
+    values = {"m": np.array([0.5, -1.0, 2.0]), "log_s": np.array([-1.0, 0.0, 1.0])}
+    values[field][at] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^variational parameters must be finite$"):
+            VariationalParams(**values)
+
+
+def test_inf_in_m_with_minus_inf_in_log_s_raises():
+    """+inf and -inf would cancel to nan in a sum over both arrays; either
+    way the lambda is refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^variational parameters must be finite$"):
+            VariationalParams(m=np.array([np.inf, 0.0]), log_s=np.array([-np.inf, 0.0]))
+
+
 def _lambdas():
     """lambdas built by initial_params and by update_step, log_s at +-700
     included."""
@@ -177,6 +208,17 @@ def test_lambda_at_extreme_log_s_builds_quietly_and_updates_stay_checked():
             assert not np.isfinite(log_q(lam, z[0]))
             assert not np.isfinite(score(lam, z)).all(axis=-1).any()
             assert not np.isfinite(score(lam, z[1])).all()
+
+
+def test_score_at_a_draw_whose_distance_from_m_overflows_is_quiet():
+    """z - m itself overflows here, not only its square: score still gives
+    non-finite values without a warning, as log_q does."""
+    lam = VariationalParams(m=np.array([-1.7e308, 0.0]), log_s=np.zeros(2))
+    z = np.array([1.7e308, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(score(lam, z)).all()
+        assert not np.isfinite(log_q(lam, z))
 
 
 # ---------------------------------------------------------------------------
