@@ -9,7 +9,7 @@ from .errors import NumericError, ParseError
 from .estimators import DrawStream, GradientSample, estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec, constrain, dic, log_joint, simulate
 from .harness import ExperimentMatrix, SummaryRow, load_csv, make_preset, run_matrix
-from .meanfield import ParamDraw, VariationalParams, initial_params, log_q, sample, score
+from .meanfield import ParamDraw, VariationalParams, log_q, sample, score
 from .sequences import make_source
 
 __version__ = "0.1.0"

@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trajp = sub.add_parser("trajectory", help="extract (elapsed, elbo) rows from traces")
     trajp.add_argument("--trace", action="append", required=True,
-                       help="trace CSV; repeat for several series")
+                       help="trace CSV; repeat for several series, each labelled by "
+                            "its file name less .csv, so no two may share a name")
     trajp.add_argument("--horizon", type=float, required=True,
                        help="keep rows with elapsed_s at or below this many seconds")
     trajp.add_argument("--out", required=True)
@@ -111,9 +112,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    labels = [path.rsplit("/", 1)[-1].removesuffix(".csv") for path in args.trace]
     try:
-        series = [(path.rsplit("/", 1)[-1].removesuffix(".csv"),
-                   emit_trajectory(read_trace(path), args.horizon)) for path in args.trace]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"two traces give the series label {label!r}")
+        series = [(label, emit_trajectory(read_trace(path), args.horizon))
+                  for label, path in zip(labels, args.trace)]
         write_trajectory(series, args.out)
     except (ValueError, OSError) as exc:
         return _refuse("trajectory", exc)

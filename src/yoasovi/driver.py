@@ -17,7 +17,6 @@ the clock is the one quantity a seed cannot pin down.
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat, starmap
 from typing import Callable, NamedTuple
 
@@ -28,7 +27,7 @@ from .acceptance import TemperatureSchedule, decide, temperature
 from .errors import NumericError, require_number, require_positive
 from .estimators import DrawStream, estimate, update_step
 from .gmm import Dataset, GmmParams, GmmSpec, constrain
-from .meanfield import VariationalParams, initial_params, sample
+from .meanfield import VariationalParams, sample
 from .sequences import clamp, make_source
 
 
@@ -142,10 +141,13 @@ class RunTrace:
 class Problem:
     """What the loop needs from a model: an unconstrained-space log joint
     (Jacobian term folded in) of one z, a float, called once per draw, and
-    an initialiser.  build_gmm_problem builds the target once per problem,
-    gmm.unconstrained_target, with what it needs of the spec and data
-    worked out then.  dic, when present, scores the final lambda on the
-    run's own dic stream."""
+    an initialiser that returns the starting lambda.  dic, when present,
+    scores the final lambda on the run's own dic stream.
+
+    build_gmm_problem builds the mixture's: its target is
+    gmm.unconstrained_target(spec, data), built once per problem with what
+    it needs of the spec and data worked out then, and its init starts m at
+    gmm.initial_z and log_s at -1 everywhere."""
 
     target: Callable[[np.ndarray], float]
     init: Callable[[np.random.Generator], VariationalParams]
@@ -160,9 +162,11 @@ def build_gmm_problem(spec: GmmSpec, data: Dataset,
     def dic(lam: VariationalParams, rng: np.random.Generator) -> float:
         return gmm.dic(spec, data, posterior_draw_set(lam, DIC_DRAWS, spec, rng))
 
-    return Problem(target=gmm.unconstrained_target(spec, data),
-                   init=partial(initial_params, spec, data, kmeans_style=kmeans_style_init),
-                   dic=dic)
+    def init(rng: np.random.Generator) -> VariationalParams:
+        return VariationalParams(m=gmm.initial_z(spec, data, rng, kmeans_style_init),
+                                 log_s=np.full(spec.n_unconstrained, -1.0))
+
+    return Problem(target=gmm.unconstrained_target(spec, data), init=init, dic=dic)
 
 
 def run(config: RunConfig, data: Dataset, clock: Callable[[], float] | None = None) -> RunTrace:

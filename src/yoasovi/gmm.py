@@ -1,6 +1,6 @@
-"""Gaussian mixture model with diagonal covariances: the map from
-unconstrained vectors to its parameters, joint density, priors,
-simulation, and the DIC fit score.
+"""Gaussian mixture model with diagonal covariances: its unconstrained
+vectors z (a run's start point, the map to its parameters and the run's
+target), joint density, priors, simulation, and the DIC fit score.
 
 Parameter layout is K mixture weights on the simplex, K mean vectors of
 length p, and K diagonal standard-deviation vectors of length p.  Priors:
@@ -47,23 +47,25 @@ set as a lone set does, where one product over a pass's b * K rows would
 let BLAS pick another kernel and round otherwise, so a stacked set's
 result has the bits of its own call, whatever the pass size.
 
-A run optimises over unconstrained vectors z instead, and constrain maps
-them to GmmParams: z's layout, a softmax over the logits for the weights
-and exp for the sds.  The run's target, unconstrained_target(spec, data),
-scores one z at a time in z's own coordinates, Jacobian term included,
-with what does not depend on z worked out once when it is built;
-unconstrained_log_joint is the same code for one z, and stacks of
-parameter sets go through log_likelihood.  A call is one flat pass: z's
-raw logits, the last pinned at 0, stand in the logit column, and the one
-normaliser L = log sum_k exp(logit_k) comes off once, (N + alpha K) L for
-the likelihood's and the Dirichlet's log weights.  log_likelihood puts log
-weights in the logit column and needs no normaliser.  The z-space prior is
-one small matrix product whose factors and constant GmmSpec works out
-once; log_prior is the same product less the Jacobian term.  Whether a log
-sd's sd underflows to 0 or overflows to inf, and whether a weight
-underflows to 0, is read off the log sd or log weight against the two
-edges of exp, _LOG_UNDERFLOW and _LOG_OVERFLOW, and the target checks them
-only on a z whose sums of logits and of squared log sds come near an edge.
+A run optimises over unconstrained vectors z instead, and this module
+alone knows their layout: K-1 free logits, then the K*p means, then the
+K*p log sds.  initial_z draws a run's start point in z, constrain maps z
+to GmmParams, a softmax over the logits for the weights and exp for the
+sds, and the run's target, unconstrained_target(spec, data), is the one
+public scorer of one z: it scores z in its own coordinates, Jacobian term
+included, with what does not depend on z worked out once when it is
+built.  Stacks of parameter sets go through log_likelihood.  A target
+call is one flat pass: z's raw logits, the last pinned at 0, stand in the
+logit column, and the one normaliser L = log sum_k exp(logit_k) comes off
+once, (N + alpha K) L for the likelihood's and the Dirichlet's log
+weights.  log_likelihood puts log weights in the logit column and needs
+no normaliser.  The z-space prior is one small matrix product whose
+factors and constant GmmSpec works out once; log_prior is the same
+product less the Jacobian term.  Whether a log sd's sd underflows to 0 or
+overflows to inf, and whether a weight underflows to 0, is read off the
+log sd or log weight against the two edges of exp, _LOG_UNDERFLOW and
+_LOG_OVERFLOW, and the target checks them only on a z whose sums of
+logits and of squared log sds come near an edge.
 """
 
 import math
@@ -310,10 +312,28 @@ def unconstrained_target(spec: GmmSpec, data: Dataset):
     return target
 
 
-def unconstrained_log_joint(spec: GmmSpec, data: Dataset, z: np.ndarray) -> float:
-    """The run's target, unconstrained_target(spec, data), at one z of shape
-    (n_unconstrained,); stacks of parameter sets go through log_likelihood."""
-    return unconstrained_target(spec, data)(z)
+def initial_z(spec: GmmSpec, data: Dataset, rng: np.random.Generator,
+              kmeans_style: bool = False) -> np.ndarray:
+    """A run's start point in z, of shape (n_unconstrained,), drawn from rng
+    in z's order: K-1 logits from Normal(0, 0.1^2), then K of the data's
+    rows for the means, then K*p log sds from Normal(0, 0.1^2).  The rows
+    are picked uniformly without replacement, or with kmeans_style by
+    k-means++ seeding: the first uniformly, and each next with probability
+    proportional to its squared distance from the nearest row picked so
+    far, which guards against all K starting in one cluster, or uniformly
+    when every row coincides with a pick."""
+    K, y = spec.K, data.values
+    logits = rng.normal(0.0, 0.1, K - 1)
+    if kmeans_style:
+        idx = [int(rng.integers(len(y)))]
+        for _ in range(K - 1):
+            d2 = np.min(((y[:, None, :] - y[idx][None]) ** 2).sum(axis=2), axis=1)
+            total = d2.sum()
+            idx.append(int(rng.choice(len(y), p=d2 / total) if total > 0
+                           else rng.integers(len(y))))
+    else:
+        idx = rng.choice(len(y), size=K, replace=False)
+    return np.concatenate([logits, y[idx].ravel(), rng.normal(0.0, 0.1, K * spec.p)])
 
 
 # zero weights drop out (log 0 = -inf); an sd of inf gives a -inf or nan

@@ -1,5 +1,4 @@
-"""Mean-field Gaussian variational family over unconstrained parameters,
-and initial_params, a GMM run's starting lambda.
+"""Mean-field Gaussian variational family over unconstrained parameters.
 
 q(z | lambda) is a product of independent Gaussians with parameters
 lambda = (m, log_s).  Model parameters with constraints (simplex weights,
@@ -7,8 +6,9 @@ positive sds) are reached through gmm.constrain, so the ELBO integrand is
 
     log p(y, constrain(z)) + log|J(z)| - log q(z | lambda),
 
-and gmm.unconstrained_log_joint scores its first two terms in z's own
-coordinates.
+and the run's target, gmm.unconstrained_target(spec, data), scores its
+first two terms in z's own coordinates.  The family knows nothing of z's
+layout: a mixture run's start point comes from gmm.initial_z.
 """
 
 import math
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .gmm import GmmSpec
 # perfbench/tracer.py wraps meanfield.constrain until ROADMAP item 4
 from .gmm import constrain  # noqa: F401
 
@@ -75,11 +74,12 @@ class ParamDraw:
     z: np.ndarray
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def sample(lam: VariationalParams, u: np.ndarray) -> ParamDraw:
     """Draws from q, row by row: points u of shape (..., dim) give z of the
-    same shape, z = m + exp(log_s) * ndtri(u).  An overflow gives inf without
-    a warning; estimate and constrain reject non-finite draws."""
+    same shape, z = m + exp(log_s) * ndtri(u).  An overflow gives inf, and
+    an s of inf at a point where ndtri is 0 gives nan, without a warning;
+    estimate and constrain reject non-finite draws."""
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (lam.dim,):
         raise ValueError(f"expected points of dimension {lam.dim}, got {u.shape}")
@@ -103,33 +103,3 @@ def score(lam: VariationalParams, z: np.ndarray) -> np.ndarray:
     inf or nan without a warning; update_step rejects a non-finite step."""
     d = np.asarray(z, dtype=float) - lam.m
     return np.concatenate([d * lam.inv_var, d ** 2 * lam.inv_var - 1.0], axis=-1)
-
-
-def initial_params(spec: GmmSpec, data, rng: np.random.Generator,
-                   kmeans_style: bool = False) -> VariationalParams:
-    """Starting lambda for a GMM run.
-
-    Weight logits and log-sd coordinates start near zero; the variational
-    means of the model means start at randomly chosen data points.  With
-    kmeans_style the points are picked by squared-distance weighting
-    (k-means++ seeding), which guards against all K starting points landing
-    in one cluster.  log_s starts at -1 everywhere.
-    """
-    K, p = spec.K, spec.p
-    m = np.empty(spec.n_unconstrained)
-    m[: K - 1] = rng.normal(0.0, 0.1, K - 1)
-    y = data.values
-    if kmeans_style:
-        idx = [int(rng.integers(y.shape[0]))]
-        for _ in range(K - 1):
-            d2 = np.min(((y[:, None, :] - y[np.array(idx)][None]) ** 2).sum(axis=2), axis=1)
-            total = d2.sum()
-            # every point coincides with a pick: any next pick is as good
-            idx.append(int(rng.choice(y.shape[0], p=d2 / total) if total > 0
-                           else rng.integers(y.shape[0])))
-        idx = np.array(idx)
-    else:
-        idx = rng.choice(y.shape[0], size=K, replace=False)
-    m[K - 1 : K - 1 + K * p] = y[idx].ravel()
-    m[K - 1 + K * p :] = rng.normal(0.0, 0.1, K * p)
-    return VariationalParams(m=m, log_s=np.full(spec.n_unconstrained, -1.0))

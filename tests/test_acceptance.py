@@ -19,7 +19,7 @@ from yoasovi.errors import NumericError
 from yoasovi.estimators import DrawStream, estimate
 from yoasovi.gmm import Dataset, GmmParams, GmmSpec, dic
 from yoasovi.harness import ExperimentMatrix, make_preset, run_matrix
-from yoasovi.meanfield import VariationalParams, initial_params, log_q, sample, score
+from yoasovi.meanfield import VariationalParams, log_q, sample, score
 from yoasovi.sequences import make_source
 
 from validation import ConjugateOracle, closed_form_elbo, finite_diff
@@ -161,8 +161,8 @@ def test_criterion_05_conjugate_recovery():
 def test_criterion_06_scrambled_sequence_variance():
     spec, data = make_preset("sim-p2k2")
     from yoasovi.driver import build_gmm_problem
-    prob = build_gmm_problem(spec, data)
-    lam = initial_params(spec, data, np.random.default_rng(5), kmeans_style=True)
+    prob = build_gmm_problem(spec, data, kmeans_style_init=True)
+    lam = prob.init(np.random.default_rng(5))
 
     def spread(kind, base):
         vals = [estimate(lam, prob.target, DrawStream(make_source(kind, lam.dim, base + i)),

@@ -5,7 +5,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -445,22 +444,37 @@ def test_the_target_is_the_checked_log_joint_plus_ldj():
 
 
 def test_the_target_takes_one_z():
-    """The problem's target is gmm.unconstrained_log_joint for one z of shape
-    (n_unconstrained,), a float of the same bits; a stacked, wrong-length
-    or 0-d z raises ValueError naming its shape."""
+    """The problem's target is gmm.unconstrained_target(spec, data), built
+    once per problem: a float of one z of shape (n_unconstrained,), of the
+    bits a target built anew gives; a stacked, wrong-length or 0-d z raises
+    ValueError naming its shape."""
     spec, data = small_gmm()
     target = build_gmm_problem(spec, data).target
+    fresh = gmm.unconstrained_target(spec, data)
     rng = np.random.default_rng(33)
     for z in rng.normal(0.0, 1.0, (5, spec.n_unconstrained)):
         got = target(z)
         assert type(got) is float
-        assert got == gmm.unconstrained_log_joint(spec, data, z)
+        assert got == fresh(z)
     n = spec.n_unconstrained
     for shape in [(2, n), (1, n), (n - 1,), (n + 1,), ()]:
         message = re.escape(f"expected one z of shape ({n},), got shape {shape}")
-        for score in (target, partial(gmm.unconstrained_log_joint, spec, data)):
+        for score in (target, fresh):
             with pytest.raises(ValueError, match=message):
                 score(np.zeros(shape))
+
+
+@pytest.mark.parametrize("kmeans_style", [False, True])
+def test_the_gmm_problem_starts_at_initial_z_with_log_s_minus_1(kmeans_style):
+    """The mixture's init is gmm.initial_z from the same rng state for m and
+    -1 everywhere for log_s, and leaves the rng where initial_z leaves it."""
+    spec, data = small_gmm()
+    init = build_gmm_problem(spec, data, kmeans_style_init=kmeans_style).init
+    rng, same = np.random.default_rng(21), np.random.default_rng(21)
+    lam = init(rng)
+    np.testing.assert_array_equal(lam.m, gmm.initial_z(spec, data, same, kmeans_style))
+    np.testing.assert_array_equal(lam.log_s, np.full(spec.n_unconstrained, -1.0))
+    assert rng.random() == same.random()
 
 
 def test_a_gmm_problem_needs_data_of_the_specs_dimension():

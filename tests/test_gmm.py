@@ -17,8 +17,8 @@ from scipy.special import logsumexp
 from yoasovi import gmm
 from yoasovi.errors import NumericError, ParseError
 from yoasovi.gmm import (_LOG_OVERFLOW, _LOG_UNDERFLOW, Dataset, GmmParams, GmmSpec,
-                         _log_likelihood, _pass_sets, constrain, dic, log_joint,
-                         log_likelihood, log_prior, simulate, unconstrained_log_joint)
+                         _log_likelihood, _pass_sets, constrain, dic, initial_z, log_joint,
+                         log_likelihood, log_prior, simulate, unconstrained_target)
 from yoasovi.harness import load_csv, make_preset
 from yoasovi.meanfield import VariationalParams, log_q
 
@@ -140,7 +140,7 @@ def test_log_joint_raises_on_non_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=r"^log joint is non-finite \(.*-inf"):
-            unconstrained_log_joint(spec, data, z)
+            unconstrained_target(spec, data)(z)
         assert list(stacked_log_likelihood(spec, data, np.stack([z, z]))) == [-math.inf] * 2
 
 
@@ -347,11 +347,11 @@ def test_a_component_whose_sd_squared_underflows_drops_out():
             ldj = np.log(params.weights).sum() + np.log(params.sds).sum()
             want = log_joint(spec, data, params) + ldj
             stacked_log_likelihood(spec, data, with_row(ordinary_rows(rng, spec, 37), z))
-            got = unconstrained_log_joint(spec, data, z)
+            got = unconstrained_target(spec, data)(z)
             assert abs(got - want) <= 1e-12 * abs(want)
             z[spec.K - 1 + spec.K * spec.p:] = -360.0
             with pytest.raises(NumericError, match=r"(?s)^log joint is non-finite \(.*-inf"):
-                unconstrained_log_joint(spec, data, z)
+                unconstrained_target(spec, data)(z)
             got = stacked_log_likelihood(spec, data, with_row(ordinary_rows(rng, spec, 37), z))
             assert got[SPECIAL_ROW] == -math.inf
 
@@ -373,10 +373,10 @@ def test_the_sd_edges_are_where_exp_gives_0_and_inf():
                             (_LOG_OVERFLOW, None), (over, "overflowed")]:
         z[-1] = log_sd
         if message is None:
-            assert math.isfinite(unconstrained_log_joint(spec, data, z))
+            assert math.isfinite(unconstrained_target(spec, data)(z))
         else:
             with pytest.raises(NumericError, match=message):
-                unconstrained_log_joint(spec, data, z)
+                unconstrained_target(spec, data)(z)
 
 
 @pytest.mark.parametrize("K, values", [(2, [[1.0], [2.0]]), (3, [[0.7, -2.0]]),
@@ -402,26 +402,31 @@ def test_the_sd_edges_hold_inside_a_stack(K, values):
                                 (_LOG_OVERFLOW, None), (over, "overflowed")]:
             z[-1] = log_sd
             if message is None:
-                assert math.isfinite(unconstrained_log_joint(spec, data, z))
+                assert math.isfinite(unconstrained_target(spec, data)(z))
                 stacked_log_likelihood(spec, data, with_row(rows, z))
                 continue
             with pytest.raises(NumericError, match=f"^an sd {message}"):
-                unconstrained_log_joint(spec, data, z)
+                unconstrained_target(spec, data)(z)
 
 
 def oracle_z_log_joint(spec, data, z):
-    """The run's target at one row z through scipy.stats, with the log
-    weights kept in log space: z's logits less their log-sum-exp.  The
-    checked log_joint of constrain(z) cannot serve near the weight edge:
-    there constrain rounds a weight to a subnormal, whose log is off by up
-    to log 2 from the log weight it came from."""
-    K, Kp, a = spec.K, spec.K * spec.p, spec.prior_dirichlet_alpha
+    """The run's target at one row z, brute force in z's coordinates through
+    scipy.stats, with z's log weights, its logits less their log-sum-exp,
+    kept in log space in the prior and in the likelihood: each point's log
+    density is the log-sum-exp over the components of the log weight plus
+    the component's log density.  No weight is ever formed, so a subnormal
+    one loses no digits, where the checked log_joint of constrain(z) loses
+    up to log 2 in a weight's log below the log of the smallest normal
+    float, about -708."""
+    K, p, Kp, a = spec.K, spec.p, spec.K * spec.p, spec.prior_dirichlet_alpha
     logits = np.append(z[: K - 1], 0.0)
     log_w = logits - logsumexp(logits)
-    return (oracle_log_likelihood(spec, data, constrain(z, spec))
+    means, log_sds = z[K - 1 : K - 1 + Kp].reshape(K, p), z[K - 1 + Kp :].reshape(K, p)
+    comp = stats.norm.logpdf(data.values[:, None, :], means, np.exp(log_sds)).sum(-1)
+    return (logsumexp(log_w + comp, axis=1).sum()
             + math.lgamma(K * a) - K * math.lgamma(a) + a * log_w.sum()
-            + stats.norm.logpdf(z[K - 1 : K - 1 + Kp], 0.0, spec.prior_mean_scale).sum()
-            + stats.norm.logpdf(z[K - 1 + Kp :], 0.0, spec.prior_logsd_scale).sum())
+            + stats.norm.logpdf(means, 0.0, spec.prior_mean_scale).sum()
+            + stats.norm.logpdf(log_sds, 0.0, spec.prior_logsd_scale).sum())
 
 
 @pytest.mark.parametrize("K", [2, 4])
@@ -450,32 +455,15 @@ def test_the_weight_edge_holds_inside_a_stack(K):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=r"(?s)^log joint is non-finite \(.*-inf"):
-            unconstrained_log_joint(spec, data, z)
+            unconstrained_target(spec, data)(z)
         for free in ([np.nextafter(edge, 0.0)] + [0.5] * (K - 2), [720.0] * (K - 1),
                      [-720.0] * (K - 1)):
             z[: K - 1] = free
-            got = unconstrained_log_joint(spec, data, z)
+            got = unconstrained_target(spec, data)(z)
             assert math.isfinite(got)
             want = oracle_z_log_joint(spec, data, z)
             assert abs(got - want) <= 1e-12 * abs(want)
             stacked_log_likelihood(spec, data, with_row(rows, z))
-
-
-def oracle_log_space_z_log_joint(spec, data, z):
-    """The run's target at one row z through scipy.stats, with z's log
-    weights, its logits less their log-sum-exp, kept in log space in the
-    likelihood too: each point's log density is the log-sum-exp over the
-    components of the log weight plus the component's log density.  No
-    weight is ever formed, so a subnormal one loses no digits."""
-    K, p, Kp, a = spec.K, spec.p, spec.K * spec.p, spec.prior_dirichlet_alpha
-    logits = np.append(z[: K - 1], 0.0)
-    log_w = logits - logsumexp(logits)
-    means, log_sds = z[K - 1 : K - 1 + Kp].reshape(K, p), z[K - 1 + Kp :].reshape(K, p)
-    comp = stats.norm.logpdf(data.values[:, None, :], means, np.exp(log_sds)).sum(-1)
-    return (logsumexp(log_w + comp, axis=1).sum()
-            + math.lgamma(K * a) - K * math.lgamma(a) + a * log_w.sum()
-            + stats.norm.logpdf(means, 0.0, spec.prior_mean_scale).sum()
-            + stats.norm.logpdf(log_sds, 0.0, spec.prior_logsd_scale).sum())
 
 
 @pytest.mark.parametrize("which", ["free", "pinned"])
@@ -505,9 +493,9 @@ def test_a_row_with_a_subnormal_weight_matches_the_log_space_oracle(which, log_w
     rows = with_row(ordinary_rows(np.random.default_rng(708), spec, 37), z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = unconstrained_log_joint(spec, data, z)
+        got = unconstrained_target(spec, data)(z)
         stacked_log_likelihood(spec, data, rows)
-    want = oracle_log_space_z_log_joint(spec, data, z)
+    want = oracle_z_log_joint(spec, data, z)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -522,7 +510,7 @@ def test_an_empty_stack_scores_to_an_empty_array():
         got = log_likelihood(spec, data, constrain(z, spec))
         assert got.shape == lead and got.dtype == float
         with pytest.raises(ValueError, match=re.escape(f"got shape {z.shape}")):
-            unconstrained_log_joint(spec, data, z)
+            unconstrained_target(spec, data)(z)
     none = GmmParams(np.empty((0, 3)), np.empty((0, 3, 2)), np.empty((0, 3, 2)))
     assert log_likelihood(spec, data, none).shape == (0,)
 
@@ -696,20 +684,64 @@ def z_rows(draw):
 @given(z_rows())
 @settings(max_examples=100, deadline=None)
 def test_unconstrained_log_joint_rows_are_per_row_calls_and_the_constrained_path(case):
-    """Each row's target agrees with the checked log_joint of constrain(z)
-    plus its Jacobian term to 1e-12 relative: the z-space prior is the same
-    formula with the Jacobian folded in, and only the rounding differs.  The
-    rows, constrained, give the bits of one call per row through the
-    stacked kernel."""
+    """Each row's target agrees with the z-space oracle to 1e-9 relative,
+    and with the checked log_joint of constrain(z) plus its Jacobian term to
+    1e-12: the z-space prior is the same formula with the Jacobian folded
+    in, and only the rounding differs.  The rows, constrained, give the bits
+    of one call per row through the stacked kernel."""
     spec, z = case
     data = Z_DATA[spec.K, spec.p]
+    target = unconstrained_target(spec, data)
     stacked_log_likelihood(spec, data, z)
     for row in z:
-        value = unconstrained_log_joint(spec, data, row)
+        value = target(row)
+        oracle = oracle_z_log_joint(spec, data, row)
+        assert abs(value - oracle) <= 1e-9 * abs(oracle)
         params = constrain(row, spec)
         ldj = np.log(params.weights).sum() + np.log(params.sds).sum()
         want = log_joint(spec, data, params) + ldj
         assert abs(value - want) <= 1e-12 * abs(want)
+
+
+@st.composite
+def small_weight_rows(draw):
+    """A spec of K=2, p=2 or K=4, p=3 and one z of Z_DATA's box whose
+    component k has a log weight log_w in (_LOG_UNDERFLOW, -708]: a free
+    logit log_w above the others' log-sum-exp, or, for the pinned
+    component, free logits -log_w above log-sum-exps of the box's logits
+    less their own log-sum-exp."""
+    K, p = draw(st.sampled_from(sorted(Z_DATA)))
+    spec = GmmSpec(K=K, p=p)
+    cols = [st.floats(-8, 8)] * (K - 1) + [st.floats(-6, 6)] * (K * p) \
+        + [st.floats(-3, 2)] * (K * p)
+    z = np.array([draw(c) for c in cols])
+    k = draw(st.integers(0, K - 1))
+    log_w = draw(st.floats(-745.0, -708.0))
+    logits = np.append(z[: K - 1], 0.0)
+    if k < K - 1:
+        z[k] = log_w + logsumexp(np.delete(logits, k))
+    else:
+        free = logits[:-1]
+        z[: K - 1] = free - logsumexp(free) - log_w
+    return spec, k, z
+
+
+@given(small_weight_rows())
+@settings(max_examples=100, deadline=None)
+def test_the_z_space_oracle_reaches_log_weights_below_708(case):
+    """Rows with a log weight in (_LOG_UNDERFLOW, -708], where constrain
+    rounds the weight to a subnormal and the constrained path cannot serve
+    as an oracle: the target agrees with the z-space oracle to 1e-9
+    relative, quietly."""
+    spec, k, z = case
+    data = Z_DATA[spec.K, spec.p]
+    logits = np.append(z[: spec.K - 1], 0.0)
+    assert _LOG_UNDERFLOW < logits[k] - logsumexp(logits) <= -708.0 + 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = unconstrained_target(spec, data)(z)
+        want = oracle_z_log_joint(spec, data, z)
+    assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_block_kernel_keeps_the_validation_messages():
@@ -894,8 +926,8 @@ def test_constrain_layout():
 
 
 def test_jacobian_term_matches_numerical_determinant():
-    """The Jacobian term the run's target folds in, unconstrained_log_joint(z)
-    less log_joint(constrain(z)), should equal log |det| of
+    """The Jacobian term the run's target folds in, the target at z less
+    log_joint(constrain(z)), should equal log |det| of
     z -> (w[:K-1], means, sds), measured by finite differences of that map."""
     spec = GmmSpec(K=3, p=1)
     d = spec.n_unconstrained
@@ -914,7 +946,7 @@ def test_jacobian_term_matches_numerical_determinant():
             e = np.zeros(d)
             e[i] = 1e-6
             jac[:, i] = (flat(z + e) - flat(z - e)) / 2e-6
-        ldj = unconstrained_log_joint(spec, data, z) - log_joint(spec, data, constrain(z, spec))
+        ldj = unconstrained_target(spec, data)(z) - log_joint(spec, data, constrain(z, spec))
         assert ldj == pytest.approx(np.log(abs(np.linalg.det(jac))), abs=1e-5)
 
 
@@ -972,6 +1004,84 @@ def test_constrain_rows_match_per_row_calls():
         params2 = constrain(z[:22].reshape(2, 11, -1), spec)
         np.testing.assert_array_equal(params2.sds.reshape(22, spec.K, spec.p), params.sds[:22])
         np.testing.assert_array_equal(log_jacobian(params2).ravel(), ldj[:22])
+
+
+# ---------------------------------------------------------------------------
+# start point
+
+def two_clusters(seed=0, n=40):
+    """n points of dimension 2, half about (-3, -3) and half about (3, 3),
+    with sd 0.5."""
+    rng = np.random.default_rng(seed)
+    half = rng.normal(-3, 0.5, (n // 2, 2))
+    other = rng.normal(3, 0.5, (n - n // 2, 2))
+    return Dataset(np.vstack([half, other]))
+
+
+def test_initial_z_layout():
+    z = initial_z(SPEC22, two_clusters(), np.random.default_rng(1))
+    assert z.shape == (SPEC22.n_unconstrained,)
+    # logit and log-sd blocks start near zero
+    assert abs(z[0]) < 0.5
+    assert np.all(np.abs(z[5:]) < 0.5)
+
+
+def test_initial_means_are_data_points():
+    data = two_clusters()
+    z = initial_z(SPEC22, data, np.random.default_rng(2))
+    starts = z[1:5].reshape(2, 2)
+    rows = {tuple(r) for r in np.round(data.values, 12)}
+    for s in starts:
+        assert tuple(np.round(s, 12)) in rows
+
+
+def test_kmeans_style_spreads_starting_points():
+    """With two tight clusters, distance-weighted seeding should start the
+    two means in different clusters nearly always; uniform choice puts both
+    in one cluster about half the time."""
+    data = two_clusters(seed=5)
+    split = 0
+    for seed in range(40):
+        z = initial_z(SPEC22, data, np.random.default_rng(seed), kmeans_style=True)
+        signs = np.sign(z[1:5].reshape(2, 2)[:, 0])
+        split += signs[0] != signs[1]
+    assert split >= 36
+
+
+def test_initial_z_deterministic_per_rng_seed():
+    data = two_clusters()
+    a = initial_z(SPEC22, data, np.random.default_rng(11), kmeans_style=True)
+    b = initial_z(SPEC22, data, np.random.default_rng(11), kmeans_style=True)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_a_uniform_pick_at_n_equal_k_takes_every_row_once():
+    """With as many rows as components, the uniform picks, made without
+    replacement, start the K means at the N rows in some order."""
+    spec = GmmSpec(K=4, p=2)
+    data = Dataset(np.arange(8.0).reshape(4, 2))
+    for seed in range(5):
+        z = initial_z(spec, data, np.random.default_rng(seed))
+        means = z[3:11].reshape(4, 2)
+        assert sorted(map(tuple, means.tolist())) == sorted(map(tuple, data.values.tolist()))
+
+
+def test_kmeans_style_over_coincident_points_picks_through_integers():
+    """Rows that all coincide leave every squared distance 0, so no pick can
+    be weighted by it: each next pick is rng.integers over the rows, with
+    no 0/0 weights, nan or warning, and initial_z makes the rng calls this
+    test makes on a second rng of the same seed."""
+    spec = GmmSpec(K=3, p=2)
+    data = Dataset(np.tile([1.0, 2.0], (5, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = initial_z(spec, data, np.random.default_rng(4), kmeans_style=True)
+    ref = np.random.default_rng(4)
+    logits = ref.normal(0.0, 0.1, 2)
+    for _ in range(3):
+        ref.integers(5)
+    want = np.concatenate([logits, np.tile([1.0, 2.0], 3), ref.normal(0.0, 0.1, 6)])
+    np.testing.assert_array_equal(z, want)
 
 
 # ---------------------------------------------------------------------------

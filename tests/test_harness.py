@@ -1005,6 +1005,30 @@ def test_cli_trajectory_input_error_is_one_line_and_exit_2(tmp_path, case):
     assert not out.exists()
 
 
+def test_cli_trajectory_refuses_two_traces_of_one_label(tmp_path):
+    """A series is labelled by its trace's file name less .csv, so traces of
+    one name in two directories would give two series of one label: the
+    command names the label on one stderr line, exits 2 and writes
+    nothing.  Traces of distinct names in one call are written."""
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        for name in ("r0", "r1"):
+            (tmp_path / d / f"{name}.csv").write_text(
+                "iter,elapsed_s,elbo,accepted,M\n1,0.5,-10.0,1,\n")
+    out = tmp_path / "traj.csv"
+    res = cli("trajectory", "--trace", str(tmp_path / "a" / "r0.csv"), "--trace",
+              str(tmp_path / "a" / "r1.csv"), "--trace", str(tmp_path / "b" / "r0.csv"),
+              "--horizon", "1.0", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        "yoasovi trajectory: error: two traces give the series label 'r0'"], res.stderr
+    assert not out.exists()
+    res = cli("trajectory", "--trace", str(tmp_path / "a" / "r0.csv"), "--trace",
+              str(tmp_path / "b" / "r1.csv"), "--horizon", "1.0", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert out.read_text().splitlines()[1:] == ["r0,0.5,-10.0", "r1,0.5,-10.0"]
+
+
 def test_cli_flag_overrides_reach_the_run(tmp_path):
     cfg = write_quick_config(tmp_path)
     out = tmp_path / "alt"

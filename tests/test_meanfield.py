@@ -6,15 +6,13 @@ from scipy import stats
 from scipy.special import ndtri
 
 from yoasovi.errors import NumericError
-from yoasovi.estimators import update_step
-from yoasovi.gmm import Dataset, GmmSpec
-from yoasovi.meanfield import (ParamDraw, VariationalParams, initial_params, log_q, sample,
-                               score)
+from yoasovi.estimators import DrawStream, estimate, update_step
+from yoasovi.gmm import GmmSpec, initial_z
+from yoasovi.meanfield import ParamDraw, VariationalParams, log_q, sample, score
 from yoasovi.sequences import make_source
 
+from test_gmm import two_clusters
 from validation import finite_diff
-
-SPEC22 = GmmSpec(K=2, p=2)
 
 
 def lam_fixture(dim, seed=0):
@@ -61,6 +59,32 @@ def test_sample_marginals_pass_ks():
         res = stats.kstest(zs[:, i], "norm",
                            args=(lam.m[i], np.exp(lam.log_s[i])))
         assert res.pvalue > 0.001
+
+
+class MedianSource:
+    """A point source of one dimension that serves only u = 0.5."""
+
+    def next_point(self, n):
+        return np.full((n, 1), 0.5)
+
+
+def test_an_infinite_s_meets_the_median_point_as_a_quiet_nan():
+    """log_s = 710 overflows s to inf, which VariationalParams builds
+    quietly.  At u = 0.5 ndtri is 0, so the draw is inf * 0 = nan, which
+    sample gives without a warning and estimate refuses as an overflowed
+    draw, before any target call."""
+    def target(z):
+        raise AssertionError("the target was called")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = VariationalParams(m=np.array([0.0]), log_s=np.array([710.0]))
+        assert lam.s.tolist() == [np.inf]
+        z = sample(lam, np.array([[0.5]])).z
+        assert z.shape == (1, 1) and np.isnan(z).all()
+        with pytest.raises(NumericError,
+                           match="^draw 1 of 1 overflowed the sampling transform$"):
+            estimate(lam, target, DrawStream(MedianSource()), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +179,11 @@ def test_inf_in_m_with_minus_inf_in_log_s_raises():
 
 
 def _lambdas():
-    """lambdas built by initial_params and by update_step, log_s at +-700
-    included."""
+    """lambdas built from a mixture run's start and by update_step, log_s at
+    +-700 included."""
     spec = GmmSpec(K=2, p=2)
-    init = initial_params(spec, _toy_data(), np.random.default_rng(2), kmeans_style=True)
+    m = initial_z(spec, two_clusters(), np.random.default_rng(2), kmeans_style=True)
+    init = VariationalParams(m=m, log_s=np.full(spec.n_unconstrained, -1.0))
     step = np.random.default_rng(3).normal(0.0, 1.0, 2 * init.dim)
     out = [init, update_step(init, step, 0.1)]
     for log_s in (700.0, -700.0):
@@ -219,53 +244,3 @@ def test_score_at_a_draw_whose_distance_from_m_overflows_is_quiet():
         warnings.simplefilter("error")
         assert not np.isfinite(score(lam, z)).all()
         assert not np.isfinite(log_q(lam, z))
-
-
-# ---------------------------------------------------------------------------
-# initialisation
-
-def _toy_data(seed=0, n=40):
-    rng = np.random.default_rng(seed)
-    half = rng.normal(-3, 0.5, (n // 2, 2))
-    other = rng.normal(3, 0.5, (n - n // 2, 2))
-    return Dataset(np.vstack([half, other]))
-
-
-def test_initial_params_layout_and_log_s():
-    data = _toy_data()
-    lam = initial_params(SPEC22, data, np.random.default_rng(1))
-    assert lam.dim == SPEC22.n_unconstrained
-    np.testing.assert_array_equal(lam.log_s, -1.0)
-    # logit and log-sd blocks start near zero
-    assert abs(lam.m[0]) < 0.5
-    assert np.all(np.abs(lam.m[5:]) < 0.5)
-
-
-def test_initial_means_are_data_points():
-    data = _toy_data()
-    lam = initial_params(SPEC22, data, np.random.default_rng(2))
-    starts = lam.m[1:5].reshape(2, 2)
-    rows = {tuple(r) for r in np.round(data.values, 12)}
-    for s in starts:
-        assert tuple(np.round(s, 12)) in rows
-
-
-def test_kmeans_style_spreads_starting_points():
-    """With two tight clusters, distance-weighted seeding should start the
-    two means in different clusters nearly always; uniform choice puts both
-    in one cluster about half the time."""
-    data = _toy_data(seed=5)
-    split = 0
-    for seed in range(40):
-        lam = initial_params(SPEC22, data, np.random.default_rng(seed),
-                             kmeans_style=True)
-        signs = np.sign(lam.m[1:5].reshape(2, 2)[:, 0])
-        split += signs[0] != signs[1]
-    assert split >= 36
-
-
-def test_initial_params_deterministic_per_rng_seed():
-    data = _toy_data()
-    a = initial_params(SPEC22, data, np.random.default_rng(11), kmeans_style=True)
-    b = initial_params(SPEC22, data, np.random.default_rng(11), kmeans_style=True)
-    np.testing.assert_array_equal(a.m, b.m)
