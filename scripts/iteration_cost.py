@@ -45,6 +45,11 @@ matrix settings (configs/sim_p2k3.yaml, 2 replicates, 30 iterations), one
 call and then one per round, each into a new directory.  It prints the ms
 of the first call and the median ms of the later ones.
 
+Its first line says where the readings were taken: the checkout's short
+git SHA ("unknown" outside a git checkout), nproc, the numpy and scipy
+versions, and the BLAS build numpy links, with OPENBLAS_CORETYPE when it
+is set, as tests/test_golden.py reads them.
+
     PYTHONPATH=src python3 scripts/iteration_cost.py [--rounds 5] [--quick]
 
 --quick runs one round of seeds 0-1 at 50 single-draw iterations, 3 and 1
@@ -55,7 +60,9 @@ target, stacked sets and DIC phase twice, as a smoke test.
 import argparse
 import dataclasses
 import gc
+import os
 import statistics
+import subprocess
 import tempfile
 import time
 import timeit
@@ -64,6 +71,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from yoasovi import estimators
 from yoasovi.acceptance import TemperatureSchedule
@@ -85,6 +93,23 @@ MULTI_DRAW = (("qmcvi", 10, 300, 3), ("mcvi", 100, 30, 1))
 # perfbench's matrix workload: its config, replicates, iterations and jobs
 POOL_CONFIG = CONFIG.with_name("sim_p2k3.yaml")
 POOL_REPLICATES, POOL_ITERS, POOL_JOBS = 2, 30, 2
+
+
+def provenance() -> str:
+    """The short git SHA of this checkout, nproc, the numpy and scipy
+    versions and the BLAS build, with OPENBLAS_CORETYPE when it is set."""
+    try:
+        sha = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=CONFIG.parent,
+                             capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = blas.get("openblas configuration", "no openblas configuration")
+    out = (f"provenance git {sha}, nproc {len(os.sched_getaffinity(0))}, "
+           f"numpy {np.__version__}, scipy {scipy.__version__}, "
+           f"BLAS {blas['name']} {blas['version']} ({config})")
+    coretype = os.environ.get("OPENBLAS_CORETYPE")
+    return out if coretype is None else f"{out}, OPENBLAS_CORETYPE={coretype}"
 
 
 class Round(NamedTuple):
@@ -227,6 +252,7 @@ def main(argv=None) -> int:
     problem = build_gmm_problem(spec, data, template.kmeans_style_init)
     first_ms, *later_ms = pool_cost(1 + rounds, 5 if args.quick else POOL_ITERS)
 
+    print(provenance())
     print(f"{METHOD} on {CONFIG.name}, seeds {seeds.start}-{seeds.stop - 1}, "
           f"{template.max_iters} iterations at most")
     print("round  us/iteration  us/target  ratio  us/outside  us/accepted  us/rejected")

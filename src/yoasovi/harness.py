@@ -101,13 +101,11 @@ class ExperimentMatrix:
                            *(("label", m[0]) for m in self.methods)]:
             if not (isinstance(name, str) and name and "/" not in name):
                 raise ValueError(f"{kind} must be a non-empty string without '/', got {name!r}")
-        cells = set()
-        for ds_name, _, _ in self.datasets:
-            for label, _ in self.methods:
-                if (ds_name, label) in cells:
-                    raise ValueError(f"method label {label!r} appears twice for dataset "
-                                     f"{ds_name!r}; the two cells would share trace files")
-                cells.add((ds_name, label))
+        cells = [(d[0], m[0]) for d in self.datasets for m in self.methods]
+        for i, (ds_name, label) in enumerate(cells):
+            if (ds_name, label) in cells[:i]:
+                raise ValueError(f"method label {label!r} appears twice for dataset "
+                                 f"{ds_name!r}; the two cells would share trace files")
 
 
 # summary.csv stem -> (RunSummary field, stdout column title, width, decimals).
@@ -130,10 +128,15 @@ SummaryRow = make_dataclass(
 SUMMARY_FIELDS = [f.name for f in fields(SummaryRow)]
 
 
-def _run_one(config: RunConfig, data: Dataset, path: Path, clock=None) -> RunSummary:
-    trace = run(config, data, clock=clock)
-    write_trace(trace, path)
-    return trace.summary
+def _run_one(config: RunConfig, data: Dataset, path: Path, clock=None) -> RunSummary | Exception:
+    """The run's summary once its trace is written, or the exception that
+    either raised, returned so that one failed run stops no other."""
+    try:
+        trace = run(config, data, clock=clock)
+        write_trace(trace, path)
+        return trace.summary
+    except Exception as exc:
+        return exc
 
 
 def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
@@ -149,6 +152,11 @@ def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
     inherits the one-time loads (scipy.stats and Sobol's direction numbers)
     instead of paying them at its first run; spawn and forkserver workers
     inherit nothing, so they get no warm-up.
+
+    A run that raises stops no other: every run happens, summary.csv gets
+    the row of each cell whose runs all returned, and then the first
+    exception, in run order, is raised.  One raised in a worker arrives
+    without the worker's traceback.
     """
     if jobs > 1 and clock is not None:
         raise ValueError("an injected clock cannot cross process boundaries")
@@ -176,8 +184,12 @@ def run_matrix(matrix: ExperimentMatrix, out_dir, jobs: int = 1,
 
     n = matrix.replicates
     rows = [_summarise_cell(ds_name, label, summaries[i * n:(i + 1) * n])
-            for i, (ds_name, _, _, label, _) in enumerate(cells)]
+            for i, (ds_name, _, _, label, _) in enumerate(cells)
+            if all(isinstance(s, RunSummary) for s in summaries[i * n:(i + 1) * n])]
     write_summary(rows, out_dir / "summary.csv")
+    failed = [s for s in summaries if isinstance(s, Exception)]
+    if failed:
+        raise failed[0]
     return rows
 
 
@@ -206,11 +218,7 @@ def any_cell_failed(rows: list[SummaryRow]) -> bool:
 # trace and summary files
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(int(x))
-    return str(x)
+    return "" if x is None else str(int(x) if isinstance(x, bool) else x)
 
 
 def _write_csv(path, header: list[str], rows) -> None:

@@ -236,6 +236,38 @@ def test_parallel_jobs_agree_with_serial(tmp_path):
         run_matrix(matrix, tmp_path / "x", jobs=2, clock=FakeClock())
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failed_run_costs_no_other_run_its_trace_or_its_cell_its_row(tmp_path, monkeypatch,
+                                                                       jobs):
+    """Two runs fail, one on a trace path that is a directory and one on a
+    bug inside the run.  Every other run still writes its trace, summary.csv
+    gets the row of the one cell whose runs all returned, and run_matrix
+    then raises the first failure in run order, at jobs=1 and in a pool
+    alike (whose forked workers inherit the bug)."""
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the injected bug reaches pool workers only through fork")
+    real_run = harness.run
+
+    def buggy_run(config, data, clock=None):
+        if config.method == "yoasovi-naive" and config.seed == 0:
+            raise ValueError("a bug in the run")
+        return real_run(config, data, clock=clock)
+
+    monkeypatch.setattr(harness, "run", buggy_run)
+    spec, data = make_preset("sim-p2k2", N=60)
+    matrix = ExperimentMatrix(datasets=(("sim-p2k2", spec, data),),
+                              methods=EVERY_METHOD[:3], replicates=2, base_seed=0)
+    (tmp_path / "traces" / "sim-p2k2__mcvi__r1.csv").mkdir(parents=True)
+    with pytest.raises(OSError, match="sim-p2k2__mcvi__r1.csv"):
+        run_matrix(matrix, tmp_path, jobs=jobs)
+    assert sorted(p.name for p in (tmp_path / "traces").iterdir() if p.is_file()) == [
+        "sim-p2k2__mcvi__r0.csv", "sim-p2k2__qmcvi__r0.csv", "sim-p2k2__qmcvi__r1.csv",
+        "sim-p2k2__yoasovi-naive__r1.csv"]
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert [(r["method"], r["runs"], r["errors"]) for r in written] == [("qmcvi", "2", "0")]
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork start method on this platform")
 def test_only_a_fork_pool_gets_one_warm_source_of_each_kind_first(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 """scripts/iteration_cost.py --quick: the single-draw timing script runs
 and prints what it promises."""
 
+import re
+
+from test_golden import versions
 from test_shipped_flags import ROOT, load_module
 
 script = load_module(ROOT / "scripts" / "iteration_cost.py")
@@ -8,7 +11,12 @@ script = load_module(ROOT / "scripts" / "iteration_cost.py")
 
 def test_quick_run_prints_iteration_and_target_cost(capsys):
     assert script.main(["--quick"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    provenance, *lines = capsys.readouterr().out.splitlines()
+    # where the readings were taken: the checkout, its CPUs and its numerics
+    sha, nproc, rest = re.fullmatch(r"provenance git (\w+), nproc (\d+), (.*)",
+                                    provenance).groups()
+    assert sha == "unknown" or re.fullmatch(r"[0-9a-f]{4,40}", sha)
+    assert int(nproc) >= 1 and rest == versions()
     assert lines[0] == "yoasovi-naive on sim_p2k2.yaml, seeds 0-1, 50 iterations at most"
     assert lines[1].split() == ["round", "us/iteration", "us/target", "ratio", "us/outside",
                                 "us/accepted", "us/rejected"]
